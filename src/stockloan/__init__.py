@@ -45,7 +45,6 @@ from .fd1d import (
     ComplementarityReport,
     FDConfig,
     PSORNonConvergence,
-    VIProblem,
     residual_report,
     solve_vi,
 )
@@ -55,13 +54,9 @@ from .fsg2d import (
     ValueSurface2D,
     extract_boundary_surface,
     price_regime4,
-    price_regime4_linear,
 )
 from .lattice1d import (
-    BoundaryCurve,
     LatticeConfig,
-    ValueSurface1D,
-    amortized_payment_rate,
     extract_boundary,
     price_amortized,
     price_regime1,
@@ -70,6 +65,7 @@ from .lattice1d import (
     price_withdrawable,
 )
 from .oracle import MAX_ORACLE_STEPS, oracle_boundary, oracle_price
+from .problems import BoundaryCurve, ValueSurface1D, VIProblem, amortized_payment_rate
 
 __all__ = [
     "MAX_ORACLE_STEPS",
@@ -114,11 +110,10 @@ __all__ = [
     "price_regime2",
     "price_regime3",
     "price_regime4",
-    "price_regime4_linear",
     "price_withdrawable",
     "residual_report",
     "solve_vi",
     "terminal_limit",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -16,9 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +85,16 @@ class RunConfig:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.accrued < 0.0:
+            raise ValueError(f"accrued account must be nonnegative, got {self.accrued}")
+        if self.accrued != 0.0 and (self.variant is not None or self.regime in (1, 2)):
+            raise ValueError("only regimes 3 and 4 carry an accrued dividend account")
+        if (self.cap is None) == (self.variant == "withdrawable"):
+            raise ValueError("the withdrawable variant, and only that variant, takes a cap")
         if self.solver not in SOLVER_CAPABILITIES:
             raise ValueError(
                 f"unknown solver {self.solver!r}; choose from {sorted(SOLVER_CAPABILITIES)}"
@@ -155,36 +163,37 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _price(cfg: RunConfig) -> float:
+def _solve(
+    cfg: RunConfig,
+) -> tuple[float, lattice1d.ValueSurface1D | fsg2d.ValueSurface2D | None]:
+    """Run the configured solver; returns (value, surface).
+
+    The surface is what the solver's public entry point returns: None for
+    the oracle, and for the forward-shooting grid when immediate redemption
+    is exactly optimal.  Regime-3 values from the lattice and finite
+    differences exclude the dividends already delivered, so the accrued
+    account is added here.
+    """
     market, contract = cfg.market(), cfg.contract()
-    if cfg.variant is not None:
-        if cfg.solver == "lattice":
-            lat_cfg = lattice1d.LatticeConfig(steps=cfg.steps)
-            if cfg.variant == "amortized":
-                value, _ = lattice1d.price_amortized(cfg.spot, market, contract, lat_cfg)
-            else:
-                value, _ = lattice1d.price_withdrawable(cfg.spot, market, contract, lat_cfg, cfg.cap)
-            return value
-        problem = fd1d.VIProblem(cfg.variant, market, contract, cfg.cap)
-        surface, _ = fd1d.solve_vi(problem, _fd_config(cfg))
-        return surface.value_at(cfg.spot, cfg.maturity)
-    if cfg.solver == "lattice":
-        lat_cfg = lattice1d.LatticeConfig(steps=cfg.steps)
-        pricer = {
-            1: lattice1d.price_regime1,
-            2: lattice1d.price_regime2,
-            3: lattice1d.price_regime3,
-        }[cfg.regime]
-        value, _ = pricer(cfg.spot, market, contract, lat_cfg)
-        return value
-    if cfg.solver == "fd":
-        problem = fd1d.VIProblem.from_regime(market, contract)
-        surface, _ = fd1d.solve_vi(problem, _fd_config(cfg))
-        return surface.value_at(cfg.spot, cfg.maturity)
+    if cfg.solver == "oracle":
+        value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
+        return value, None
     if cfg.solver == "fsg":
-        value, _ = fsg2d.price_regime4(cfg.spot, cfg.accrued, market, contract, _fsg_config(cfg))
-        return value
-    return oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
+        return fsg2d.price_regime4(cfg.spot, cfg.accrued, market, contract, _fsg_config(cfg))
+    kind = cfg.variant or f"regime{cfg.regime}"
+    if cfg.solver == "fd":
+        problem = fd1d.VIProblem(kind, market, contract, cfg.cap)
+        surface, _ = fd1d.solve_vi(problem, _fd_config(cfg))
+        value = surface.value_at(cfg.spot, cfg.maturity)
+    else:
+        args = (cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps))
+        if kind == "withdrawable":
+            value, surface = lattice1d.price_withdrawable(*args, cfg.cap)
+        else:
+            value, surface = getattr(lattice1d, f"price_{kind}")(*args)
+    if kind == "regime3":
+        value += cfg.accrued
+    return value, surface
 
 
 def _fd_config(cfg: RunConfig) -> fd1d.FDConfig:
@@ -202,13 +211,14 @@ def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
 
 
 def cmd_price(cfg: RunConfig) -> str:
-    return _fmt(_price(cfg)) + "\n"
+    return _fmt(_solve(cfg)[0]) + "\n"
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
-    market, contract = cfg.market(), cfg.contract()
+    if cfg.solver == "oracle":
+        raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
+    _, surface = _solve(cfg)
     if cfg.solver == "fsg":
-        _, surface = fsg2d.price_regime4(cfg.spot, cfg.accrued, market, contract, _fsg_config(cfg))
         if surface is None:
             raise ValueError(
                 "immediate redemption is exactly optimal for this state; "
@@ -220,31 +230,7 @@ def cmd_boundary(cfg: RunConfig) -> str:
             for j, a in enumerate(bsurf.a_grid):
                 rows.append(f"{_fmt(tau)},{_fmt(a)},{_fmt(bsurf.x_star[m, j])}")
         return _csv(cfg, "tau,a,x_star", rows)
-    if cfg.solver == "lattice":
-        if cfg.variant == "amortized":
-            _, surface = lattice1d.price_amortized(
-                cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps)
-            )
-        elif cfg.variant == "withdrawable":
-            _, surface = lattice1d.price_withdrawable(
-                cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps), cfg.cap
-            )
-        else:
-            pricer = {
-                1: lattice1d.price_regime1,
-                2: lattice1d.price_regime2,
-                3: lattice1d.price_regime3,
-            }[cfg.regime]
-            _, surface = pricer(cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps))
-        curve = lattice1d.extract_boundary(surface, cfg.tol)
-    elif cfg.solver == "fd":
-        if cfg.variant is not None:
-            problem = fd1d.VIProblem(cfg.variant, market, contract, cfg.cap)
-        else:
-            problem = fd1d.VIProblem.from_regime(market, contract)
-        _, curve = fd1d.solve_vi(problem, _fd_config(cfg))
-    else:
-        raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
+    curve = lattice1d.extract_boundary(surface, cfg.tol)
     rows = [f"{_fmt(tau)},{_fmt(star)}" for tau, star in zip(curve.tau_grid, curve.x_star)]
     return _csv(cfg, "tau,x_star", rows)
 
@@ -256,7 +242,7 @@ def cmd_perpetual(cfg: RunConfig) -> str:
     elif cfg.regime == 2:
         res = closedform.perpetual_regime2(market, contract)
     elif cfg.regime == 3:
-        res3 = closedform.perpetual_regime3()
+        res3 = closedform.perpetual_regime3(market, contract)
         return f"x_star_inf={_fmt(float(res3.boundary))}\n"
     else:
         raise ValueError("no perpetual closed form exists for regime 4")
@@ -277,11 +263,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> str:
     if not values:
         raise ValueError("sweep needs at least one value")
     configs = [dataclasses.replace(cfg, **{param: v}) for v in values]
-    env_threads = os.environ.get("STOCKLOAN_THREADS")
-    threads = int(env_threads) if env_threads else (os.cpu_count() or 1)
-    threads = max(1, min(threads, len(configs)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        prices = list(pool.map(_price, configs))
+    prices = [_solve(c)[0] for c in configs]
     rows = [f"{_fmt(v)},{_fmt(p)}" for v, p in zip(values, prices)]
     return _csv(cfg, f"{param},value", rows)
 
@@ -298,21 +280,19 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     are account-level snapshots of the cash-dividend boundary surface at
     one and three years to go on a three-year contract.
     """
-    market = cfg.market()
+    if cfg.variant is not None:
+        raise ValueError("figures cover the dividend regimes, not variants")
     if which in (1, 2):
         curves = []
         for regime in (1, 2, 3):
-            contract = dataclasses.replace(cfg.contract(), regime=DividendRegime(regime))
-            problem = fd1d.VIProblem.from_regime(market, contract)
-            _, curve = fd1d.solve_vi(problem, _fd_config(cfg))
-            curves.append(curve)
+            _, surface = _solve(dataclasses.replace(cfg, regime=regime))
+            curves.append(lattice1d.extract_boundary(surface, cfg.tol))
         rows = []
         for m, tau in enumerate(curves[0].tau_grid):
             stars = ",".join(_fmt(c.x_star[m]) for c in curves)
             rows.append(f"{_fmt(tau)},{stars}")
         return _csv(cfg, "tau,x1_star,x2_star,x3_star", rows)
-    contract = dataclasses.replace(cfg.contract(), regime=DividendRegime(4))
-    _, surface = fsg2d.price_regime4(cfg.spot, 0.0, market, contract, _fsg_config(cfg))
+    _, surface = _solve(dataclasses.replace(cfg, accrued=0.0))
     if surface is None:  # unreachable with accrued == 0, kept for type safety
         raise ValueError("no surface produced")
     bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
@@ -328,7 +308,7 @@ def cmd_oracle_check(cfg: RunConfig) -> str:
     market, contract = cfg.market(), cfg.contract()
     if cfg.variant is not None:
         raise ValueError("the path-tree check covers the four regimes, not variants")
-    solver_value = _price(cfg)
+    solver_value, _ = _solve(cfg)
     oracle_value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
     return (
         f"solver_value={_fmt(solver_value)}\n"

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.stats import norm
-
 from .contracts import (
     ClosedForm,
     DividendRegime,
@@ -100,6 +98,10 @@ class TerminalLimit:
     value: float
 
 
+def _norm_cdf(d: float) -> float:
+    return 0.5 * math.erfc(-d / math.sqrt(2.0))
+
+
 def _d1_d2(spot: float, tau: float, r: float, delta: float, sigma: float, strike: float):
     vol = sigma * math.sqrt(tau)
     d1 = (math.log(spot / strike) + (r - delta + 0.5 * sigma * sigma) * tau) / vol
@@ -113,9 +115,9 @@ def european_call(spot: float, tau: float, market: MarketParams, strike: float) 
     if tau == 0.0 or spot == 0.0:
         return max(spot - strike, 0.0) if tau == 0.0 else 0.0
     d1, d2 = _d1_d2(spot, tau, market.r, market.delta, market.sigma, strike)
-    return spot * math.exp(-market.delta * tau) * norm.cdf(d1) - strike * math.exp(
+    return spot * math.exp(-market.delta * tau) * _norm_cdf(d1) - strike * math.exp(
         -market.r * tau
-    ) * norm.cdf(d2)
+    ) * _norm_cdf(d2)
 
 
 def european_put(spot: float, tau: float, market: MarketParams, strike: float) -> float:
@@ -127,9 +129,9 @@ def european_put(spot: float, tau: float, market: MarketParams, strike: float) -
     if spot == 0.0:
         return strike * math.exp(-market.r * tau)
     d1, d2 = _d1_d2(spot, tau, market.r, market.delta, market.sigma, strike)
-    return strike * math.exp(-market.r * tau) * norm.cdf(-d2) - spot * math.exp(
+    return strike * math.exp(-market.r * tau) * _norm_cdf(-d2) - spot * math.exp(
         -market.delta * tau
-    ) * norm.cdf(-d1)
+    ) * _norm_cdf(-d1)
 
 
 def parity_price_regime3(
@@ -224,8 +226,15 @@ def perpetual_regime3(market: MarketParams, contract: LoanContract) -> Perpetual
 
     The dividend-adjusted value converges to the stock itself and the
     redeeming boundary escapes to infinity, so the descriptor carries the
-    identity value map and an UNBOUNDED boundary.
+    identity value map and an UNBOUNDED boundary.  With delta = 0 nothing is
+    delivered, the loan is the regime-1 loan and its boundary can be finite,
+    so that case is refused.
     """
+    if market.delta == 0.0:
+        raise ValueError(
+            "with delta = 0 the delivered-dividend loan is the regime-1 loan; "
+            "use the regime-1 perpetual closed form"
+        )
     return PerpetualRegime3Result()
 
 

@@ -7,47 +7,30 @@ complementarity problem.  The drift term falls back to one-sided
 differencing whenever central weights would go negative, which keeps every
 per-step matrix an M-matrix.
 
-Boundary rows are Dirichlet.  The far field takes the larger of the
-redemption obstacle and the discounted-forward European asymptote, which
-reproduces the obstacle in redeeming regimes and the asymptote in empty
-ones, and stays sensible when a finite redeeming boundary lies beyond the
-grid.  The near field uses the value of the problem at x = 0: zero for
-regimes 1 and 2, the accumulated dividend stream for regime 3, the
-annuity of remaining payments for the amortizing variant.
+Boundary rows are Dirichlet, set from the near- and far-field values of
+the problem's spec (see problems.problem_spec).  The far field takes the
+larger of the obstacle and the discounted-forward asymptote, so it stays
+sensible when a finite redeeming boundary lies beyond the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .contracts import (
-    DividendRegime,
-    LoanContract,
-    MarketParams,
-    RegionKind,
-    classify,
-    reduce_regime2,
-)
-from .lattice1d import (
+from .contracts import LoanContract
+from .lattice1d import extract_boundary
+from .problems import (
     BoundaryCurve,
+    ProblemSpec,
     ValueSurface1D,
-    _frozen,
-    amortized_payment_rate,
-    extract_boundary,
+    VIProblem,
+    frozen,
+    problem_spec,
 )
-
-ProblemKind = Literal["regime1", "regime2", "regime3", "amortized", "withdrawable"]
-
-_REGIME_KINDS: dict[DividendRegime, ProblemKind] = {
-    DividendRegime.LENDER_KEEPS: "regime1",
-    DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION: "regime2",
-    DividendRegime.DELIVERED_IMMEDIATELY: "regime3",
-}
 
 
 @dataclass(frozen=True)
@@ -82,47 +65,6 @@ class FDConfig:
             and self.log_x_min >= self.log_x_max
         ):
             raise ValueError("log_x_min must lie below log_x_max")
-
-
-@dataclass(frozen=True)
-class VIProblem:
-    """A one-dimensional variational-inequality pricing problem.
-
-    kind selects among the three similarity regimes and the two cash-basis
-    loan variants.  cap is the withdrawal cap L and is required exactly for
-    the withdrawable kind.
-    """
-
-    kind: ProblemKind
-    market: MarketParams
-    contract: LoanContract
-    cap: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("regime1", "regime2", "regime3", "amortized", "withdrawable"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "withdrawable":
-            if self.cap is None or not 0.0 < self.cap < self.contract.principal:
-                raise ValueError(
-                    f"withdrawable problems need a cap in (0, principal), got {self.cap}"
-                )
-        elif self.cap is not None:
-            raise ValueError(f"cap only applies to withdrawable problems, got kind {self.kind!r}")
-        if self.kind in _REGIME_KINDS.values():
-            expected = {v: k for k, v in _REGIME_KINDS.items()}[self.kind]
-            if self.contract.regime is not expected:
-                raise ValueError(
-                    f"problem kind {self.kind!r} requires contract regime {expected!r}, "
-                    f"got {self.contract.regime!r}"
-                )
-
-    @staticmethod
-    def from_regime(
-        market: MarketParams, contract: LoanContract, cap: float | None = None
-    ) -> "VIProblem":
-        if contract.regime not in _REGIME_KINDS:
-            raise ValueError(f"no one-dimensional problem for regime {contract.regime!r}")
-        return VIProblem(_REGIME_KINDS[contract.regime], market, contract, cap)
 
 
 class PSORNonConvergence(RuntimeError):
@@ -184,116 +126,6 @@ def log_stencil(
     return lo, mid, up
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """Marching description shared by the solver and the residual audit."""
-
-    sigma: float
-    drift: float
-    rate: float
-    terminal: Callable[[np.ndarray], np.ndarray]
-    obstacle: Callable[[np.ndarray, float], np.ndarray]
-    source: Callable[[np.ndarray], np.ndarray] | None
-    bc_bottom: Callable[[float, float], float]
-    bc_top: Callable[[float, float], float]
-    constrained: bool
-    cap: float | None
-    label: str
-
-
-def _build_setup(problem: VIProblem) -> _Setup:
-    market, contract = problem.market, problem.contract
-    principal = contract.principal
-    kind = problem.kind
-
-    if kind in ("regime1", "regime2", "regime3"):
-        if kind == "regime2":
-            market, contract = reduce_regime2(market, contract)
-        r_bar = market.r - contract.loan_rate
-        delta = market.delta
-        constrained = classify(market, contract).redemption_region_kind is not RegionKind.EMPTY
-        if kind == "regime3" and delta > 0.0:
-            source = lambda x: delta * x  # noqa: E731
-            bottom = lambda tau, x: x * -math.expm1(-delta * tau)  # noqa: E731
-            # the delivered stream offsets the yield drag, so the far-field
-            # forward carries the full spot rather than x exp(-delta tau)
-            forward = lambda tau, x: x  # noqa: E731
-        else:
-            source = None
-            bottom = lambda tau, x: 0.0  # noqa: E731
-            forward = lambda tau, x: x * math.exp(-delta * tau)  # noqa: E731
-
-        def top(tau: float, x: float) -> float:
-            return max(x - principal, forward(tau, x) - principal * math.exp(-r_bar * tau))
-
-        return _Setup(
-            sigma=market.sigma,
-            drift=r_bar - delta,
-            rate=r_bar,
-            terminal=lambda x: np.maximum(x - principal, 0.0),
-            obstacle=lambda x, tau: x - principal,
-            source=source,
-            bc_bottom=bottom,
-            bc_top=top,
-            constrained=constrained,
-            cap=None,
-            label=kind,
-        )
-
-    if kind == "amortized":
-        rate_c = amortized_payment_rate(contract)
-        gamma, r, delta = contract.loan_rate, market.r, market.delta
-
-        def outstanding(tau: float) -> float:
-            if gamma == 0.0:
-                return rate_c * tau
-            return rate_c / gamma * -math.expm1(-gamma * tau)
-
-        def annuity(tau: float) -> float:
-            return rate_c / r * -math.expm1(-r * tau)
-
-        return _Setup(
-            sigma=market.sigma,
-            drift=r - delta,
-            rate=r,
-            terminal=lambda z: z.copy(),
-            obstacle=lambda z, tau: z - outstanding(tau),
-            source=lambda z: np.full_like(z, -rate_c),
-            bc_bottom=lambda tau, x: -annuity(tau),
-            bc_top=lambda tau, x: max(
-                x - outstanding(tau), x * math.exp(-delta * tau) - annuity(tau)
-            ),
-            constrained=True,
-            cap=None,
-            label=kind,
-        )
-
-    cap = problem.cap
-    gamma, maturity = contract.loan_rate, contract.maturity
-    terminal_balance = principal * math.exp(gamma * maturity)
-
-    return _Setup(
-        sigma=market.sigma,
-        drift=market.r - market.delta,
-        rate=market.r,
-        terminal=lambda z: np.minimum(np.maximum(z - terminal_balance, 0.0), cap),
-        obstacle=lambda z, tau: z - principal * np.exp(gamma * (maturity - tau)),
-        source=None,
-        bc_bottom=lambda tau, x: 0.0,
-        bc_top=lambda tau, x: min(
-            cap,
-            max(
-                x - principal * math.exp(gamma * (maturity - tau)),
-                x * math.exp(-market.delta * tau)
-                - terminal_balance * math.exp(-market.r * tau),
-            ),
-        ),
-        constrained=True,
-        cap=cap,
-        label="withdrawable",
-    )
-
-
 def _psor_step(
     diag: float,
     off_lo: float,
@@ -343,11 +175,11 @@ def _psor_step(
     raise PSORNonConvergence(max_iter, worst, float(np.max(np.abs(residual))))
 
 
-def _march(setup: _Setup, config: FDConfig, contract: LoanContract) -> dict:
+def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
     """Run the time loop; returns the grid, all layers, and diagnostics."""
     principal = contract.principal
     maturity = contract.maturity
-    sig_span = 6.0 * setup.sigma * math.sqrt(maturity)
+    sig_span = 6.0 * spec.sigma * math.sqrt(maturity)
     y_min = config.log_x_min if config.log_x_min is not None else math.log(principal) - sig_span
     y_max = config.log_x_max if config.log_x_max is not None else math.log(principal) + sig_span
     n = config.space_nodes
@@ -357,21 +189,21 @@ def _march(setup: _Setup, config: FDConfig, contract: LoanContract) -> dict:
     m_steps = config.time_steps
     dtau = maturity / m_steps
 
-    lo, mid, up = log_stencil(setup.sigma, setup.drift, setup.rate, dy)
-    src = setup.source(x[1:-1]) if setup.source is not None else None
+    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
+    src = spec.source(x[1:-1]) if spec.source is not None else None
     tol_abs = config.psor_tol * principal
 
     def implicit_solve(
         rhs: np.ndarray, weight: float, tau_new: float, init: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        bottom = setup.bc_bottom(tau_new, float(x[0]))
-        top = setup.bc_top(tau_new, float(x[-1]))
+        bottom = spec.near_field(tau_new, float(x[0]))
+        top = spec.far_field(tau_new, float(x[-1]))
         b = rhs.copy()
         b[0] += weight * lo * bottom
         b[-1] += weight * up * top
         diag = 1.0 - weight * mid
-        if setup.constrained:
-            lower = np.asarray(setup.obstacle(x[1:-1], tau_new), dtype=float)
+        if spec.constrained:
+            lower = np.asarray(spec.obstacle(x[1:-1], tau_new), dtype=float)
             f_int, sweeps = _psor_step(
                 diag,
                 -weight * lo,
@@ -379,7 +211,7 @@ def _march(setup: _Setup, config: FDConfig, contract: LoanContract) -> dict:
                 b,
                 init,
                 lower,
-                setup.cap,
+                spec.cap,
                 config.psor_omega,
                 tol_abs,
                 config.psor_max_iter,
@@ -396,7 +228,7 @@ def _march(setup: _Setup, config: FDConfig, contract: LoanContract) -> dict:
         full[1:-1] = f_int
         return full, sweeps
 
-    layers = [np.asarray(setup.terminal(x), dtype=float)]
+    layers = [np.asarray(spec.terminal(x), dtype=float)]
     sweeps_total = 0
     startup = None
     half = 0.5 * dtau
@@ -422,7 +254,7 @@ def _march(setup: _Setup, config: FDConfig, contract: LoanContract) -> dict:
             f_new, s = implicit_solve(rhs, half, tau_new, f_old[1:-1])
             sweeps_total += s
         if np.isnan(f_new).any():
-            raise RuntimeError(f"finite-difference solve produced NaN for {setup.label!r}")
+            raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
         layers.append(f_new)
 
     return {
@@ -442,21 +274,21 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
     curve is infinite at every positive tau; constrained problems go
     through projected SOR.
     """
-    setup = _build_setup(problem)
-    state = _march(setup, config, problem.contract)
-    x = _frozen(state["x"])
+    spec = problem_spec(problem)
+    state = _march(spec, config, problem.contract)
+    x = frozen(state["x"])
     principal = problem.contract.principal
-    tau_grid = _frozen(np.arange(config.time_steps + 1, dtype=float) * state["dtau"])
+    tau_grid = frozen(np.arange(config.time_steps + 1, dtype=float) * state["dtau"])
 
     values = []
     obstacles = []
     flags = []
     tie_tol = 1e-12 * principal
     for j, layer in enumerate(state["layers"]):
-        obs = np.asarray(setup.obstacle(x, float(tau_grid[j])), dtype=float)
-        values.append(_frozen(layer))
-        obstacles.append(_frozen(obs))
-        flags.append(_frozen(layer - obs <= tie_tol))
+        obs = np.asarray(spec.obstacle(x, float(tau_grid[j])), dtype=float)
+        values.append(frozen(layer))
+        obstacles.append(frozen(obs))
+        flags.append(frozen(layer - obs <= tie_tol))
 
     surface = ValueSurface1D(
         tau_grid=tau_grid,
@@ -466,13 +298,13 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
         payoff_flags=tuple(flags),
         principal=principal,
         spatial_cap=float(x[-1]),
-        label=f"fd-{setup.label}",
+        label=f"fd-{spec.label}",
         solver_meta={
             "solver": "fd",
             "config": config,
             "psor_total_sweeps": state["sweeps_total"],
             "rannacher_intermediate": state["startup"],
-            "constrained": setup.constrained,
+            "constrained": spec.constrained,
         },
     )
     return surface, extract_boundary(surface)
@@ -491,12 +323,12 @@ def residual_report(
     meta = surface.solver_meta
     if meta.get("solver") != "fd":
         raise ValueError("residual reports require a finite-difference surface")
-    setup = _build_setup(problem)
+    spec = problem_spec(problem)
     principal = problem.contract.principal
     x = surface.x_nodes[0]
     dy = math.log(x[1]) - math.log(x[0])
-    lo, mid, up = log_stencil(setup.sigma, setup.drift, setup.rate, dy)
-    src = setup.source(x[1:-1]) if setup.source is not None else None
+    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
+    src = spec.source(x[1:-1]) if spec.source is not None else None
     dtau = float(surface.tau_grid[1] - surface.tau_grid[0])
     half = 0.5 * dtau
     tol_abs = tol * principal
@@ -520,18 +352,18 @@ def residual_report(
         # M f folds boundary neighbors through the stored Dirichlet rows.
         m_f = (1.0 - half * mid) * fi - half * (lo * f_new[:-2] + up * f_new[2:])
         residual = m_f - rhs
-        if setup.constrained:
-            slack = fi - np.asarray(setup.obstacle(x[1:-1], tau_new), dtype=float)
-            if setup.cap is not None:
-                comp = np.minimum(slack, np.maximum(residual, fi - setup.cap))
+        if spec.constrained:
+            slack = fi - np.asarray(spec.obstacle(x[1:-1], tau_new), dtype=float)
+            if spec.cap is not None:
+                comp = np.minimum(slack, np.maximum(residual, fi - spec.cap))
             else:
                 comp = np.minimum(slack, residual)
             at_obstacle = slack <= tol_abs
             if at_obstacle.any():
                 min_obstacle_res = min(min_obstacle_res, float(residual[at_obstacle].min()))
             in_continuation = ~at_obstacle
-            if setup.cap is not None:
-                in_continuation &= fi < setup.cap - tol_abs
+            if spec.cap is not None:
+                in_continuation &= fi < spec.cap - tol_abs
             if in_continuation.any():
                 max_cont_res = max(max_cont_res, float(np.abs(residual[in_continuation]).max()))
         else:

@@ -35,7 +35,7 @@ from .contracts import (
     classify,
 )
 from .fd1d import log_stencil
-from .lattice1d import _frozen
+from .problems import frozen, max_decrease
 
 
 @dataclass(frozen=True)
@@ -234,16 +234,16 @@ def _march4(
                 raise RuntimeError("forward-shooting-grid solve produced NaN")
             layers.append(f.copy())
 
-    tau_grid = _frozen(np.arange(config.time_steps + 1, dtype=float) * dtau_layer)
+    tau_grid = frozen(np.arange(config.time_steps + 1, dtype=float) * dtau_layer)
     tie_tol = 1e-12 * principal
-    obstacle_f = _frozen(obstacle)
+    obstacle_f = frozen(obstacle)
     return ValueSurface2D(
         tau_grid=tau_grid,
-        x_grid=_frozen(x),
-        a_grid=_frozen(a),
-        values=tuple(_frozen(layer) for layer in layers),
+        x_grid=frozen(x),
+        a_grid=frozen(a),
+        values=tuple(frozen(layer) for layer in layers),
         obstacle=obstacle_f,
-        payoff_flags=tuple(_frozen(layer - obstacle <= tie_tol) for layer in layers),
+        payoff_flags=tuple(frozen(layer - obstacle <= tie_tol) for layer in layers),
         principal=principal,
         spatial_cap=float(x[-1]),
         label="fsg-regime4" if constrained else "fsg-regime4-linear",
@@ -255,11 +255,6 @@ def _march4(
             "constrained": constrained,
         },
     )
-
-
-def _check_regime4(contract: LoanContract) -> None:
-    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
-        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
 
 
 def price_regime4(
@@ -274,9 +269,13 @@ def price_regime4(
     spot and accrued are the time-zero stock level and collected-dividend
     account.  When r < gamma and the account already covers the principal,
     immediate redemption is optimal and the exact value spot + accrued - K
-    is returned without a solve (surface None).
+    is returned without a solve (surface None).  When no redemption is
+    strictly optimal (r >= gamma), the obstacle never binds and the plain
+    pricing equation is marched over a wider account grid, with
+    solver_meta["constrained"] False.
     """
-    _check_regime4(contract)
+    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
+        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
     if spot <= 0.0 or accrued < 0.0:
         raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
     config = config or FSG2DConfig()
@@ -286,38 +285,6 @@ def price_regime4(
     kind = classify(market, contract).redemption_region_kind
     constrained = kind in (RegionKind.BOUNDARY_SURFACE, RegionKind.BOUNDARY_CURVE)
     surface = _march4(market, contract, config, constrained)
-    if not surface.x_grid[0] <= spot <= surface.x_grid[-1] or accrued > surface.a_grid[-1]:
-        raise ValueError(
-            f"state ({spot}, {accrued}) outside the solve grid; widen the configuration"
-        )
-    return surface.value_at(spot, accrued, contract.maturity), surface
-
-
-def price_regime4_linear(
-    spot: float,
-    accrued: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: FSG2DConfig | None = None,
-) -> tuple[float, ValueSurface2D]:
-    """Unconstrained solve for parameters with no strictly optimal redemption.
-
-    Valid when r >= gamma, where waiting until maturity is optimal and the
-    obstacle never enters: the value solves the plain pricing equation with
-    terminal payoff (x + A - K)+ and approaches x + A - K e^{-(r - gamma) tau}
-    deep in the money.
-    """
-    _check_regime4(contract)
-    kind = classify(market, contract).redemption_region_kind
-    if kind not in (RegionKind.EMPTY, RegionKind.NEVER_STRICTLY_OPTIMAL):
-        raise ValueError(
-            "unconstrained pricing requires parameters with no strictly "
-            f"optimal early redemption, got region kind {kind!r}"
-        )
-    if spot <= 0.0 or accrued < 0.0:
-        raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
-    config = config or FSG2DConfig()
-    surface = _march4(market, contract, config, constrained=False)
     if not surface.x_grid[0] <= spot <= surface.x_grid[-1] or accrued > surface.a_grid[-1]:
         raise ValueError(
             f"state ({spot}, {accrued}) outside the solve grid; widen the configuration"
@@ -344,20 +311,9 @@ def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> Boun
         has = ties.any(axis=0)
         first = ties.argmax(axis=0)
         stars[m, has] = surface.x_grid[first[has]]
-
-    max_decrease = 0.0
-    for j in range(a_sub.size):
-        col = stars[:, j]
-        for m in range(n_layers - 1):
-            left, right = col[m], col[m + 1]
-            if math.isinf(left) and math.isinf(right):
-                continue
-            drop = left - right
-            if drop > max_decrease:
-                max_decrease = drop
     return BoundarySurface(
         tau_grid=surface.tau_grid,
-        a_grid=_frozen(a_sub),
-        x_star=_frozen(stars),
-        max_decrease=max_decrease,
+        a_grid=frozen(a_sub),
+        x_star=frozen(stars),
+        max_decrease=max_decrease(stars),
     )

@@ -1,12 +1,10 @@
 """Binomial-lattice pricing for the one-dimensional stock-loan problems.
 
-Regimes 1 to 3 are solved on a recombining CRR tree in similarity
-coordinates, where the redemption obstacle x - K is time independent, the
-per-step growth factor is exp((r - gamma - delta) * dt) and discounting
-happens at r - gamma.  The delivered-dividend regime adds an explicit
-source term delta * x * dt after discounting the expectation.  The
-amortizing and withdrawable variants keep calendar cash coordinates because
-their obstacles do not scale with exp(gamma * t).
+Every problem is marched on a recombining CRR tree built from the spec
+that problems.problem_spec writes out for it: the per-step growth factor is
+exp(drift * dt), each expectation is discounted at the spec's rate, and a
+running source is added explicitly after discounting, before the value is
+floored at the obstacle and clamped at the cap.
 
 Surfaces store every layer of the tree so redemption boundaries can be read
 off afterwards; they are immutable once returned.
@@ -16,11 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .contracts import DividendRegime, LoanContract, MarketParams, reduce_regime2
+from .contracts import LoanContract, MarketParams
+from .problems import (
+    BoundaryCurve,
+    ValueSurface1D,
+    VIProblem,
+    frozen,
+    max_decrease,
+    problem_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -42,69 +47,7 @@ class LatticeConfig:
             raise ValueError(f"spatial cap multiplier must exceed 1, got {self.x_max_mult}")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class ValueSurface1D:
-    """Value surface on a one-dimensional grid, one layer per time to maturity.
-
-    tau_grid ascends from 0 (the terminal layer) to the maturity.  Layer j
-    holds node coordinates x_nodes[j], values, the redemption obstacle and a
-    flag marking nodes where the value equals the obstacle (ties count as
-    redemption).  principal scales tolerances; spatial_cap bounds boundary
-    extraction; label names the problem and solver_meta carries diagnostics.
-    """
-
-    tau_grid: np.ndarray
-    x_nodes: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-    obstacles: tuple[np.ndarray, ...]
-    payoff_flags: tuple[np.ndarray, ...]
-    principal: float
-    spatial_cap: float
-    label: str
-    solver_meta: dict
-
-    def layer_count(self) -> int:
-        return len(self.tau_grid)
-
-    def value_at(self, x: float, tau: float) -> float:
-        """Bilinear lookup: linear in x within layers, linear across tau."""
-        taus = self.tau_grid
-        if not taus[0] <= tau <= taus[-1]:
-            raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
-        j_hi = int(np.searchsorted(taus, tau))
-        if j_hi == 0 or taus[j_hi] == tau:
-            return float(np.interp(x, self.x_nodes[j_hi], self.values[j_hi]))
-        j_lo = j_hi - 1
-        v_lo = float(np.interp(x, self.x_nodes[j_lo], self.values[j_lo]))
-        v_hi = float(np.interp(x, self.x_nodes[j_hi], self.values[j_hi]))
-        w = (tau - taus[j_lo]) / (taus[j_hi] - taus[j_lo])
-        return (1.0 - w) * v_lo + w * v_hi
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Redemption boundary per tau layer, with monotonicity metadata.
-
-    x_star holds the smallest node in the redemption region of each layer,
-    or inf where no node within the spatial cap qualifies.  max_decrease
-    records the largest observed drop between consecutive finite entries;
-    construction never repairs violations, tests assert on them.
-    """
-
-    tau_grid: np.ndarray
-    x_star: np.ndarray
-    max_decrease: float
-
-    def is_monotone(self, tolerance: float = 0.0) -> bool:
-        return self.max_decrease <= tolerance
-
-
-def _crr_step_params(
+def crr_step_params(
     sigma: float, drift: float, rate: float, dt: float
 ) -> tuple[float, float, float, float]:
     """CRR step: up/down factors, up probability and one-step discount.
@@ -126,28 +69,20 @@ def _crr_step_params(
 
 
 def _solve_tree(
-    spot: float,
-    sigma: float,
-    drift: float,
-    rate: float,
-    maturity: float,
-    steps: int,
-    terminal: Callable[[np.ndarray], np.ndarray],
-    obstacle: Callable[[np.ndarray, float], np.ndarray],
-    source: Callable[[np.ndarray], np.ndarray] | None,
-    cap: float | None,
-    principal: float,
-    spatial_cap: float,
-    label: str,
+    spot: float, problem: VIProblem, config: LatticeConfig
 ) -> tuple[float, ValueSurface1D]:
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
-    dt = maturity / steps
-    u, d, p, disc = _crr_step_params(sigma, drift, rate, dt)
+    spec = problem_spec(problem)
+    principal = problem.contract.principal
+    steps = config.steps
+    dt = problem.contract.maturity / steps
+    u, d, p, disc = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
     log_u = math.log(u)
     q = 1.0 - p
+    cap, source = spec.cap, spec.source
 
-    tau_grid = _frozen(np.arange(steps + 1, dtype=float) * dt)
+    tau_grid = frozen(np.arange(steps + 1, dtype=float) * dt)
     xs: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     obss: list[np.ndarray] = []
@@ -157,14 +92,14 @@ def _solve_tree(
         return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
 
     x = layer_nodes(steps)
-    v = np.asarray(terminal(x), dtype=float)
-    obs = np.asarray(obstacle(x, 0.0), dtype=float)
+    v = np.asarray(spec.terminal(x), dtype=float)
+    obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
     if cap is not None:
         v = np.minimum(v, cap)
-    xs.append(_frozen(x))
-    vals.append(_frozen(v))
-    obss.append(_frozen(obs))
-    flags.append(_frozen(v == obs))
+    xs.append(frozen(x))
+    vals.append(frozen(v))
+    obss.append(frozen(obs))
+    flags.append(frozen(v == obs))
 
     for j in range(1, steps + 1):
         level = steps - j
@@ -173,18 +108,18 @@ def _solve_tree(
         cont = disc * (p * prev[1:] + q * prev[:-1])
         if source is not None:
             cont = cont + source(x) * dt
-        obs = np.asarray(obstacle(x, j * dt), dtype=float)
+        obs = np.asarray(spec.obstacle(x, j * dt), dtype=float)
         v = np.maximum(cont, obs)
         if cap is not None:
             v = np.minimum(v, cap)
-        xs.append(_frozen(x))
-        vals.append(_frozen(v))
-        obss.append(_frozen(obs))
-        flags.append(_frozen(v == obs))
+        xs.append(frozen(x))
+        vals.append(frozen(v))
+        obss.append(frozen(obs))
+        flags.append(frozen(v == obs))
 
     root = vals[-1]
     if any(np.isnan(layer).any() for layer in vals):
-        raise RuntimeError(f"lattice produced NaN values for problem {label!r}")
+        raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
     surface = ValueSurface1D(
         tau_grid=tau_grid,
         x_nodes=tuple(xs),
@@ -192,8 +127,8 @@ def _solve_tree(
         obstacles=tuple(obss),
         payoff_flags=tuple(flags),
         principal=principal,
-        spatial_cap=spatial_cap,
-        label=label,
+        spatial_cap=config.x_max_mult * principal,
+        label=spec.label,
         solver_meta={
             "solver": "lattice",
             "steps": steps,
@@ -213,9 +148,7 @@ def price_regime1(
     The surface lives in similarity coordinates; at t = 0 those coincide
     with cash coordinates, so the returned value is the loan value at spot.
     """
-    if contract.regime is not DividendRegime.LENDER_KEEPS:
-        raise ValueError(f"price_regime1 requires regime 1, got {contract.regime!r}")
-    return _solve_similarity_tree(spot, market, contract, config, label="regime1")
+    return _solve_tree(spot, VIProblem("regime1", market, contract), config)
 
 
 def price_regime2(
@@ -226,10 +159,7 @@ def price_regime2(
     The surface is indexed by the scaled reinvested position; at t = 0 the
     position equals the stock, so the value is again read off at spot.
     """
-    if contract.regime is not DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION:
-        raise ValueError(f"price_regime2 requires regime 2, got {contract.regime!r}")
-    red_market, red_contract = reduce_regime2(market, contract)
-    return _solve_similarity_tree(spot, red_market, red_contract, config, label="regime2")
+    return _solve_tree(spot, VIProblem("regime2", market, contract), config)
 
 
 def price_regime3(
@@ -242,57 +172,7 @@ def price_regime3(
     loan price is this value plus the dividends already delivered, which the
     caller adds at the API boundary.
     """
-    if contract.regime is not DividendRegime.DELIVERED_IMMEDIATELY:
-        raise ValueError(f"price_regime3 requires regime 3, got {contract.regime!r}")
-    delta = market.delta
-    return _solve_similarity_tree(
-        spot,
-        market,
-        contract,
-        config,
-        label="regime3",
-        source=(lambda x: delta * x) if delta > 0.0 else None,
-    )
-
-
-def _solve_similarity_tree(
-    spot: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: LatticeConfig,
-    label: str,
-    source: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, ValueSurface1D]:
-    principal = contract.principal
-    r_bar = market.r - contract.loan_rate
-    value, surface = _solve_tree(
-        spot=spot,
-        sigma=market.sigma,
-        drift=r_bar - market.delta,
-        rate=r_bar,
-        maturity=contract.maturity,
-        steps=config.steps,
-        terminal=lambda x: np.maximum(x - principal, 0.0),
-        obstacle=lambda x, tau: x - principal,
-        source=source,
-        cap=None,
-        principal=principal,
-        spatial_cap=config.x_max_mult * principal,
-        label=label,
-    )
-    return value, surface
-
-
-def amortized_payment_rate(contract: LoanContract) -> float:
-    """Continuous payment rate that fully amortizes the principal by maturity.
-
-    Solves K = integral_0^T c * exp(-gamma * t) dt for c, giving
-    c = gamma * K / (1 - exp(-gamma * T)) with the gamma -> 0 limit K / T.
-    """
-    gamma, principal, maturity = contract.loan_rate, contract.principal, contract.maturity
-    if gamma == 0.0:
-        return principal / maturity
-    return gamma * principal / -math.expm1(-gamma * maturity)
+    return _solve_tree(spot, VIProblem("regime3", market, contract), config)
 
 
 def price_amortized(
@@ -307,30 +187,7 @@ def price_amortized(
     coordinates throughout; values may go negative near S = 0, where the
     remaining payment stream dominates.
     """
-    rate_c = amortized_payment_rate(contract)
-    gamma, principal = contract.loan_rate, contract.principal
-
-    def outstanding(tau: float) -> float:
-        # Present balance of the remaining payments: (c/gamma)(1 - exp(-gamma*tau)).
-        if gamma == 0.0:
-            return rate_c * tau
-        return rate_c / gamma * -math.expm1(-gamma * tau)
-
-    return _solve_tree(
-        spot=spot,
-        sigma=market.sigma,
-        drift=market.r - market.delta,
-        rate=market.r,
-        maturity=contract.maturity,
-        steps=config.steps,
-        terminal=lambda z: z.copy(),
-        obstacle=lambda z, tau: z - outstanding(tau),
-        source=lambda z: np.full_like(z, -rate_c),
-        cap=None,
-        principal=principal,
-        spatial_cap=config.x_max_mult * principal,
-        label="amortized",
-    )
+    return _solve_tree(spot, VIProblem("amortized", market, contract), config)
 
 
 def price_withdrawable(
@@ -347,29 +204,7 @@ def price_withdrawable(
     intrinsic value exceeds L the lender settles at L, so the upper clamp
     wins over the redemption obstacle.  Cash coordinates.
     """
-    principal, gamma, maturity = contract.principal, contract.loan_rate, contract.maturity
-    if not 0.0 < cap < principal:
-        raise ValueError(f"withdrawal cap must lie in (0, principal), got L={cap}")
-
-    def obstacle(z: np.ndarray, tau: float) -> np.ndarray:
-        return z - principal * math.exp(gamma * (maturity - tau))
-
-    terminal_balance = principal * math.exp(gamma * maturity)
-    return _solve_tree(
-        spot=spot,
-        sigma=market.sigma,
-        drift=market.r - market.delta,
-        rate=market.r,
-        maturity=maturity,
-        steps=config.steps,
-        terminal=lambda z: np.minimum(np.maximum(z - terminal_balance, 0.0), cap),
-        obstacle=obstacle,
-        source=None,
-        cap=cap,
-        principal=principal,
-        spatial_cap=config.x_max_mult * principal,
-        label="withdrawable",
-    )
+    return _solve_tree(spot, VIProblem("withdrawable", market, contract, cap), config)
 
 
 def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurve:
@@ -390,12 +225,6 @@ def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurv
         slack = surface.values[j] - surface.obstacles[j]
         hit = np.flatnonzero((slack <= slack_tol) & (x <= surface.spatial_cap))
         stars[j] = x[hit[0]] if hit.size else math.inf
-    max_decrease = 0.0
-    for j in range(len(stars) - 1):
-        left, right = stars[j], stars[j + 1]
-        if math.isinf(left) and math.isinf(right):
-            continue
-        drop = left - right
-        if drop > max_decrease:
-            max_decrease = drop
-    return BoundaryCurve(tau_grid=surface.tau_grid, x_star=_frozen(stars), max_decrease=max_decrease)
+    return BoundaryCurve(
+        tau_grid=surface.tau_grid, x_star=frozen(stars), max_decrease=max_decrease(stars)
+    )

@@ -29,7 +29,7 @@ from .contracts import (
     accrue_dividends,
     reduce_regime2,
 )
-from .lattice1d import _crr_step_params
+from .lattice1d import crr_step_params
 
 MAX_ORACLE_STEPS = 14
 
@@ -86,7 +86,7 @@ def _solve_tree(
     r_bar = market.r - contract.loan_rate
     delta = market.delta
     dt = contract.maturity / steps
-    u, _, p, disc = _crr_step_params(market.sigma, r_bar - delta, r_bar, dt)
+    u, _, p, disc = crr_step_params(market.sigma, r_bar - delta, r_bar, dt)
     q = 1.0 - p
     log_u = math.log(u)
     carries_account = regime in (

@@ -171,3 +171,65 @@ def test_byte_determinism_across_processes():
                             capture_output=True, env=env, check=True)
     outputs.append(result.stdout)
     assert outputs[0] == outputs[1] == outputs[2] == b"0.15267830681784181\n"
+
+
+def test_perpetual_delivered_dividend_unbounded(capsys):
+    code, out, _ = run(["perpetual", "--regime", "3"] + BASE, capsys)
+    assert code == 0
+    assert out == "x_star_inf=inf\n"
+    # without dividends regime 3 is regime 1, whose boundary can be finite
+    code, out, err = run(["perpetual", "--regime", "3"] + BASE + ["--delta", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2(value, capsys):
+    code, out, err = run(PRICE + [f"--spot={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "spot must be finite" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--regime", "1", "--accrued", "0.1"],
+    ["--regime", "2", "--accrued", "0.1"],
+    ["--regime", "3", "--accrued", "-0.1"],
+    ["--variant", "amortized", "--accrued", "0.1"],
+    ["--variant", "amortized", "--cap", "0.5"],
+    ["--regime", "1", "--cap", "0.5"],
+    ["--variant", "withdrawable"],
+])
+@pytest.mark.parametrize("solver", ["lattice", "fd"])
+def test_unused_or_missing_arguments_exit_2(solver, extra, capsys):
+    argv = ["price", "--spot", "0.8", "--solver", solver, "--steps", "50",
+            "--space-nodes", "40", "--time-steps", "20"] + BASE + extra
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_regime3_accrued_account_added(capsys):
+    argv = ["oracle-check", "--regime", "3", "--spot", "0.85", "--accrued", "0.1",
+            "--solver", "lattice", "--steps", "10", "--oracle-steps", "10"] + BASE
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert float(out.splitlines()[2].split("=")[1]) <= 1e-12
+    fd = ["price", "--regime", "3", "--spot", "0.85", "--solver", "fd",
+          "--space-nodes", "80", "--time-steps", "40"] + BASE
+    _, empty, _ = run(fd, capsys)
+    _, funded, _ = run(fd + ["--accrued", "0.1"], capsys)
+    assert float(funded) == pytest.approx(float(empty) + 0.1, abs=1e-15)
+
+
+def test_fd_boundary_honours_tol(capsys):
+    argv = ["boundary", "--regime", "1", "--solver", "fd", "--space-nodes", "80",
+            "--time-steps", "40"] + BASE
+    bodies = []
+    for tol in ("1e-7", "0.01"):
+        code, out, _ = run(argv + ["--tol", tol], capsys)
+        assert code == 0
+        bodies.append(out.splitlines()[2:])
+    assert bodies[0] != bodies[1]

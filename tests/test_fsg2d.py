@@ -14,7 +14,6 @@ from stockloan import (
     extract_boundary_surface,
     price_regime1,
     price_regime4,
-    price_regime4_linear,
 )
 
 K = 0.7
@@ -104,13 +103,13 @@ def test_zero_dividend_collapses_to_single_factor():
 
 
 def test_linear_solver_gating_and_agreement():
-    with pytest.raises(ValueError):
-        price_regime4_linear(0.8, 0.1, HIGH_VOL, contract())
-    market = MarketParams(r=0.12, delta=0.03, sigma=0.3)
+    # r < gamma redeems early and marches the obstacle; r >= gamma never
+    # redeems early and marches the plain pricing equation
     cfg = FSG2DConfig(x_nodes=120, a_nodes=24, time_steps=100)
-    linear_value, linear_surface = price_regime4_linear(0.8, 0.1, market, contract(), cfg)
-    full_value, _ = price_regime4(0.8, 0.1, market, contract(), cfg)
-    assert abs(linear_value - full_value) <= 1e-12
+    _, surface = price_regime4(0.8, 0.1, HIGH_VOL, contract(), cfg)
+    assert surface.solver_meta["constrained"] is True
+    market = MarketParams(r=0.12, delta=0.03, sigma=0.3)
+    _, linear_surface = price_regime4(0.8, 0.1, market, contract(), cfg)
     assert linear_surface.solver_meta["constrained"] is False
 
 

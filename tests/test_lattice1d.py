@@ -182,3 +182,21 @@ def test_lattice_config_validation():
         LatticeConfig(steps=0)
     with pytest.raises(ValueError):
         LatticeConfig(steps=100, x_max_mult=0.0)
+
+
+def test_max_decrease_matches_pairwise_scan():
+    from stockloan.problems import max_decrease
+
+    def scan(col):
+        worst = 0.0
+        for left, right in zip(col[:-1], col[1:]):
+            if not (math.isinf(left) and math.isinf(right)):
+                worst = max(worst, left - right)
+        return worst
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        stars = rng.uniform(0.5, 2.0, size=(int(rng.integers(1, 12)), 3))
+        stars[rng.random(stars.shape) < 0.3] = math.inf
+        assert max_decrease(stars) == max(scan(stars[:, j]) for j in range(3))
+        assert max_decrease(stars[:, 0]) == scan(stars[:, 0])

@@ -44,7 +44,6 @@ from .contracts import (
 from .fd1d import (
     ComplementarityReport,
     FDConfig,
-    PSORNonConvergence,
     residual_report,
     solve_vi,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "LatticeConfig",
     "LoanContract",
     "MarketParams",
-    "PSORNonConvergence",
     "PerpetualRegime3Result",
     "PerpetualResult",
     "RegimeClassification",

@@ -172,7 +172,8 @@ def _solve(
     the oracle, and for the forward-shooting grid when immediate redemption
     is exactly optimal.  Regime-3 values from the lattice and finite
     differences exclude the dividends already delivered, so the accrued
-    account is added here.
+    account is added here.  A finite-difference spot outside the solved
+    grid is refused, since reading the surface there would clamp.
     """
     market, contract = cfg.market(), cfg.contract()
     if cfg.solver == "oracle":
@@ -184,6 +185,11 @@ def _solve(
     if cfg.solver == "fd":
         problem = fd1d.VIProblem(kind, market, contract, cfg.cap)
         surface, _ = fd1d.solve_vi(problem, _fd_config(cfg))
+        x = surface.x_nodes[-1]
+        if not x[0] <= cfg.spot <= x[-1]:
+            raise ValueError(
+                f"spot {cfg.spot} outside the finite-difference grid [{x[0]}, {x[-1]}]"
+            )
         value = surface.value_at(cfg.spot, cfg.maturity)
     else:
         args = (cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps))

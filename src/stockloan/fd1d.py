@@ -2,10 +2,11 @@
 
 Crank-Nicolson time stepping on a uniform grid in y = log(x), with a
 Rannacher startup (the first step is split into two implicit-Euler halves to
-damp the payoff kink) and a projected SOR solve of the per-step linear
-complementarity problem.  The drift term falls back to one-sided
-differencing whenever central weights would go negative, which keeps every
-per-step matrix an M-matrix.
+damp the payoff kink) and a policy-iteration solve of the per-step linear
+complementarity problem: every pass is one banded solve with the rows held
+at the obstacle, or at the cap, pinned.  The drift term falls back to
+one-sided differencing whenever central weights would go negative, which
+keeps every per-step matrix an M-matrix.
 
 Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
@@ -35,30 +36,22 @@ from .problems import (
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Grid resolution and projected-SOR controls.
+    """Grid resolution and log-space domain.
 
-    The log-space domain defaults to log(K) +- 6 sigma sqrt(T).  psor_tol is
-    relative to the principal; sweeps stop once the largest update falls
-    below psor_tol * K.
+    The log-space domain defaults to log(K) +- 6 sigma sqrt(T).  Each step
+    is solved exactly by policy iteration, so there is no tolerance to set.
     """
 
     space_nodes: int = 400
     time_steps: int = 400
     log_x_min: float | None = None
     log_x_max: float | None = None
-    psor_omega: float = 1.5
-    psor_tol: float = 1e-9
-    psor_max_iter: int = 10000
 
     def __post_init__(self) -> None:
         if self.space_nodes < 16:
             raise ValueError(f"need at least 16 space nodes, got {self.space_nodes}")
         if self.time_steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
-        if not 0.0 < self.psor_omega < 2.0:
-            raise ValueError(f"SOR relaxation must lie in (0, 2), got {self.psor_omega}")
-        if self.psor_tol <= 0.0 or self.psor_max_iter < 1:
-            raise ValueError("PSOR tolerance and iteration cap must be positive")
         if (
             self.log_x_min is not None
             and self.log_x_max is not None
@@ -67,28 +60,16 @@ class FDConfig:
             raise ValueError("log_x_min must lie below log_x_max")
 
 
-class PSORNonConvergence(RuntimeError):
-    """Projected SOR failed to meet tolerance within the iteration cap."""
-
-    def __init__(self, sweeps: int, worst_update: float, worst_residual: float):
-        self.sweeps = sweeps
-        self.worst_update = worst_update
-        self.worst_residual = worst_residual
-        super().__init__(
-            f"projected SOR did not converge after {sweeps} sweeps: "
-            f"last update {worst_update:.3e}, complementarity residual {worst_residual:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class ComplementarityReport:
     """Discrete complementarity diagnostics for a solved surface.
 
     max_violation is the largest magnitude of the pointwise complementarity
-    residual min(f - lower, max(system residual, f - upper)) across all
+    residual max(min(system residual, f - lower), f - cap) across all
     solved layers; violation_fraction counts nodes beyond tol * principal.
     The signed extremes split by region: the system residual should be
-    nonnegative where the obstacle binds and near zero elsewhere.
+    nonnegative where the obstacle binds and near zero where neither the
+    obstacle nor the cap holds the value.
     """
 
     max_violation: float
@@ -126,53 +107,67 @@ def log_stencil(
     return lo, mid, up
 
 
-def _psor_step(
+# Row states of the policy iteration.
+_PDE, _OBSTACLE, _CAP = 0, 1, 2
+
+
+def _floor(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
+    """The obstacle at x, or -inf everywhere when it never binds."""
+    if spec.constrained:
+        return np.asarray(spec.obstacle(x, tau), dtype=float)
+    return np.full(x.size, -math.inf)
+
+
+def _policy_step(
     diag: float,
     off_lo: float,
     off_up: float,
     b: np.ndarray,
     init: np.ndarray,
     lower: np.ndarray,
-    upper: float | None,
-    omega: float,
-    tol_abs: float,
-    max_iter: int,
+    cap: float | None,
 ) -> tuple[np.ndarray, int]:
-    """Solve the tridiagonal obstacle system by red-black projected SOR.
+    """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration.
 
-    Sweeps update all odd interior unknowns, then all even ones; that order
-    is deterministic and vectorizes, and for a tridiagonal matrix each
-    half-sweep only reads values of the opposite color.  Convergence is
-    declared once the largest projected update in a full sweep falls below
-    tol_abs.
+    M is the tridiagonal step matrix (diag, off_lo, off_up).  Each row
+    follows the PDE, is pinned to the obstacle or is pinned to the cap; a
+    pass solves M f = b with the pinned rows replaced by identity rows, and
+    the step is done once a pass leaves the policy unchanged.  The first
+    policy is read off init, the previous layer.  With no finite lower
+    entry and no cap every row follows the PDE, so one solve suffices.
+    Returns the solution and the number of banded solves.
     """
-    f = np.maximum(init, lower)
-    if upper is not None:
-        np.minimum(f, upper, out=f)
-    n = f.size
-    odd = np.arange(1, n, 2)
-    even = np.arange(0, n, 2)
+    n = b.size
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off_up
+    ab[1, :] = diag
+    ab[2, :-1] = off_lo
+    if cap is None and not np.isfinite(lower).any():
+        return solve_banded((1, 1), ab, b), 1
+    upper = math.inf if cap is None else cap
     padded = np.zeros(n + 2)  # boundary contributions are already folded into b
-    worst = math.inf
-    for sweep in range(1, max_iter + 1):
-        worst = 0.0
-        for idx in (odd, even):
-            padded[1:-1] = f
-            gs = (b[idx] - off_lo * padded[idx] - off_up * padded[idx + 2]) / diag
-            cand = f[idx] + omega * (gs - f[idx])
-            np.maximum(cand, lower[idx], out=cand)
-            if upper is not None:
-                np.minimum(cand, upper, out=cand)
-            change = float(np.max(np.abs(cand - f[idx]))) if idx.size else 0.0
-            if change > worst:
-                worst = change
-            f[idx] = cand
-        if worst <= tol_abs:
-            return f, sweep
-    padded[1:-1] = f
-    residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
-    residual = np.minimum(residual, f - lower)
-    raise PSORNonConvergence(max_iter, worst, float(np.max(np.abs(residual))))
+
+    def policy_of(f: np.ndarray) -> np.ndarray:
+        padded[1:-1] = f
+        residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
+        slack = f - lower
+        policy = np.where(slack < residual, _OBSTACLE, _PDE)
+        policy[f - upper > np.minimum(residual, slack)] = _CAP
+        return policy
+
+    policy = policy_of(init)
+    for solves in range(1, n + 2):
+        pde = policy == _PDE
+        ab[0, 1:] = np.where(pde[:-1], off_up, 0.0)
+        ab[1, :] = np.where(pde, diag, 1.0)
+        ab[2, :-1] = np.where(pde[1:], off_lo, 0.0)
+        rhs = np.where(pde, b, np.where(policy == _OBSTACLE, lower, upper))
+        f = solve_banded((1, 1), ab, rhs)
+        settled = policy_of(f)
+        if np.array_equal(settled, policy):
+            return f, solves
+        policy = settled
+    raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
 
 
 def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
@@ -191,7 +186,6 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
 
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
-    tol_abs = config.psor_tol * principal
 
     def implicit_solve(
         rhs: np.ndarray, weight: float, tau_new: float, init: np.ndarray
@@ -201,35 +195,22 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
         b = rhs.copy()
         b[0] += weight * lo * bottom
         b[-1] += weight * up * top
-        diag = 1.0 - weight * mid
-        if spec.constrained:
-            lower = np.asarray(spec.obstacle(x[1:-1], tau_new), dtype=float)
-            f_int, sweeps = _psor_step(
-                diag,
-                -weight * lo,
-                -weight * up,
-                b,
-                init,
-                lower,
-                spec.cap,
-                config.psor_omega,
-                tol_abs,
-                config.psor_max_iter,
-            )
-        else:
-            ab = np.zeros((3, n - 2))
-            ab[0, 1:] = -weight * up
-            ab[1, :] = diag
-            ab[2, :-1] = -weight * lo
-            f_int = solve_banded((1, 1), ab, b)
-            sweeps = 0
+        f_int, solves = _policy_step(
+            1.0 - weight * mid,
+            -weight * lo,
+            -weight * up,
+            b,
+            init,
+            _floor(spec, x[1:-1], tau_new),
+            spec.cap,
+        )
         full = np.empty(n)
         full[0], full[-1] = bottom, top
         full[1:-1] = f_int
-        return full, sweeps
+        return full, solves
 
     layers = [np.asarray(spec.terminal(x), dtype=float)]
-    sweeps_total = 0
+    solves_total = 0
     startup = None
     half = 0.5 * dtau
     for m in range(m_steps):
@@ -245,14 +226,14 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
             if src is not None:
                 rhs += half * src
             f_new, s2 = implicit_solve(rhs, half, tau_new, f_mid[1:-1])
-            sweeps_total += s1 + s2
+            solves_total += s1 + s2
             startup = f_mid
         else:
             rhs = f_old[1:-1] + half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
             if src is not None:
                 rhs += dtau * src
             f_new, s = implicit_solve(rhs, half, tau_new, f_old[1:-1])
-            sweeps_total += s
+            solves_total += s
         if np.isnan(f_new).any():
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
         layers.append(f_new)
@@ -262,17 +243,17 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
         "dtau": dtau,
         "layers": layers,
         "startup": startup,
-        "sweeps_total": sweeps_total,
+        "solves_total": solves_total,
     }
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:
     """Solve the variational inequality; returns (surface, boundary curve).
 
-    Parameters whose redeeming region is empty solve the unconstrained PDE
-    with a direct tridiagonal factorization per step, and the extracted
-    curve is infinite at every positive tau; constrained problems go
-    through projected SOR.
+    Each step is solved by policy iteration on the tridiagonal step
+    matrix.  Parameters whose redeeming region is empty have no row to pin,
+    so each step is a single banded solve, and the extracted curve is
+    infinite at every positive tau.
     """
     spec = problem_spec(problem)
     state = _march(spec, config, problem.contract)
@@ -286,6 +267,8 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
     tie_tol = 1e-12 * principal
     for j, layer in enumerate(state["layers"]):
         obs = np.asarray(spec.obstacle(x, float(tau_grid[j])), dtype=float)
+        if obstacles and np.array_equal(obs, obstacles[-1]):
+            obs = obstacles[-1]  # a time-independent obstacle is stored once
         values.append(frozen(layer))
         obstacles.append(frozen(obs))
         flags.append(frozen(layer - obs <= tie_tol))
@@ -302,7 +285,7 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
         solver_meta={
             "solver": "fd",
             "config": config,
-            "psor_total_sweeps": state["sweeps_total"],
+            "linear_solves": state["solves_total"],
             "rannacher_intermediate": state["startup"],
             "constrained": spec.constrained,
         },
@@ -332,6 +315,7 @@ def residual_report(
     dtau = float(surface.tau_grid[1] - surface.tau_grid[0])
     half = 0.5 * dtau
     tol_abs = tol * principal
+    upper = math.inf if spec.cap is None else spec.cap
 
     worst = 0.0
     violations = 0
@@ -352,23 +336,15 @@ def residual_report(
         # M f folds boundary neighbors through the stored Dirichlet rows.
         m_f = (1.0 - half * mid) * fi - half * (lo * f_new[:-2] + up * f_new[2:])
         residual = m_f - rhs
-        if spec.constrained:
-            slack = fi - np.asarray(spec.obstacle(x[1:-1], tau_new), dtype=float)
-            if spec.cap is not None:
-                comp = np.minimum(slack, np.maximum(residual, fi - spec.cap))
-            else:
-                comp = np.minimum(slack, residual)
-            at_obstacle = slack <= tol_abs
-            if at_obstacle.any():
-                min_obstacle_res = min(min_obstacle_res, float(residual[at_obstacle].min()))
-            in_continuation = ~at_obstacle
-            if spec.cap is not None:
-                in_continuation &= fi < spec.cap - tol_abs
-            if in_continuation.any():
-                max_cont_res = max(max_cont_res, float(np.abs(residual[in_continuation]).max()))
-        else:
-            comp = residual
-            max_cont_res = max(max_cont_res, float(np.abs(residual).max()))
+        slack = fi - _floor(spec, x[1:-1], tau_new)
+        comp = np.maximum(np.minimum(slack, residual), fi - upper)
+        at_cap = fi >= upper - tol_abs
+        at_obstacle = (slack <= tol_abs) & ~at_cap
+        if at_obstacle.any():
+            min_obstacle_res = min(min_obstacle_res, float(residual[at_obstacle].min()))
+        in_continuation = ~at_obstacle & ~at_cap
+        if in_continuation.any():
+            max_cont_res = max(max_cont_res, float(np.abs(residual[in_continuation]).max()))
         worst = max(worst, float(np.abs(comp).max()))
         violations += int((np.abs(comp) > tol_abs).sum())
         total += comp.size

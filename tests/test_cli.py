@@ -233,3 +233,20 @@ def test_fd_boundary_honours_tol(capsys):
         assert code == 0
         bodies.append(out.splitlines()[2:])
     assert bodies[0] != bodies[1]
+
+
+FD_SMALL = ["--regime", "1", "--solver", "fd", "--space-nodes", "80",
+            "--time-steps", "40"] + BASE
+
+
+def test_fd_spot_off_grid_exits_2(capsys):
+    # the grid spans K exp(+-6 sigma sqrt(T)), about [0.064, 7.7] here
+    code, out, err = run(["price", "--spot", "1000"] + FD_SMALL, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside the finite-difference grid" in err
+    code, out, err = run(["sweep", "--param", "spot", "--values", "0.8,1000"] + FD_SMALL,
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "outside the finite-difference grid" in err

@@ -11,7 +11,6 @@ from stockloan import (
     LatticeConfig,
     LoanContract,
     MarketParams,
-    PSORNonConvergence,
     RegionKind,
     VIProblem,
     classify,
@@ -44,8 +43,6 @@ def test_config_validation():
         FDConfig(space_nodes=8)
     with pytest.raises(ValueError):
         FDConfig(time_steps=1)
-    with pytest.raises(ValueError):
-        FDConfig(psor_omega=2.0)
     with pytest.raises(ValueError):
         FDConfig(log_x_min=0.0, log_x_max=0.0)
 
@@ -89,27 +86,29 @@ def test_log_stencil_upwind_fallback():
 def test_golden_value_matches_lattice():
     surface, _ = solve_vi(problem(1), FDConfig(space_nodes=400, time_steps=400))
     fd_value = surface.value_at(0.8, 1.0)
-    assert fd_value == pytest.approx(0.15262954922165786, rel=1e-10)
+    assert fd_value == pytest.approx(0.1526295634653246, rel=1e-10)
     lattice_value, _ = price_regime1(0.8, HIGH_VOL, contract(1), LatticeConfig(steps=2000))
     assert abs(fd_value - lattice_value) < 1e-3 * K
 
 
 def test_solver_metadata():
-    surface, _ = solve_vi(problem(1), FDConfig(space_nodes=200, time_steps=100))
+    config = FDConfig(space_nodes=200, time_steps=100)
+    surface, _ = solve_vi(problem(1), config)
     meta = surface.solver_meta
     assert meta["solver"] == "fd"
     assert meta["constrained"] is True
-    assert meta["psor_total_sweeps"] > 0
+    assert meta["linear_solves"] >= config.time_steps + 1
     assert len(meta["rannacher_intermediate"]) == 200
 
 
-def test_unconstrained_path_skips_psor():
+def test_unconstrained_path_one_solve_per_step():
     market = MarketParams(r=0.12, delta=0.0, sigma=0.3)
     assert classify(market, contract(1)).redemption_region_kind is RegionKind.EMPTY
-    surface, boundary = solve_vi(VIProblem.from_regime(market, contract(1)),
-                                 FDConfig(space_nodes=200, time_steps=100))
+    config = FDConfig(space_nodes=200, time_steps=100)
+    surface, boundary = solve_vi(VIProblem.from_regime(market, contract(1)), config)
     assert surface.solver_meta["constrained"] is False
-    assert surface.solver_meta["psor_total_sweeps"] == 0
+    # one banded solve per implicit step, the Rannacher half-step included
+    assert surface.solver_meta["linear_solves"] == config.time_steps + 1
     assert not np.isfinite(boundary.x_star[1:]).any()
 
 
@@ -132,21 +131,28 @@ def test_delivered_stream_matches_parity():
         assert abs(surface.value_at(float(spot), 1.0) - reference) < 1e-3 * K
 
 
-def test_psor_nonconvergence_raises():
-    with pytest.raises(PSORNonConvergence) as info:
-        solve_vi(problem(1), FDConfig(space_nodes=200, time_steps=50,
-                                      psor_tol=1e-14, psor_max_iter=1))
-    assert info.value.sweeps == 1
-    assert info.value.worst_update > 0.0
+def test_policy_iteration_guard_raises(monkeypatch):
+    rng = np.random.default_rng(5)
+
+    def never_settles(l_and_u, ab, b):
+        return rng.standard_normal(b.size)
+
+    monkeypatch.setattr("stockloan.fd1d.solve_banded", never_settles)
+    with pytest.raises(RuntimeError, match="did not settle"):
+        solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 
 
-def test_complementarity_audit_clean():
-    prob = problem(1)
+@pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
+def test_complementarity_audit_clean(kind):
+    if kind.startswith("regime"):
+        prob = problem(int(kind[-1]))
+    else:
+        prob = VIProblem(kind, HIGH_VOL, contract(1), cap=0.5 if kind == "withdrawable" else None)
     surface, _ = solve_vi(prob, FDConfig(space_nodes=200, time_steps=200))
     report = residual_report(surface, prob)
     assert report.max_violation < 1e-6 * K
     assert report.violation_fraction == 0.0
-    # obstacle dips are bounded by the PSOR stopping tolerance
+    # obstacle dips are bounded by roundoff in the per-step solves
     assert report.min_obstacle_residual >= -1e-9
     # the stored tolerance is absolute, scaled by the principal
     assert report.tol == pytest.approx(1e-6 * K)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import closedform, fd1d, fsg2d, lattice1d, oracle
 from .contracts import DividendRegime, LoanContract, MarketParams
+from .problems import VIProblem
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -89,6 +90,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.tol < 0.0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
         if self.accrued < 0.0:
             raise ValueError(f"accrued account must be nonnegative, got {self.accrued}")
         if self.accrued != 0.0 and (self.variant is not None or self.regime in (1, 2)):
@@ -163,43 +166,73 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _solve(
-    cfg: RunConfig,
-) -> tuple[float, lattice1d.ValueSurface1D | fsg2d.ValueSurface2D | None]:
-    """Run the configured solver; returns (value, surface).
+Surface = lattice1d.ValueSurface1D | fsg2d.ValueSurface2D | None
 
-    The surface is what the solver's public entry point returns: None for
-    the oracle, and for the forward-shooting grid when immediate redemption
-    is exactly optimal.  Regime-3 values from the lattice and finite
-    differences exclude the dividends already delivered, so the accrued
-    account is added here.  A finite-difference spot outside the solved
-    grid is refused, since reading the surface there would clamp.
+
+def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
+    """The configured solver's value at each spot, with no lattice tree kept.
+
+    The finite-difference and forward-shooting grids do not depend on the
+    spot, so they are solved once and read at every spot; the lattice tree
+    is centred on the spot, so it is rebuilt per spot.  Regime-3 values
+    from the lattice and finite differences exclude the dividends already
+    delivered, so the accrued account is added here.
+    """
+    if cfg.solver == "oracle":
+        market, contract = cfg.market(), cfg.contract()
+        return [oracle.oracle_price(s, market, contract, cfg.oracle_steps, cfg.accrued)
+                for s in spots]
+    if cfg.solver == "lattice":
+        problem, config = _problem(cfg), lattice1d.LatticeConfig(steps=cfg.steps)
+        values = [lattice1d.lattice_value(s, problem, config) for s in spots]
+    else:
+        values, _ = _grid_solve(cfg, spots)
+    if cfg.variant is None and cfg.regime == 3:
+        values = [v + cfg.accrued for v in values]
+    return values
+
+
+def _surface(cfg: RunConfig) -> Surface:
+    """The configured solver's surface, as its public entry point returns it.
+
+    None for the forward-shooting grid when immediate redemption is exactly
+    optimal.  The spot is refused as it would be by _values.
+    """
+    if cfg.solver != "lattice":
+        return _grid_solve(cfg, [cfg.spot])[1]
+    args = (cfg.spot, cfg.market(), cfg.contract(), lattice1d.LatticeConfig(steps=cfg.steps))
+    if cfg.variant == "withdrawable":
+        return lattice1d.price_withdrawable(*args, cfg.cap)[1]
+    return getattr(lattice1d, f"price_{_problem(cfg).kind}")(*args)[1]
+
+
+def _grid_solve(cfg: RunConfig, spots: list[float]) -> tuple[list[float], Surface]:
+    """Solve the finite-difference or forward-shooting grid once; read it at each spot.
+
+    A finite-difference spot outside the solved grid is refused, since
+    reading the surface there would clamp; the forward-shooting surface
+    refuses such a state itself.
     """
     market, contract = cfg.market(), cfg.contract()
-    if cfg.solver == "oracle":
-        value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
-        return value, None
     if cfg.solver == "fsg":
-        return fsg2d.price_regime4(cfg.spot, cfg.accrued, market, contract, _fsg_config(cfg))
-    kind = cfg.variant or f"regime{cfg.regime}"
-    if cfg.solver == "fd":
-        problem = fd1d.VIProblem(kind, market, contract, cfg.cap)
-        surface, _ = fd1d.solve_vi(problem, _fd_config(cfg))
-        x = surface.x_nodes[-1]
-        if not x[0] <= cfg.spot <= x[-1]:
-            raise ValueError(
-                f"spot {cfg.spot} outside the finite-difference grid [{x[0]}, {x[-1]}]"
-            )
-        value = surface.value_at(cfg.spot, cfg.maturity)
-    else:
-        args = (cfg.spot, market, contract, lattice1d.LatticeConfig(steps=cfg.steps))
-        if kind == "withdrawable":
-            value, surface = lattice1d.price_withdrawable(*args, cfg.cap)
-        else:
-            value, surface = getattr(lattice1d, f"price_{kind}")(*args)
-    if kind == "regime3":
-        value += cfg.accrued
-    return value, surface
+        fsg_cfg = _fsg_config(cfg)
+        _, surface = fsg2d.price_regime4(spots[0], cfg.accrued, market, contract, fsg_cfg)
+        if surface is None:  # immediate redemption: exact values, no grid to share
+            return [fsg2d.price_regime4(s, cfg.accrued, market, contract, fsg_cfg)[0]
+                    for s in spots], None
+        return [surface.value_at(s, cfg.accrued, cfg.maturity) for s in spots], surface
+    surface, _ = fd1d.solve_vi(_problem(cfg), _fd_config(cfg))
+    x = surface.x_nodes[-1]
+    values = []
+    for s in spots:
+        if not x[0] <= s <= x[-1]:
+            raise ValueError(f"spot {s} outside the finite-difference grid [{x[0]}, {x[-1]}]")
+        values.append(surface.value_at(s, cfg.maturity))
+    return values, surface
+
+
+def _problem(cfg: RunConfig) -> VIProblem:
+    return VIProblem(cfg.variant or f"regime{cfg.regime}", cfg.market(), cfg.contract(), cfg.cap)
 
 
 def _fd_config(cfg: RunConfig) -> fd1d.FDConfig:
@@ -217,13 +250,13 @@ def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
 
 
 def cmd_price(cfg: RunConfig) -> str:
-    return _fmt(_solve(cfg)[0]) + "\n"
+    return _fmt(_values(cfg, [cfg.spot])[0]) + "\n"
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
     if cfg.solver == "oracle":
         raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
-    _, surface = _solve(cfg)
+    surface = _surface(cfg)
     if cfg.solver == "fsg":
         if surface is None:
             raise ValueError(
@@ -269,7 +302,10 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> str:
     if not values:
         raise ValueError("sweep needs at least one value")
     configs = [dataclasses.replace(cfg, **{param: v}) for v in values]
-    prices = [_solve(c)[0] for c in configs]
+    if param == "spot":
+        prices = _values(cfg, [c.spot for c in configs])
+    else:
+        prices = [_values(c, [c.spot])[0] for c in configs]
     rows = [f"{_fmt(v)},{_fmt(p)}" for v, p in zip(values, prices)]
     return _csv(cfg, f"{param},value", rows)
 
@@ -291,20 +327,20 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     if which in (1, 2):
         curves = []
         for regime in (1, 2, 3):
-            _, surface = _solve(dataclasses.replace(cfg, regime=regime))
+            surface = _surface(dataclasses.replace(cfg, regime=regime))
             curves.append(lattice1d.extract_boundary(surface, cfg.tol))
         rows = []
         for m, tau in enumerate(curves[0].tau_grid):
             stars = ",".join(_fmt(c.x_star[m]) for c in curves)
             rows.append(f"{_fmt(tau)},{stars}")
         return _csv(cfg, "tau,x1_star,x2_star,x3_star", rows)
-    _, surface = _solve(dataclasses.replace(cfg, accrued=0.0))
-    if surface is None:  # unreachable with accrued == 0, kept for type safety
-        raise ValueError("no surface produced")
-    bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
     target = _FIGURE_SNAPSHOT_TAU[which]
     if target > cfg.maturity:
         raise ValueError(f"snapshot at tau={target} needs maturity >= {target}")
+    surface = _surface(dataclasses.replace(cfg, accrued=0.0))
+    if surface is None:  # unreachable with accrued == 0, kept for type safety
+        raise ValueError("no surface produced")
+    bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
     layer = int(np.argmin(np.abs(bsurf.tau_grid - target)))
     rows = [f"{_fmt(a)},{_fmt(bsurf.x_star[layer, j])}" for j, a in enumerate(bsurf.a_grid)]
     return _csv(cfg, "a,x_star", rows)
@@ -314,7 +350,7 @@ def cmd_oracle_check(cfg: RunConfig) -> str:
     market, contract = cfg.market(), cfg.contract()
     if cfg.variant is not None:
         raise ValueError("the path-tree check covers the four regimes, not variants")
-    solver_value, _ = _solve(cfg)
+    solver_value = _values(cfg, [cfg.spot])[0]
     oracle_value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
     return (
         f"solver_value={_fmt(solver_value)}\n"

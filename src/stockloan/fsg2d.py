@@ -272,7 +272,8 @@ def price_regime4(
     is returned without a solve (surface None).  When no redemption is
     strictly optimal (r >= gamma), the obstacle never binds and the plain
     pricing equation is marched over a wider account grid, with
-    solver_meta["constrained"] False.
+    solver_meta["constrained"] False.  A state outside the solved grid is
+    refused by the surface lookup with ValueError.
     """
     if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
         raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
@@ -285,10 +286,6 @@ def price_regime4(
     kind = classify(market, contract).redemption_region_kind
     constrained = kind in (RegionKind.BOUNDARY_SURFACE, RegionKind.BOUNDARY_CURVE)
     surface = _march4(market, contract, config, constrained)
-    if not surface.x_grid[0] <= spot <= surface.x_grid[-1] or accrued > surface.a_grid[-1]:
-        raise ValueError(
-            f"state ({spot}, {accrued}) outside the solve grid; widen the configuration"
-        )
     return surface.value_at(spot, accrued, contract.maturity), surface
 
 

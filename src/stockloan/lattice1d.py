@@ -6,20 +6,25 @@ exp(drift * dt), each expectation is discounted at the spec's rate, and a
 running source is added explicitly after discounting, before the value is
 floored at the obstacle and clamped at the cap.
 
-Surfaces store every layer of the tree so redemption boundaries can be read
-off afterwards; they are immutable once returned.
+One march builds the tree layer by layer, terminal layer first and root
+last.  The price_* functions keep every layer in a surface, so redemption
+boundaries can be read off afterwards (immutable once returned);
+lattice_value keeps only the layer being built and the one before it, for
+callers that need the root value alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .contracts import LoanContract, MarketParams
 from .problems import (
     BoundaryCurve,
+    ProblemSpec,
     ValueSurface1D,
     VIProblem,
     frozen,
@@ -68,76 +73,92 @@ def crr_step_params(
     return u, d, p, math.exp(-rate * dt)
 
 
-def _solve_tree(
+def _march(
     spot: float, problem: VIProblem, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[ProblemSpec, dict, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Set up the tree for problem; returns (spec, solver_meta, layers).
+
+    layers yields (nodes, values, obstacle) for every layer, terminal layer
+    first and root last; it keeps only the layer it is building and the one
+    before it.  Arguments are checked here, before the first layer is built.
+    """
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
     spec = problem_spec(problem)
-    principal = problem.contract.principal
     steps = config.steps
     dt = problem.contract.maturity / steps
     u, d, p, disc = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
     log_u = math.log(u)
     q = 1.0 - p
     cap, source = spec.cap, spec.source
-
-    tau_grid = frozen(np.arange(steps + 1, dtype=float) * dt)
-    xs: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    obss: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
+    meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
 
     def layer_nodes(level: int) -> np.ndarray:
         return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
 
-    x = layer_nodes(steps)
-    v = np.asarray(spec.terminal(x), dtype=float)
-    obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
-    if cap is not None:
-        v = np.minimum(v, cap)
-    xs.append(frozen(x))
-    vals.append(frozen(v))
-    obss.append(frozen(obs))
-    flags.append(frozen(v == obs))
-
-    for j in range(1, steps + 1):
-        level = steps - j
-        x = layer_nodes(level)
-        prev = vals[j - 1]
-        cont = disc * (p * prev[1:] + q * prev[:-1])
-        if source is not None:
-            cont = cont + source(x) * dt
-        obs = np.asarray(spec.obstacle(x, j * dt), dtype=float)
-        v = np.maximum(cont, obs)
+    def layers() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        x = layer_nodes(steps)
+        v = np.asarray(spec.terminal(x), dtype=float)
+        obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
         if cap is not None:
             v = np.minimum(v, cap)
+        for j in range(1, steps + 1):
+            yield x, v, obs
+            x = layer_nodes(steps - j)
+            cont = disc * (p * v[1:] + q * v[:-1])
+            if source is not None:
+                cont = cont + source(x) * dt
+            obs = np.asarray(spec.obstacle(x, j * dt), dtype=float)
+            v = np.maximum(cont, obs)
+            if cap is not None:
+                v = np.minimum(v, cap)
+        # The root depends on every node of every layer (0 < p < 1), and the
+        # expectation, np.maximum and np.minimum all carry a NaN forward, so
+        # a NaN anywhere in the tree shows up here.
+        if np.isnan(v[0]):
+            raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
+        yield x, v, obs
+
+    return spec, meta, layers()
+
+
+def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:
+    """Value of problem at spot, read off the root without keeping the tree.
+
+    Memory grows with the step count, not its square.  The value is the
+    root of the surface the price_* functions return, bit for bit.
+    """
+    *_, layers = _march(spot, problem, config)
+    for _, v, _ in layers:
+        pass
+    return float(v[0])
+
+
+def _solve_tree(
+    spot: float, problem: VIProblem, config: LatticeConfig
+) -> tuple[float, ValueSurface1D]:
+    spec, meta, layers = _march(spot, problem, config)
+    xs: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    obss: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
+    for x, v, obs in layers:
         xs.append(frozen(x))
         vals.append(frozen(v))
         obss.append(frozen(obs))
         flags.append(frozen(v == obs))
-
-    root = vals[-1]
-    if any(np.isnan(layer).any() for layer in vals):
-        raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
     surface = ValueSurface1D(
-        tau_grid=tau_grid,
+        tau_grid=frozen(np.arange(config.steps + 1, dtype=float) * meta["dt"]),
         x_nodes=tuple(xs),
         values=tuple(vals),
         obstacles=tuple(obss),
         payoff_flags=tuple(flags),
-        principal=principal,
-        spatial_cap=config.x_max_mult * principal,
+        principal=problem.contract.principal,
+        spatial_cap=config.x_max_mult * problem.contract.principal,
         label=spec.label,
-        solver_meta={
-            "solver": "lattice",
-            "steps": steps,
-            "dt": dt,
-            "up_factor": u,
-            "up_probability": p,
-        },
+        solver_meta=meta,
     )
-    return float(root[0]), surface
+    return float(vals[-1][0]), surface
 
 
 def price_regime1(

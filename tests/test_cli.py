@@ -1,13 +1,16 @@
 """Command-line interface: output formats, exits, config precedence."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import stockloan.cli as cli
+from stockloan import fd1d, fsg2d, lattice1d
 
 
 BASE = ["--r", "0.06", "--delta", "0.03", "--sigma", "0.4",
@@ -250,3 +253,77 @@ def test_fd_spot_off_grid_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "outside the finite-difference grid" in err
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+FSG_SMALL = ["--regime", "4", "--solver", "fsg", "--x-nodes", "60", "--a-nodes", "10",
+             "--fsg-steps", "40", "--accrued", "0.1"] + BASE
+
+
+@pytest.mark.parametrize("flags, module, name", [
+    (FD_SMALL, fd1d, "solve_vi"),
+    (FSG_SMALL, fsg2d, "price_regime4"),
+], ids=["fd", "fsg"])
+def test_grid_spot_sweep_solves_once(flags, module, name, monkeypatch, capsys):
+    spots = ["0.55", "0.8", "1.3"]
+    prices = []
+    for spot in spots:
+        code, out, _ = run(["price", "--spot", spot] + flags, capsys)
+        assert code == 0
+        prices.append(out.strip())
+    calls = count_calls(monkeypatch, module, name)
+    code, out, _ = run(["sweep", "--param", "spot", "--values", ",".join(spots)] + flags,
+                       capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert [line.split(",")[1] for line in out.splitlines()[3:]] == prices
+
+
+def test_lattice_nan_exits_3(monkeypatch, capsys):
+    original = lattice1d.problem_spec
+
+    def spec_with_nan(problem):
+        spec = original(problem)
+        return dataclasses.replace(spec, terminal=lambda x: np.full_like(x, np.nan))
+
+    monkeypatch.setattr(lattice1d, "problem_spec", spec_with_nan)
+    code, out, err = run(PRICE, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:") and "NaN" in err
+
+
+def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, fsg2d, "price_regime4")
+    code, out, err = run(["figure", "3", "--maturity", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "needs maturity >= 1.0" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("solver, module, name", [
+    ("lattice", lattice1d, "price_regime1"),
+    ("fd", fd1d, "solve_vi"),
+    ("fsg", fsg2d, "price_regime4"),
+], ids=["lattice", "fd", "fsg"])
+def test_negative_tol_refused_before_solving(solver, module, name, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, module, name)
+    regime = "4" if solver == "fsg" else "1"
+    code, out, err = run(["boundary", "--regime", regime, "--solver", solver, "--tol", "-0.01"]
+                         + BASE, capsys)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be nonnegative" in err
+    assert calls == []

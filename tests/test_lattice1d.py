@@ -1,17 +1,22 @@
 """Binomial-tree backend: pricing, surfaces, boundary extraction, variants."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import stockloan.lattice1d as lattice1d
 from stockloan import (
     DividendRegime,
     LatticeConfig,
     LoanContract,
     MarketParams,
+    VIProblem,
     amortized_payment_rate,
     extract_boundary,
+    lattice_value,
     price_amortized,
     price_regime1,
     price_regime2,
@@ -200,3 +205,58 @@ def test_max_decrease_matches_pairwise_scan():
         stars[rng.random(stars.shape) < 0.3] = math.inf
         assert max_decrease(stars) == max(scan(stars[:, j]) for j in range(3))
         assert max_decrease(stars[:, 0]) == scan(stars[:, 0])
+
+
+PROBLEMS = [
+    VIProblem("regime1", HIGH_VOL, contract(1)),
+    VIProblem("regime2", HIGH_VOL, contract(2)),
+    VIProblem("regime3", HIGH_VOL, contract(3)),
+    VIProblem("amortized", HIGH_VOL, contract(1, maturity=2.0)),
+    VIProblem("withdrawable", HIGH_VOL, contract(1), cap=0.5),
+]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 2000])
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind)
+def test_lattice_value_is_surface_root_bitwise(problem, steps):
+    config = LatticeConfig(steps=steps)
+    for spot in (0.55, 0.8, 1.3):
+        root, surface = lattice1d._solve_tree(spot, problem, config)
+        assert lattice_value(spot, problem, config) == root == surface.values[-1][0]
+
+
+def test_lattice_value_memory_is_linear_in_steps():
+    # the full 8000-step tree holds about 760 MB; two layers hold 128 KB each
+    tracemalloc.start()
+    try:
+        lattice_value(0.8, PROBLEMS[2], LatticeConfig(steps=8000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def poison_terminal(monkeypatch):
+    """Make every spec's terminal payoff NaN at the top node only."""
+    original = lattice1d.problem_spec
+
+    def spec_with_nan(problem):
+        spec = original(problem)
+
+        def terminal(x):
+            values = np.array(spec.terminal(x), dtype=float)
+            values[-1] = math.nan
+            return values
+
+        return dataclasses.replace(spec, terminal=terminal)
+
+    monkeypatch.setattr(lattice1d, "problem_spec", spec_with_nan)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.kind)
+def test_nan_anywhere_reaches_the_root_guard(problem, monkeypatch):
+    poison_terminal(monkeypatch)
+    with pytest.raises(RuntimeError, match="NaN"):
+        lattice_value(0.8, problem, LatticeConfig(steps=50))
+    with pytest.raises(RuntimeError, match="NaN"):
+        lattice1d._solve_tree(0.8, problem, LatticeConfig(steps=50))

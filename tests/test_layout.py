@@ -1,6 +1,9 @@
-"""Package layout: no module reaches into another module's private names."""
+"""Package layout: private names stay private and the CLI imports stay light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stockloan
@@ -20,3 +23,13 @@ def test_no_private_cross_module_imports():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    # scipy.stats alone used to add about 1.2 s to every CLI start
+    probe = ("import sys, stockloan.cli; "
+             "print(sorted({'scipy.stats', 'scipy.sparse'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"

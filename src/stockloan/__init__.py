@@ -57,6 +57,7 @@ from .fsg2d import (
 from .lattice1d import (
     LatticeConfig,
     extract_boundary,
+    lattice_surface,
     lattice_value,
     price_amortized,
     price_regime1,
@@ -97,6 +98,7 @@ __all__ = [
     "extract_boundary",
     "extract_boundary_surface",
     "from_similarity",
+    "lattice_surface",
     "lattice_value",
     "oracle_boundary",
     "oracle_price",

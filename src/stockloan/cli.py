@@ -35,29 +35,22 @@ SOLVER_CAPABILITIES: dict[str, dict[str, tuple]] = {
     "oracle": {"regimes": (1, 2, 3, 4), "variants": ()},
 }
 
+# The grid fields each solver reads.
+_GRID_FIELDS = {
+    "lattice": ("steps",),
+    "fd": ("space_nodes", "time_steps"),
+    "fsg": ("x_nodes", "a_nodes", "fsg_steps"),
+    "oracle": ("oracle_steps",),
+}
+_ALL_GRID_FIELDS = tuple(name for fields in _GRID_FIELDS.values() for name in fields)
+
 _FLOAT_FIELDS = (
-    "r",
-    "delta",
-    "sigma",
-    "principal",
-    "loan_rate",
-    "maturity",
-    "spot",
-    "accrued",
-    "cap",
-    "tol",
+    "r", "delta", "sigma", "principal", "loan_rate", "maturity", "spot", "accrued", "cap", "tol",
 )
-_INT_FIELDS = (
-    "regime",
-    "steps",
-    "space_nodes",
-    "time_steps",
-    "x_nodes",
-    "a_nodes",
-    "fsg_steps",
-    "oracle_steps",
-)
+_INT_FIELDS = ("regime",) + _ALL_GRID_FIELDS
 _STR_FIELDS = ("solver", "variant")
+# The solver and regime each figure runs.
+_FIGURE_RUN = {1: ("fd", 1), 2: ("fd", 1), 3: ("fsg", 4), 4: ("fsg", 4)}
 
 
 @dataclass(frozen=True)
@@ -126,19 +119,14 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_mapping(data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        return RunConfig(**data)
-
-    @staticmethod
     def from_json(text: str) -> "RunConfig":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("configuration JSON must be an object")
-        return RunConfig.from_mapping(data)
+        unknown = set(data) - {f.name for f in dataclasses.fields(RunConfig)}
+        if unknown:
+            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        return RunConfig(**data)
 
 
 def _fmt(x: float) -> str:
@@ -156,14 +144,43 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"configuration file is not valid JSON: {exc}") from exc
     else:
         cfg = RunConfig()
-    overrides = {}
-    for name in _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = _flags_given(args)
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
+
+
+def _flags_given(args: argparse.Namespace) -> dict:
+    """The configuration fields set on the command line, with their values."""
+    names = _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
+    """Refuse a flag that the command, with its solver, would not read.
+
+    Market, contract and spot flags always count as read; figure sets its
+    own solver and regime.  Only flags are checked: a configuration file may
+    set every field, so the header of any run can be fed back as its config.
+    """
+    optional = {*_ALL_GRID_FIELDS, "tol", "solver"}
+    solver, read = None, set()
+    if args.command == "figure":
+        optional |= {"regime", "accrued"}
+        solver = _FIGURE_RUN[args.number][0]
+        read = {*_GRID_FIELDS[solver], "tol"}
+    elif args.command != "perpetual":
+        solver = cfg.solver
+        read = {*_GRID_FIELDS[solver], "solver"}
+        if args.command == "boundary":
+            read.add("tol")
+        elif args.command == "oracle-check":
+            read.add("oracle_steps")
+    ignored = sorted((_flags_given(args).keys() & optional) - read)
+    if ignored:
+        flags = ", ".join(f"--{name.replace('_', '-')}" for name in ignored)
+        on = f" on the {solver} solver" if solver else ""
+        raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
 Surface = lattice1d.ValueSurface1D | fsg2d.ValueSurface2D | None
@@ -200,47 +217,33 @@ def _surface(cfg: RunConfig) -> Surface:
     """
     if cfg.solver != "lattice":
         return _grid_solve(cfg, [cfg.spot])[1]
-    args = (cfg.spot, cfg.market(), cfg.contract(), lattice1d.LatticeConfig(steps=cfg.steps))
-    if cfg.variant == "withdrawable":
-        return lattice1d.price_withdrawable(*args, cfg.cap)[1]
-    return getattr(lattice1d, f"price_{_problem(cfg).kind}")(*args)[1]
+    config = lattice1d.LatticeConfig(steps=cfg.steps)
+    return lattice1d.lattice_surface(cfg.spot, _problem(cfg), config)[1]
 
 
 def _grid_solve(cfg: RunConfig, spots: list[float]) -> tuple[list[float], Surface]:
     """Solve the finite-difference or forward-shooting grid once; read it at each spot.
 
-    A finite-difference spot outside the solved grid is refused, since
-    reading the surface there would clamp; the forward-shooting surface
-    refuses such a state itself.
+    The surface refuses a spot outside the solved grid with ValueError.
     """
     market, contract = cfg.market(), cfg.contract()
     if cfg.solver == "fsg":
-        fsg_cfg = _fsg_config(cfg)
+        fsg_cfg = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
+                                    time_steps=cfg.fsg_steps)
         _, surface = fsg2d.price_regime4(spots[0], cfg.accrued, market, contract, fsg_cfg)
         if surface is None:  # immediate redemption: exact values, no grid to share
             return [fsg2d.price_regime4(s, cfg.accrued, market, contract, fsg_cfg)[0]
                     for s in spots], None
-        return [surface.value_at(s, cfg.accrued, cfg.maturity) for s in spots], surface
-    surface, _ = fd1d.solve_vi(_problem(cfg), _fd_config(cfg))
-    x = surface.x_nodes[-1]
-    values = []
-    for s in spots:
-        if not x[0] <= s <= x[-1]:
-            raise ValueError(f"spot {s} outside the finite-difference grid [{x[0]}, {x[-1]}]")
-        values.append(surface.value_at(s, cfg.maturity))
-    return values, surface
+        coords = (cfg.accrued, cfg.maturity)
+    else:
+        fd_cfg = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
+        surface, _ = fd1d.solve_vi(_problem(cfg), fd_cfg)
+        coords = (cfg.maturity,)
+    return [surface.value_at(s, *coords) for s in spots], surface
 
 
 def _problem(cfg: RunConfig) -> VIProblem:
     return VIProblem(cfg.variant or f"regime{cfg.regime}", cfg.market(), cfg.contract(), cfg.cap)
-
-
-def _fd_config(cfg: RunConfig) -> fd1d.FDConfig:
-    return fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
-
-
-def _fsg_config(cfg: RunConfig) -> fsg2d.FSG2DConfig:
-    return fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes, time_steps=cfg.fsg_steps)
 
 
 def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
@@ -275,6 +278,8 @@ def cmd_boundary(cfg: RunConfig) -> str:
 
 
 def cmd_perpetual(cfg: RunConfig) -> str:
+    if cfg.variant is not None:
+        raise ValueError("the perpetual closed forms cover the regimes, not variants")
     market, contract = cfg.market(), cfg.contract()
     if cfg.regime == 1:
         res = closedform.perpetual_regime1(market, contract)
@@ -296,7 +301,7 @@ def cmd_perpetual(cfg: RunConfig) -> str:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> str:
-    allowed = set(_FLOAT_FIELDS)
+    allowed = set(_FLOAT_FIELDS) - {"tol"}  # no swept command reads tol
     if param not in allowed:
         raise ValueError(f"sweep parameter must be one of {sorted(allowed)}, got {param!r}")
     if not values:
@@ -338,8 +343,6 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     if target > cfg.maturity:
         raise ValueError(f"snapshot at tau={target} needs maturity >= {target}")
     surface = _surface(dataclasses.replace(cfg, accrued=0.0))
-    if surface is None:  # unreachable with accrued == 0, kept for type safety
-        raise ValueError("no surface produced")
     bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
     layer = int(np.argmin(np.abs(bsurf.tau_grid - target)))
     rows = [f"{_fmt(a)},{_fmt(bsurf.x_star[layer, j])}" for j, a in enumerate(bsurf.a_grid)]
@@ -402,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        _refuse_ignored_flags(args, cfg)
         if args.command == "price":
             text = cmd_price(cfg)
         elif args.command == "boundary":
@@ -412,15 +416,12 @@ def main(argv: list[str] | None = None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             text = cmd_sweep(cfg, args.param, values)
         elif args.command == "figure":
-            base = cfg
-            if args.number in _FIGURE_SIGMA:
-                if getattr(args, "sigma", None) is None:
-                    base = dataclasses.replace(base, sigma=_FIGURE_SIGMA[args.number])
-                base = dataclasses.replace(base, solver="fd", regime=1)
-            else:
-                if getattr(args, "maturity", None) is None:
-                    base = dataclasses.replace(base, maturity=3.0)
-                base = dataclasses.replace(base, solver="fsg", regime=4)
+            solver, regime = _FIGURE_RUN[args.number]
+            base = dataclasses.replace(cfg, solver=solver, regime=regime)
+            if args.number in _FIGURE_SIGMA and args.sigma is None:
+                base = dataclasses.replace(base, sigma=_FIGURE_SIGMA[args.number])
+            if args.number in _FIGURE_SNAPSHOT_TAU and args.maturity is None:
+                base = dataclasses.replace(base, maturity=3.0)
             text = cmd_figure(args.number, base)
         else:
             text = cmd_oracle_check(cfg)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .contracts import LoanContract
 from .lattice1d import extract_boundary
 from .problems import (
     BoundaryCurve,
@@ -30,34 +29,30 @@ from .problems import (
     ValueSurface1D,
     VIProblem,
     frozen,
+    log_stencil,
+    log_x_grid,
     problem_spec,
+    tau_grid,
 )
 
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Grid resolution and log-space domain.
+    """Grid resolution.
 
-    The log-space domain defaults to log(K) +- 6 sigma sqrt(T).  Each step
-    is solved exactly by policy iteration, so there is no tolerance to set.
+    The log-space domain is log(K) +- 6 sigma sqrt(T) (problems.log_x_grid).
+    Each step is solved exactly by policy iteration, so there is no
+    tolerance to set.
     """
 
     space_nodes: int = 400
     time_steps: int = 400
-    log_x_min: float | None = None
-    log_x_max: float | None = None
 
     def __post_init__(self) -> None:
         if self.space_nodes < 16:
             raise ValueError(f"need at least 16 space nodes, got {self.space_nodes}")
         if self.time_steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
-        if (
-            self.log_x_min is not None
-            and self.log_x_max is not None
-            and self.log_x_min >= self.log_x_max
-        ):
-            raise ValueError("log_x_min must lie below log_x_max")
 
 
 @dataclass(frozen=True)
@@ -77,34 +72,6 @@ class ComplementarityReport:
     min_obstacle_residual: float
     max_continuation_residual: float
     tol: float
-
-
-def log_stencil(
-    sigma: float, drift: float, rate: float, dy: float
-) -> tuple[float, float, float]:
-    """Constant stencil (lo, mid, up) of the pricing operator in log space.
-
-    Central differencing for the convection term nu = drift - sigma^2 / 2,
-    switching to one-sided differencing when central weights would turn
-    negative, so lo and up stay nonnegative.  Shared by the one-dimensional
-    solver and the stock direction of the forward-shooting-grid solver.
-    """
-    s2 = sigma * sigma
-    nu = drift - 0.5 * s2
-    diff = 0.5 * s2 / (dy * dy)
-    if abs(nu) * dy <= s2:
-        lo = diff - nu / (2.0 * dy)
-        up = diff + nu / (2.0 * dy)
-        mid = -s2 / (dy * dy) - rate
-    elif nu > 0.0:
-        lo = diff
-        up = diff + nu / dy
-        mid = -s2 / (dy * dy) - nu / dy - rate
-    else:
-        lo = diff - nu / dy
-        up = diff
-        mid = -s2 / (dy * dy) + nu / dy - rate
-    return lo, mid, up
 
 
 # Row states of the policy iteration.
@@ -170,19 +137,16 @@ def _policy_step(
     raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
 
 
-def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
-    """Run the time loop; returns the grid, all layers, and diagnostics."""
-    principal = contract.principal
-    maturity = contract.maturity
-    sig_span = 6.0 * spec.sigma * math.sqrt(maturity)
-    y_min = config.log_x_min if config.log_x_min is not None else math.log(principal) - sig_span
-    y_max = config.log_x_max if config.log_x_max is not None else math.log(principal) + sig_span
-    n = config.space_nodes
-    y = np.linspace(y_min, y_max, n)
-    x = np.exp(y)
-    dy = y[1] - y[0]
-    m_steps = config.time_steps
-    dtau = maturity / m_steps
+def _march(
+    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Step from tau = 0 through taus on the nodes x, log spacing dy.
+
+    Returns every layer, the Rannacher half-step layer and the number of
+    banded solves.
+    """
+    m_steps = taus.size - 1
+    dtau = float(taus[-1]) / m_steps
 
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
@@ -204,30 +168,30 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
             _floor(spec, x[1:-1], tau_new),
             spec.cap,
         )
-        full = np.empty(n)
+        full = np.empty_like(x)
         full[0], full[-1] = bottom, top
         full[1:-1] = f_int
         return full, solves
 
+    half = 0.5 * dtau
+
+    def euler_half_step(f_old: np.ndarray, tau_new: float) -> tuple[np.ndarray, int]:
+        rhs = f_old[1:-1].copy()
+        if src is not None:
+            rhs += half * src
+        return implicit_solve(rhs, half, tau_new, f_old[1:-1])
+
     layers = [np.asarray(spec.terminal(x), dtype=float)]
     solves_total = 0
     startup = None
-    half = 0.5 * dtau
     for m in range(m_steps):
         f_old = layers[-1]
-        tau_new = (m + 1) * dtau
+        tau_new = float(taus[m + 1])
         if m == 0:
             # Rannacher startup: two implicit-Euler half-steps.
-            rhs = f_old[1:-1].copy()
-            if src is not None:
-                rhs += half * src
-            f_mid, s1 = implicit_solve(rhs, half, half, f_old[1:-1])
-            rhs = f_mid[1:-1].copy()
-            if src is not None:
-                rhs += half * src
-            f_new, s2 = implicit_solve(rhs, half, tau_new, f_mid[1:-1])
+            startup, s1 = euler_half_step(f_old, half)
+            f_new, s2 = euler_half_step(startup, tau_new)
             solves_total += s1 + s2
-            startup = f_mid
         else:
             rhs = f_old[1:-1] + half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
             if src is not None:
@@ -238,13 +202,7 @@ def _march(spec: ProblemSpec, config: FDConfig, contract: LoanContract) -> dict:
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
         layers.append(f_new)
 
-    return {
-        "x": x,
-        "dtau": dtau,
-        "layers": layers,
-        "startup": startup,
-        "solves_total": solves_total,
-    }
+    return layers, startup, solves_total
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:
@@ -256,37 +214,33 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
     infinite at every positive tau.
     """
     spec = problem_spec(problem)
-    state = _march(spec, config, problem.contract)
-    x = frozen(state["x"])
-    principal = problem.contract.principal
-    tau_grid = frozen(np.arange(config.time_steps + 1, dtype=float) * state["dtau"])
+    principal, maturity = problem.contract.principal, problem.contract.maturity
+    taus = tau_grid(maturity, config.time_steps)
+    x, dy = log_x_grid(principal, spec.sigma, maturity, config.space_nodes)
+    layers, startup, solves = _march(spec, x, dy, taus)
 
     values = []
     obstacles = []
-    flags = []
-    tie_tol = 1e-12 * principal
-    for j, layer in enumerate(state["layers"]):
-        obs = np.asarray(spec.obstacle(x, float(tau_grid[j])), dtype=float)
+    for tau, layer in zip(taus, layers):
+        obs = np.asarray(spec.obstacle(x, float(tau)), dtype=float)
         if obstacles and np.array_equal(obs, obstacles[-1]):
             obs = obstacles[-1]  # a time-independent obstacle is stored once
         values.append(frozen(layer))
         obstacles.append(frozen(obs))
-        flags.append(frozen(layer - obs <= tie_tol))
 
     surface = ValueSurface1D(
-        tau_grid=tau_grid,
+        tau_grid=taus,
         x_nodes=tuple([x] * (config.time_steps + 1)),
         values=tuple(values),
         obstacles=tuple(obstacles),
-        payoff_flags=tuple(flags),
         principal=principal,
         spatial_cap=float(x[-1]),
         label=f"fd-{spec.label}",
         solver_meta={
             "solver": "fd",
             "config": config,
-            "linear_solves": state["solves_total"],
-            "rannacher_intermediate": state["startup"],
+            "linear_solves": solves,
+            "rannacher_intermediate": startup,
             "constrained": spec.constrained,
         },
     )

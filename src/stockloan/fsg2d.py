@@ -34,18 +34,20 @@ from .contracts import (
     accrue_dividends,
     classify,
 )
-from .fd1d import log_stencil
-from .problems import frozen, max_decrease
+from .problems import frozen, log_stencil, log_x_grid, max_decrease, tau_grid
+
+# Fraction of the explicit stability bound each substep may use.
+_CFL_SAFETY = 0.95
 
 
 @dataclass(frozen=True)
 class FSG2DConfig:
-    """Grid resolution and stability controls.
+    """Grid resolution and domain.
 
-    The stock domain defaults to log(K) +- 6 sigma sqrt(T); the account
-    domain defaults to [0, K] when a redeeming surface exists and to
-    [0, 2 K e^{max(r - gamma, 0) T}] otherwise.  cfl_safety scales the
-    explicit stability bound used to pick the substep count.
+    The stock domain defaults to log(K) +- 6 sigma sqrt(T)
+    (problems.log_x_grid); the account domain defaults to [0, K] when a
+    redeeming surface exists and to [0, 2 K e^{max(r - gamma, 0) T}]
+    otherwise.  The substep count follows from the explicit stability bound.
     """
 
     x_nodes: int = 200
@@ -54,7 +56,6 @@ class FSG2DConfig:
     log_x_min: float | None = None
     log_x_max: float | None = None
     a_max: float | None = None
-    cfl_safety: float = 0.95
 
     def __post_init__(self) -> None:
         if self.x_nodes < 16:
@@ -63,8 +64,6 @@ class FSG2DConfig:
             raise ValueError(f"need at least 4 account nodes, got {self.a_nodes}")
         if self.time_steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.a_max is not None and self.a_max <= 0.0:
             raise ValueError(f"a_max must be positive, got {self.a_max}")
         if (
@@ -81,8 +80,7 @@ class ValueSurface2D:
 
     values[m] is an (x_nodes, a_nodes) array on the fixed grids; the
     redemption obstacle x + A - K does not depend on tau, so a single
-    matrix serves every layer.  payoff_flags marks nodes whose value ties
-    with the obstacle.
+    matrix serves every layer.  value_at refuses a state off the grids.
     """
 
     tau_grid: np.ndarray
@@ -90,9 +88,7 @@ class ValueSurface2D:
     a_grid: np.ndarray
     values: tuple[np.ndarray, ...]
     obstacle: np.ndarray
-    payoff_flags: tuple[np.ndarray, ...]
     principal: float
-    spatial_cap: float
     label: str
     solver_meta: dict[str, Any] = field(default_factory=dict)
 
@@ -153,17 +149,11 @@ def _march4(
 ) -> ValueSurface2D:
     r_bar = market.r - contract.loan_rate
     delta = market.delta
-    sigma = market.sigma
     principal = contract.principal
     maturity = contract.maturity
 
-    sig_span = 6.0 * sigma * math.sqrt(maturity)
-    y_min = config.log_x_min if config.log_x_min is not None else math.log(principal) - sig_span
-    y_max = config.log_x_max if config.log_x_max is not None else math.log(principal) + sig_span
-    y = np.linspace(y_min, y_max, config.x_nodes)
-    x = np.exp(y)
-    dy = y[1] - y[0]
-
+    x, dy = log_x_grid(principal, market.sigma, maturity, config.x_nodes,
+                       config.log_x_min, config.log_x_max)
     if config.a_max is not None:
         a_max = config.a_max
     elif constrained:
@@ -173,9 +163,9 @@ def _march4(
     a = np.linspace(0.0, a_max, config.a_nodes)
     da = a[1] - a[0]
 
-    lo, mid, up = log_stencil(sigma, r_bar - delta, r_bar, dy)
+    lo, mid, up = log_stencil(market.sigma, r_bar - delta, r_bar, dy)
     dtau_layer = maturity / config.time_steps
-    n_sub = max(1, math.ceil(dtau_layer * max(-mid, 0.0) / config.cfl_safety))
+    n_sub = max(1, math.ceil(dtau_layer * max(-mid, 0.0) / _CFL_SAFETY))
     dt = dtau_layer / n_sub
     coef_lo = dt * lo
     coef_mid = 1.0 + dt * mid
@@ -234,18 +224,13 @@ def _march4(
                 raise RuntimeError("forward-shooting-grid solve produced NaN")
             layers.append(f.copy())
 
-    tau_grid = frozen(np.arange(config.time_steps + 1, dtype=float) * dtau_layer)
-    tie_tol = 1e-12 * principal
-    obstacle_f = frozen(obstacle)
     return ValueSurface2D(
-        tau_grid=tau_grid,
-        x_grid=frozen(x),
+        tau_grid=tau_grid(maturity, config.time_steps),
+        x_grid=x,
         a_grid=frozen(a),
         values=tuple(frozen(layer) for layer in layers),
-        obstacle=obstacle_f,
-        payoff_flags=tuple(frozen(layer - obstacle <= tie_tol) for layer in layers),
+        obstacle=frozen(obstacle),
         principal=principal,
-        spatial_cap=float(x[-1]),
         label="fsg-regime4" if constrained else "fsg-regime4-linear",
         solver_meta={
             "solver": "fsg",

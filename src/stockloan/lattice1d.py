@@ -7,10 +7,10 @@ running source is added explicitly after discounting, before the value is
 floored at the obstacle and clamped at the cap.
 
 One march builds the tree layer by layer, terminal layer first and root
-last.  The price_* functions keep every layer in a surface, so redemption
-boundaries can be read off afterwards (immutable once returned);
-lattice_value keeps only the layer being built and the one before it, for
-callers that need the root value alone.
+last.  lattice_surface, and the price_* functions that wrap it, keep every
+layer in a surface, so redemption boundaries can be read off afterwards
+(immutable once returned); lattice_value keeps only the layer being built
+and the one before it, for callers that need the root value alone.
 """
 
 from __future__ import annotations
@@ -30,26 +30,23 @@ from .problems import (
     frozen,
     max_decrease,
     problem_spec,
+    tau_grid,
 )
+
+# Boundary extraction searches nodes up to this many principals before
+# declaring the boundary unbounded at a layer.
+_X_MAX_MULT = 8.0
 
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Tree resolution and boundary-extraction cap.
-
-    steps is the number of time steps.  x_max_mult caps, in units of the
-    principal, how far out boundary extraction searches before declaring
-    the boundary unbounded at a layer.
-    """
+    """Tree resolution: steps is the number of time steps."""
 
     steps: int = 2000
-    x_max_mult: float = 8.0
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
-        if self.x_max_mult <= 1.0:
-            raise ValueError(f"spatial cap multiplier must exceed 1, got {self.x_max_mult}")
 
 
 def crr_step_params(
@@ -75,8 +72,8 @@ def crr_step_params(
 
 def _march(
     spot: float, problem: VIProblem, config: LatticeConfig
-) -> tuple[ProblemSpec, dict, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Set up the tree for problem; returns (spec, solver_meta, layers).
+) -> tuple[ProblemSpec, np.ndarray, dict, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Set up the tree for problem; returns (spec, tau grid, solver_meta, layers).
 
     layers yields (nodes, values, obstacle) for every layer, terminal layer
     first and root last; it keeps only the layer it is building and the one
@@ -87,6 +84,7 @@ def _march(
     spec = problem_spec(problem)
     steps = config.steps
     dt = problem.contract.maturity / steps
+    taus = tau_grid(problem.contract.maturity, steps)
     u, d, p, disc = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
     log_u = math.log(u)
     q = 1.0 - p
@@ -108,7 +106,7 @@ def _march(
             cont = disc * (p * v[1:] + q * v[:-1])
             if source is not None:
                 cont = cont + source(x) * dt
-            obs = np.asarray(spec.obstacle(x, j * dt), dtype=float)
+            obs = np.asarray(spec.obstacle(x, float(taus[j])), dtype=float)
             v = np.maximum(cont, obs)
             if cap is not None:
                 v = np.minimum(v, cap)
@@ -119,14 +117,14 @@ def _march(
             raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
         yield x, v, obs
 
-    return spec, meta, layers()
+    return spec, taus, meta, layers()
 
 
 def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:
     """Value of problem at spot, read off the root without keeping the tree.
 
     Memory grows with the step count, not its square.  The value is the
-    root of the surface the price_* functions return, bit for bit.
+    root of the surface lattice_surface returns, bit for bit.
     """
     *_, layers = _march(spot, problem, config)
     for _, v, _ in layers:
@@ -134,27 +132,22 @@ def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> flo
     return float(v[0])
 
 
-def _solve_tree(
+def lattice_surface(
     spot: float, problem: VIProblem, config: LatticeConfig
 ) -> tuple[float, ValueSurface1D]:
-    spec, meta, layers = _march(spot, problem, config)
-    xs: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    obss: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    for x, v, obs in layers:
-        xs.append(frozen(x))
-        vals.append(frozen(v))
-        obss.append(frozen(obs))
-        flags.append(frozen(v == obs))
+    """Value of problem at spot and the whole tree it was read off; returns (value, surface).
+
+    Memory grows with the square of the step count.
+    """
+    spec, taus, meta, layers = _march(spot, problem, config)
+    xs, vals, obss = zip(*[tuple(map(frozen, layer)) for layer in layers])
     surface = ValueSurface1D(
-        tau_grid=frozen(np.arange(config.steps + 1, dtype=float) * meta["dt"]),
-        x_nodes=tuple(xs),
-        values=tuple(vals),
-        obstacles=tuple(obss),
-        payoff_flags=tuple(flags),
+        tau_grid=taus,
+        x_nodes=xs,
+        values=vals,
+        obstacles=obss,
         principal=problem.contract.principal,
-        spatial_cap=config.x_max_mult * problem.contract.principal,
+        spatial_cap=_X_MAX_MULT * problem.contract.principal,
         label=spec.label,
         solver_meta=meta,
     )
@@ -169,7 +162,7 @@ def price_regime1(
     The surface lives in similarity coordinates; at t = 0 those coincide
     with cash coordinates, so the returned value is the loan value at spot.
     """
-    return _solve_tree(spot, VIProblem("regime1", market, contract), config)
+    return lattice_surface(spot, VIProblem("regime1", market, contract), config)
 
 
 def price_regime2(
@@ -180,7 +173,7 @@ def price_regime2(
     The surface is indexed by the scaled reinvested position; at t = 0 the
     position equals the stock, so the value is again read off at spot.
     """
-    return _solve_tree(spot, VIProblem("regime2", market, contract), config)
+    return lattice_surface(spot, VIProblem("regime2", market, contract), config)
 
 
 def price_regime3(
@@ -193,7 +186,7 @@ def price_regime3(
     loan price is this value plus the dividends already delivered, which the
     caller adds at the API boundary.
     """
-    return _solve_tree(spot, VIProblem("regime3", market, contract), config)
+    return lattice_surface(spot, VIProblem("regime3", market, contract), config)
 
 
 def price_amortized(
@@ -208,7 +201,7 @@ def price_amortized(
     coordinates throughout; values may go negative near S = 0, where the
     remaining payment stream dominates.
     """
-    return _solve_tree(spot, VIProblem("amortized", market, contract), config)
+    return lattice_surface(spot, VIProblem("amortized", market, contract), config)
 
 
 def price_withdrawable(
@@ -225,7 +218,7 @@ def price_withdrawable(
     intrinsic value exceeds L the lender settles at L, so the upper clamp
     wins over the redemption obstacle.  Cash coordinates.
     """
-    return _solve_tree(spot, VIProblem("withdrawable", market, contract, cap), config)
+    return lattice_surface(spot, VIProblem("withdrawable", market, contract, cap), config)
 
 
 def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurve:

@@ -15,8 +15,10 @@ r - gamma; regime 2 is first rebooked as its dividend-free regime-1
 equivalent.  The amortizing and withdrawable variants keep calendar cash
 coordinates because their obstacles do not scale with exp(gamma * t).
 
-The value surface and boundary types both backends return live here too,
-together with the monotonicity scan every boundary reader shares.
+The grids the backends step on are built here too (the layer times of
+all three, the log-spaced stock grid and its stencil), as are the value
+surface, which refuses any query off its layers, and the boundary types
+with the monotonicity scan every boundary reader shares.
 """
 
 from __future__ import annotations
@@ -51,22 +53,72 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def tau_grid(maturity: float, steps: int) -> np.ndarray:
+    """Times to maturity of the steps + 1 layers: j * (maturity / steps), last exactly maturity.
+
+    steps * (maturity / steps) itself can fall one ulp short of the maturity.
+    """
+    return frozen(np.linspace(0.0, maturity, steps + 1))
+
+
+def log_x_grid(
+    principal: float, sigma: float, maturity: float, nodes: int,
+    log_x_min: float | None = None, log_x_max: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """Stock nodes evenly spaced in log(x), read-only, and their log spacing; returns (x, dy).
+
+    The log domain is log(K) +- 6 sigma sqrt(T) unless log_x_min or
+    log_x_max sets an end.
+    """
+    sig_span = 6.0 * sigma * math.sqrt(maturity)
+    y_min = math.log(principal) - sig_span if log_x_min is None else log_x_min
+    y_max = math.log(principal) + sig_span if log_x_max is None else log_x_max
+    y = np.linspace(y_min, y_max, nodes)
+    return frozen(np.exp(y)), float(y[1] - y[0])
+
+
+def log_stencil(
+    sigma: float, drift: float, rate: float, dy: float
+) -> tuple[float, float, float]:
+    """Constant stencil (lo, mid, up) of the pricing operator in log space.
+
+    Central differencing for the convection term nu = drift - sigma^2 / 2,
+    switching to one-sided differencing when central weights would turn
+    negative, so lo and up stay nonnegative.  Shared by the one-dimensional
+    solver and the stock direction of the forward-shooting-grid solver.
+    """
+    s2 = sigma * sigma
+    nu = drift - 0.5 * s2
+    diff = 0.5 * s2 / (dy * dy)
+    if abs(nu) * dy <= s2:
+        lo = diff - nu / (2.0 * dy)
+        up = diff + nu / (2.0 * dy)
+        mid = -s2 / (dy * dy) - rate
+    elif nu > 0.0:
+        lo = diff
+        up = diff + nu / dy
+        mid = -s2 / (dy * dy) - nu / dy - rate
+    else:
+        lo = diff - nu / dy
+        up = diff
+        mid = -s2 / (dy * dy) + nu / dy - rate
+    return lo, mid, up
+
+
 @dataclass(frozen=True)
 class ValueSurface1D:
     """Value surface on a one-dimensional grid, one layer per time to maturity.
 
     tau_grid ascends from 0 (the terminal layer) to the maturity.  Layer j
-    holds node coordinates x_nodes[j], values, the redemption obstacle and a
-    flag marking nodes where the value equals the obstacle (ties count as
-    redemption).  principal scales tolerances; spatial_cap bounds boundary
-    extraction; label names the problem and solver_meta carries diagnostics.
+    holds node coordinates x_nodes[j], values and the redemption obstacle.
+    principal scales tolerances; spatial_cap bounds boundary extraction;
+    label names the problem and solver_meta carries diagnostics.
     """
 
     tau_grid: np.ndarray
     x_nodes: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     obstacles: tuple[np.ndarray, ...]
-    payoff_flags: tuple[np.ndarray, ...]
     principal: float
     spatial_cap: float
     label: str
@@ -76,18 +128,30 @@ class ValueSurface1D:
         return len(self.tau_grid)
 
     def value_at(self, x: float, tau: float) -> float:
-        """Bilinear lookup: linear in x within layers, linear across tau."""
+        """Bilinear lookup: linear in x within layers, linear across tau.
+
+        A tau off the surface, or an x outside the nodes of a layer the
+        lookup reads, is refused with ValueError.
+        """
         taus = self.tau_grid
         if not taus[0] <= tau <= taus[-1]:
             raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
         j_hi = int(np.searchsorted(taus, tau))
         if j_hi == 0 or taus[j_hi] == tau:
-            return float(np.interp(x, self.x_nodes[j_hi], self.values[j_hi]))
+            return self._layer_value(j_hi, x, tau)
         j_lo = j_hi - 1
-        v_lo = float(np.interp(x, self.x_nodes[j_lo], self.values[j_lo]))
-        v_hi = float(np.interp(x, self.x_nodes[j_hi], self.values[j_hi]))
+        v_lo = self._layer_value(j_lo, x, tau)
+        v_hi = self._layer_value(j_hi, x, tau)
         w = (tau - taus[j_lo]) / (taus[j_hi] - taus[j_lo])
         return (1.0 - w) * v_lo + w * v_hi
+
+    def _layer_value(self, j: int, x: float, tau: float) -> float:
+        nodes = self.x_nodes[j]
+        if not nodes[0] <= x <= nodes[-1]:
+            raise ValueError(
+                f"x={x} outside the surface nodes [{nodes[0]}, {nodes[-1]}] at tau={tau}"
+            )
+        return float(np.interp(x, nodes, self.values[j]))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import stockloan.cli as cli
-from stockloan import fd1d, fsg2d, lattice1d
+from stockloan import closedform, fd1d, fsg2d, lattice1d, oracle
 
 
 BASE = ["--r", "0.06", "--delta", "0.03", "--sigma", "0.4",
@@ -247,12 +248,12 @@ def test_fd_spot_off_grid_exits_2(capsys):
     code, out, err = run(["price", "--spot", "1000"] + FD_SMALL, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "outside the finite-difference grid" in err
+    assert err.startswith("error:") and "outside the surface nodes" in err
     code, out, err = run(["sweep", "--param", "spot", "--values", "0.8,1000"] + FD_SMALL,
                          capsys)
     assert code == 2
     assert out == ""
-    assert "outside the finite-difference grid" in err
+    assert "outside the surface nodes" in err
 
 
 def count_calls(monkeypatch, module, name):
@@ -327,3 +328,62 @@ def test_negative_tol_refused_before_solving(solver, module, name, monkeypatch, 
     assert out == ""
     assert "tolerance must be nonnegative" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--solver", "fd", "--regime", "1", "--maturity", "0.23", "--spot", "0.8"],
+    ["price", "--solver", "fsg", "--regime", "4", "--maturity", "0.99", "--spot", "0.8"],
+], ids=["fd", "fsg"])
+def test_price_at_maturity_where_step_multiples_fall_short(argv, capsys):
+    # 400 * (0.23 / 400) and 200 * (0.99 / 200) both land one ulp below the
+    # maturity, so a time grid built from step multiples ends short of it
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert math.isfinite(float(out))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["price", "--solver", "fd", "--steps", "5"], "--steps"),
+    (["price", "--solver", "lattice", "--space-nodes", "50"], "--space-nodes"),
+    (["oracle-check", "--solver", "fd", "--steps", "7", "--x-nodes", "30"],
+     "--steps, --x-nodes"),
+    (["price", "--tol", "0.5"], "--tol"),
+    (["perpetual", "--steps", "5", "--tol", "0.3"], "--steps, --tol"),
+    (["perpetual", "--solver", "fd"], "--solver"),
+    (["perpetual", "--variant", "amortized"], "not variants"),
+    (["sweep", "--param", "tol", "--values", "0.1,0.2"], "sweep parameter must be one of"),
+    (["figure", "1", "--solver", "lattice"], "--solver"),
+    (["figure", "3", "--regime", "2"], "--regime"),
+    (["figure", "3", "--accrued", "0.1", "--regime", "4", "--solver", "fsg"],
+     "--accrued, --regime, --solver"),
+], ids=["price-fd-steps", "price-lattice-space-nodes", "oracle-check-fd-grids", "price-tol",
+        "perpetual-grid-tol", "perpetual-solver", "perpetual-variant", "sweep-tol",
+        "figure-solver", "figure-regime", "figure-regime-accrued-solver"])
+def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys):
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, name in ((lattice1d, "lattice_value"), (lattice1d, "lattice_surface"),
+                         (fd1d, "solve_vi"), (fsg2d, "price_regime4"),
+                         (oracle, "oracle_price"), (closedform, "perpetual_regime1")):
+        monkeypatch.setattr(module, name, solved)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_config_header_reruns_with_every_field(tmp_path, capsys):
+    # the header sets every grid field and tol; from a file they are not refused
+    argv = ["boundary", "--regime", "1", "--solver", "lattice", "--steps", "40"] + BASE
+    code, first, _ = run(argv, capsys)
+    assert code == 0
+    path = tmp_path / "run.json"
+    path.write_text(first.splitlines()[1][len("# config: "):])
+    code, again, _ = run(["boundary", "--config", str(path)], capsys)
+    assert code == 0
+    assert again == first
+    code, out, _ = run(["price", "--config", str(path)], capsys)
+    assert code == 0
+    assert math.isfinite(float(out))

@@ -22,7 +22,7 @@ from stockloan import (
     residual_report,
     solve_vi,
 )
-from stockloan.fd1d import log_stencil
+from stockloan.problems import log_stencil
 
 K = 0.7
 GAMMA = 0.1
@@ -43,8 +43,6 @@ def test_config_validation():
         FDConfig(space_nodes=8)
     with pytest.raises(ValueError):
         FDConfig(time_steps=1)
-    with pytest.raises(ValueError):
-        FDConfig(log_x_min=0.0, log_x_max=0.0)
 
 
 def test_problem_validation():
@@ -218,3 +216,13 @@ def test_value_surface_layers_share_grid():
     first = np.asarray(surface.x_nodes[0])
     assert all(np.array_equal(first, np.asarray(nodes)) for nodes in surface.x_nodes)
     assert len(surface.tau_grid) == 33
+
+
+def test_value_at_refuses_off_grid():
+    surface, _ = solve_vi(problem(1), FDConfig(space_nodes=80, time_steps=40))
+    x = surface.x_nodes[-1]
+    assert surface.value_at(x[-1], 1.0) == surface.values[-1][-1]
+    for spot in (1e9, x[-1] * 1.0001, x[0] * 0.9999, 1e-9):
+        for tau in (1.0, 0.0, 0.5 * (surface.tau_grid[3] + surface.tau_grid[4])):
+            with pytest.raises(ValueError, match="outside the surface nodes"):
+                surface.value_at(spot, tau)

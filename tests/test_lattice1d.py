@@ -78,7 +78,7 @@ def test_regime2_equals_reduced_regime1_bitwise():
 def test_deep_itm_is_immediate_redemption():
     value, surface = price_regime1(3.0, HIGH_VOL, contract(1), LatticeConfig(steps=500))
     assert value == 3.0 - K
-    assert bool(surface.payoff_flags[-1][0])
+    assert surface.values[-1][0] == surface.obstacles[-1][0]
 
 
 def test_surface_dominates_obstacle_and_zero():
@@ -89,7 +89,6 @@ def test_surface_dominates_obstacle_and_zero():
             obstacles = surface.obstacles[layer]
             assert np.all(values >= obstacles)
             assert np.all(values >= 0.0)
-            assert np.array_equal(surface.payoff_flags[layer], values == obstacles)
 
 
 def test_terminal_layer_is_clamped_payoff():
@@ -101,12 +100,21 @@ def test_terminal_layer_is_clamped_payoff():
 def test_value_at_interpolates_and_validates():
     value, surface = price_regime1(0.8, HIGH_VOL, contract(1), LatticeConfig(steps=200))
     assert surface.value_at(0.8, 1.0) == pytest.approx(value, rel=1e-12)
-    # x queries clamp at the layer edges; tau queries must stay on the surface
-    clamped = surface.value_at(1e9, 0.5)
-    assert math.isfinite(clamped)
-    assert clamped >= surface.value_at(3.0, 0.5)
+    # x queries must stay inside the layer's nodes, tau queries on the surface
+    nodes = surface.x_nodes[100]  # tau = 0.5
+    assert surface.value_at(nodes[-1], 0.5) == surface.values[100][-1]
+    for x in (1e9, nodes[-1] * 1.0001, nodes[0] * 0.9999, 1e-9):
+        with pytest.raises(ValueError, match="outside the surface nodes"):
+            surface.value_at(x, 0.5)
     with pytest.raises(ValueError):
         surface.value_at(0.8, 1.5)
+    # between two layers the lookup reads both, so x must lie in the narrower
+    # one: the top node of layer 100 sits above every node of layer 101
+    tau = 0.5 * (surface.tau_grid[100] + surface.tau_grid[101])
+    assert nodes[-1] > surface.x_nodes[101][-1]
+    with pytest.raises(ValueError, match="outside the surface nodes"):
+        surface.value_at(nodes[-1], tau)
+    assert math.isfinite(surface.value_at(surface.x_nodes[101][-1], tau))
 
 
 def test_boundary_extraction_deep_itm_tree():
@@ -185,8 +193,6 @@ def test_withdrawable_cap_validation():
 def test_lattice_config_validation():
     with pytest.raises(ValueError):
         LatticeConfig(steps=0)
-    with pytest.raises(ValueError):
-        LatticeConfig(steps=100, x_max_mult=0.0)
 
 
 def test_max_decrease_matches_pairwise_scan():
@@ -221,7 +227,7 @@ PROBLEMS = [
 def test_lattice_value_is_surface_root_bitwise(problem, steps):
     config = LatticeConfig(steps=steps)
     for spot in (0.55, 0.8, 1.3):
-        root, surface = lattice1d._solve_tree(spot, problem, config)
+        root, surface = lattice1d.lattice_surface(spot, problem, config)
         assert lattice_value(spot, problem, config) == root == surface.values[-1][0]
 
 
@@ -259,4 +265,4 @@ def test_nan_anywhere_reaches_the_root_guard(problem, monkeypatch):
     with pytest.raises(RuntimeError, match="NaN"):
         lattice_value(0.8, problem, LatticeConfig(steps=50))
     with pytest.raises(RuntimeError, match="NaN"):
-        lattice1d._solve_tree(0.8, problem, LatticeConfig(steps=50))
+        lattice1d.lattice_surface(0.8, problem, LatticeConfig(steps=50))

@@ -48,7 +48,6 @@ from .fd1d import (
     solve_vi,
 )
 from .fsg2d import (
-    BoundarySurface,
     FSG2DConfig,
     ValueSurface2D,
     extract_boundary_surface,
@@ -72,7 +71,6 @@ __all__ = [
     "MAX_ORACLE_STEPS",
     "UNBOUNDED",
     "BoundaryCurve",
-    "BoundarySurface",
     "ClosedForm",
     "ComplementarityReport",
     "DividendRegime",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import closedform, fd1d, fsg2d, lattice1d, oracle
 from .contracts import DividendRegime, LoanContract, MarketParams
-from .problems import VIProblem
+from .problems import BoundaryCurve, VIProblem
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -49,8 +49,14 @@ _FLOAT_FIELDS = (
 )
 _INT_FIELDS = ("regime",) + _ALL_GRID_FIELDS
 _STR_FIELDS = ("solver", "variant")
-# The solver and regime each figure runs.
-_FIGURE_RUN = {1: ("fd", 1), 2: ("fd", 1), 3: ("fsg", 4), 4: ("fsg", 4)}
+# Per figure: the settings it always runs with, the defaults a command-line
+# flag overrides, and the tau of its account-level snapshot (figures 3 and 4).
+_FIGURES = {
+    1: ({"solver": "fd", "regime": 1, "accrued": 0.0}, {"sigma": 0.4}, None),
+    2: ({"solver": "fd", "regime": 1, "accrued": 0.0}, {"sigma": 0.15}, None),
+    3: ({"solver": "fsg", "regime": 4, "accrued": 0.0}, {"maturity": 3.0}, 1.0),
+    4: ({"solver": "fsg", "regime": 4, "accrued": 0.0}, {"maturity": 3.0}, 3.0),
+}
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
     solver, read = None, set()
     if args.command == "figure":
         optional |= {"regime", "accrued"}
-        solver = _FIGURE_RUN[args.number][0]
+        solver = _FIGURES[args.number][0]["solver"]
         read = {*_GRID_FIELDS[solver], "tol"}
     elif args.command != "perpetual":
         solver = cfg.solver
@@ -209,16 +215,24 @@ def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
     return values
 
 
-def _surface(cfg: RunConfig) -> Surface:
-    """The configured solver's surface, as its public entry point returns it.
+def _boundary(cfg: RunConfig) -> BoundaryCurve:
+    """The configured solver's redemption boundary, read at cfg.tol.
 
-    None for the forward-shooting grid when immediate redemption is exactly
-    optimal.  The spot is refused as it would be by _values.
+    The spot is refused as it would be by _values.
     """
-    if cfg.solver != "lattice":
-        return _grid_solve(cfg, [cfg.spot])[1]
-    config = lattice1d.LatticeConfig(steps=cfg.steps)
-    return lattice1d.lattice_surface(cfg.spot, _problem(cfg), config)[1]
+    if cfg.solver == "lattice":
+        config = lattice1d.LatticeConfig(steps=cfg.steps)
+        surface = lattice1d.lattice_surface(cfg.spot, _problem(cfg), config)[1]
+    else:
+        surface = _grid_solve(cfg, [cfg.spot])[1]
+    if cfg.solver != "fsg":
+        return lattice1d.extract_boundary(surface, cfg.tol)
+    if surface is None:
+        raise ValueError(
+            "immediate redemption is exactly optimal for this state; "
+            "no boundary surface is produced"
+        )
+    return fsg2d.extract_boundary_surface(surface, cfg.tol)
 
 
 def _grid_solve(cfg: RunConfig, spots: list[float]) -> tuple[list[float], Surface]:
@@ -259,22 +273,14 @@ def cmd_price(cfg: RunConfig) -> str:
 def cmd_boundary(cfg: RunConfig) -> str:
     if cfg.solver == "oracle":
         raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
-    surface = _surface(cfg)
-    if cfg.solver == "fsg":
-        if surface is None:
-            raise ValueError(
-                "immediate redemption is exactly optimal for this state; "
-                "no boundary surface is produced"
-            )
-        bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
-        rows = []
-        for m, tau in enumerate(bsurf.tau_grid):
-            for j, a in enumerate(bsurf.a_grid):
-                rows.append(f"{_fmt(tau)},{_fmt(a)},{_fmt(bsurf.x_star[m, j])}")
-        return _csv(cfg, "tau,a,x_star", rows)
-    curve = lattice1d.extract_boundary(surface, cfg.tol)
-    rows = [f"{_fmt(tau)},{_fmt(star)}" for tau, star in zip(curve.tau_grid, curve.x_star)]
-    return _csv(cfg, "tau,x_star", rows)
+    curve = _boundary(cfg)
+    if curve.a_grid is None:
+        rows = [f"{_fmt(tau)},{_fmt(star)}" for tau, star in zip(curve.tau_grid, curve.x_star)]
+        return _csv(cfg, "tau,x_star", rows)
+    rows = [f"{_fmt(tau)},{_fmt(a)},{_fmt(star)}"
+            for tau, stars in zip(curve.tau_grid, curve.x_star)
+            for a, star in zip(curve.a_grid, stars)]
+    return _csv(cfg, "tau,a,x_star", rows)
 
 
 def cmd_perpetual(cfg: RunConfig) -> str:
@@ -315,10 +321,6 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> str:
     return _csv(cfg, f"{param},value", rows)
 
 
-_FIGURE_SIGMA = {1: 0.4, 2: 0.15}
-_FIGURE_SNAPSHOT_TAU = {3: 1.0, 4: 3.0}
-
-
 def cmd_figure(which: int, cfg: RunConfig) -> str:
     """Reproduce a standard boundary plot as CSV.
 
@@ -330,22 +332,18 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     if cfg.variant is not None:
         raise ValueError("figures cover the dividend regimes, not variants")
     if which in (1, 2):
-        curves = []
-        for regime in (1, 2, 3):
-            surface = _surface(dataclasses.replace(cfg, regime=regime))
-            curves.append(lattice1d.extract_boundary(surface, cfg.tol))
+        curves = [_boundary(dataclasses.replace(cfg, regime=regime)) for regime in (1, 2, 3)]
         rows = []
         for m, tau in enumerate(curves[0].tau_grid):
             stars = ",".join(_fmt(c.x_star[m]) for c in curves)
             rows.append(f"{_fmt(tau)},{stars}")
         return _csv(cfg, "tau,x1_star,x2_star,x3_star", rows)
-    target = _FIGURE_SNAPSHOT_TAU[which]
+    _, _, target = _FIGURES[which]
     if target > cfg.maturity:
         raise ValueError(f"snapshot at tau={target} needs maturity >= {target}")
-    surface = _surface(dataclasses.replace(cfg, accrued=0.0))
-    bsurf = fsg2d.extract_boundary_surface(surface, cfg.tol)
-    layer = int(np.argmin(np.abs(bsurf.tau_grid - target)))
-    rows = [f"{_fmt(a)},{_fmt(bsurf.x_star[layer, j])}" for j, a in enumerate(bsurf.a_grid)]
+    curve = _boundary(cfg)
+    layer = int(np.argmin(np.abs(curve.tau_grid - target)))
+    rows = [f"{_fmt(a)},{_fmt(star)}" for a, star in zip(curve.a_grid, curve.x_star[layer])]
     return _csv(cfg, "a,x_star", rows)
 
 
@@ -416,13 +414,9 @@ def main(argv: list[str] | None = None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             text = cmd_sweep(cfg, args.param, values)
         elif args.command == "figure":
-            solver, regime = _FIGURE_RUN[args.number]
-            base = dataclasses.replace(cfg, solver=solver, regime=regime)
-            if args.number in _FIGURE_SIGMA and args.sigma is None:
-                base = dataclasses.replace(base, sigma=_FIGURE_SIGMA[args.number])
-            if args.number in _FIGURE_SNAPSHOT_TAU and args.maturity is None:
-                base = dataclasses.replace(base, maturity=3.0)
-            text = cmd_figure(args.number, base)
+            fixed, defaults, _ = _FIGURES[args.number]
+            unset = {k: v for k, v in defaults.items() if getattr(args, k) is None}
+            text = cmd_figure(args.number, dataclasses.replace(cfg, **fixed, **unset))
         else:
             text = cmd_oracle_check(cfg)
     except ValueError as exc:

@@ -13,6 +13,7 @@ as the first-class value UNBOUNDED rather than a float sentinel.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ from .contracts import (
     DividendRegime,
     LoanContract,
     MarketParams,
-    RegionKind,
     classify,
     reduce_regime2,
 )
@@ -187,7 +187,7 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
     if r_bar >= 0.0 and delta == 0.0:
         raise ValueError(
             "perpetual boundary undefined: redemption region is empty for "
-            f"r >= gamma with delta = 0 (r={market.r}, gamma={contract.loan_rate})"
+            f"r >= gamma with no dividend paid out (r={market.r}, gamma={contract.loan_rate})"
         )
     alpha_plus, alpha_minus = _alpha_roots(r_bar, delta, sigma)
     bounded = delta > 0.0 or r_bar < -0.5 * sigma * sigma
@@ -200,25 +200,13 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
 
 
 def perpetual_regime2(market: MarketParams, contract: LoanContract) -> PerpetualResult:
-    """Perpetual limit of the reinvested-dividend loan (requires r < gamma)."""
-    if market.r - contract.loan_rate >= 0.0:
-        raise ValueError(
-            "perpetual boundary undefined: redemption region is empty for r >= gamma "
-            f"(r={market.r}, gamma={contract.loan_rate})"
-        )
-    reduced_market, _ = reduce_regime2(
-        market,
-        LoanContract(
-            contract.principal,
-            contract.loan_rate,
-            contract.maturity,
-            DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION,
-        ),
-    )
-    contract1 = LoanContract(
-        contract.principal, contract.loan_rate, contract.maturity, DividendRegime.LENDER_KEEPS
-    )
-    return perpetual_regime1(reduced_market, contract1)
+    """Perpetual limit of the reinvested-dividend loan (requires r < gamma).
+
+    It is the regime-1 limit of the dividend-free reduction, which refuses
+    r >= gamma.  The regime field of contract is not read.
+    """
+    regime2 = dataclasses.replace(contract, regime=DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION)
+    return perpetual_regime1(*reduce_regime2(market, regime2))
 
 
 def perpetual_regime3(market: MarketParams, contract: LoanContract) -> PerpetualRegime3Result:
@@ -252,9 +240,8 @@ def terminal_limit(
     redemption region is empty have no boundary and raise.
     """
     regime = DividendRegime(regime)
-    probe = LoanContract(contract.principal, contract.loan_rate, contract.maturity, regime)
-    cls = classify(market, probe)
-    if cls.redemption_region_kind not in (RegionKind.BOUNDARY_CURVE, RegionKind.BOUNDARY_SURFACE):
+    cls = classify(market, dataclasses.replace(contract, regime=regime))
+    if not cls.has_boundary:
         raise ValueError(
             f"terminal boundary limit undefined: classification is "
             f"{cls.redemption_region_kind.value} for regime {int(regime)}"

@@ -156,14 +156,16 @@ class RegimeClassification:
     closed_form: ClosedForm | None = None
 
     def __post_init__(self) -> None:
-        has_region = self.redemption_region_kind in (
-            RegionKind.BOUNDARY_CURVE,
-            RegionKind.BOUNDARY_SURFACE,
-        )
-        if has_region and self.closed_form is not None:
+        if self.has_boundary and self.closed_form is not None:
             raise ValueError("boundary-type classifications carry no closed form")
-        if not has_region and self.closed_form is None:
+        if not self.has_boundary and self.closed_form is None:
             raise ValueError("degenerate classifications must carry a closed-form tag")
+
+    @property
+    def has_boundary(self) -> bool:
+        """True when early redemption is strictly optimal somewhere, so a boundary exists."""
+        kind = self.redemption_region_kind
+        return kind in (RegionKind.BOUNDARY_CURVE, RegionKind.BOUNDARY_SURFACE)
 
 
 def payoff(regime: DividendRegime, s: float, i: float, t: float, contract: LoanContract) -> float:

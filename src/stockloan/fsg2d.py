@@ -26,15 +26,16 @@ from typing import Any
 
 import numpy as np
 
-from .contracts import (
-    DividendRegime,
-    LoanContract,
-    MarketParams,
-    RegionKind,
-    accrue_dividends,
-    classify,
+from .contracts import DividendRegime, LoanContract, MarketParams, accrue_dividends, classify
+from .problems import (
+    BoundaryCurve,
+    first_tie,
+    frozen,
+    log_stencil,
+    log_x_grid,
+    slack_tolerance,
+    tau_grid,
 )
-from .problems import frozen, log_stencil, log_x_grid, max_decrease, tau_grid
 
 # Fraction of the explicit stability bound each substep may use.
 _CFL_SAFETY = 0.95
@@ -46,7 +47,7 @@ class FSG2DConfig:
 
     The stock domain defaults to log(K) +- 6 sigma sqrt(T)
     (problems.log_x_grid); the account domain defaults to [0, K] when a
-    redeeming surface exists and to [0, 2 K e^{max(r - gamma, 0) T}]
+    redeeming surface exists (r < gamma) and to [0, 2 K e^{(r - gamma) T}]
     otherwise.  The substep count follows from the explicit stability bound.
     """
 
@@ -112,25 +113,6 @@ class ValueSurface2D:
         return (1.0 - w) * lower + w * upper
 
 
-@dataclass(frozen=True)
-class BoundarySurface:
-    """Optimal redeeming stock levels on the (tau, A) grid, A below K only.
-
-    x_star[m, j] is the smallest grid level at which the layer at
-    tau_grid[m] ties with the obstacle for account level a_grid[j], or inf
-    when the layer never ties.  max_decrease records the largest violation
-    of monotonicity in tau across account columns.
-    """
-
-    tau_grid: np.ndarray
-    a_grid: np.ndarray
-    x_star: np.ndarray
-    max_decrease: float
-
-    def is_monotone(self, tolerance: float = 0.0) -> bool:
-        return self.max_decrease <= tolerance
-
-
 def _interp2(
     x_grid: np.ndarray, a_grid: np.ndarray, layer: np.ndarray, x: float, a: float
 ) -> float:
@@ -159,7 +141,7 @@ def _march4(
     elif constrained:
         a_max = principal
     else:
-        a_max = 2.0 * principal * math.exp(max(r_bar, 0.0) * maturity)
+        a_max = 2.0 * principal * math.exp(r_bar * maturity)
     a = np.linspace(0.0, a_max, config.a_nodes)
     da = a[1] - a[0]
 
@@ -205,17 +187,14 @@ def _march4(
         tau_new = step * dt
         new = np.empty_like(f)
         new[interior] = coef_mid * shifted(0) + coef_lo * shifted(-1) + coef_up * shifted(1)
-        disc = principal * math.exp(-r_bar * tau_new)
         if constrained:
-            if r_bar < 0.0:
-                new[0] = np.maximum(a - principal, 0.0)
-            else:
-                new[0] = np.maximum(a - disc, 0.0)
+            new[0] = np.maximum(a - principal, 0.0)
             new[-1] = x[-1] + a - principal
             np.maximum(new, obstacle, out=new)
-            if r_bar < 0.0 and a_max >= principal:
+            if a_max >= principal:
                 new[:, -1] = x + a_max - principal
         else:
+            disc = principal * math.exp(-r_bar * tau_new)
             new[0] = np.maximum(a - disc, 0.0)
             new[-1] = x[-1] + a - disc
         f = new
@@ -265,37 +244,26 @@ def price_regime4(
     if spot <= 0.0 or accrued < 0.0:
         raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
     config = config or FSG2DConfig()
-    r_bar = market.r - contract.loan_rate
-    if r_bar < 0.0 and accrued >= contract.principal:
+    constrained = classify(market, contract).has_boundary
+    if constrained and accrued >= contract.principal:
         return spot + accrued - contract.principal, None
-    kind = classify(market, contract).redemption_region_kind
-    constrained = kind in (RegionKind.BOUNDARY_SURFACE, RegionKind.BOUNDARY_CURVE)
     surface = _march4(market, contract, config, constrained)
     return surface.value_at(spot, accrued, contract.maturity), surface
 
 
-def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> BoundarySurface:
+def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> BoundaryCurve:
     """Smallest stock level tying with the obstacle, per layer and account.
 
     Only account columns strictly below the principal are scanned; at and
     above the principal the r < gamma problem redeems everywhere and there
-    is no boundary to locate.  A column with no tying node reports inf.
-    The curve is never repaired; the worst decrease in tau is recorded.
+    is no boundary to locate.  A column with no tying node reports inf; a
+    negative tol is refused.  The surface is never repaired; the worst
+    decrease in tau is recorded.
     """
     principal = surface.principal
+    slack_tol = slack_tolerance(tol, principal)
     cols = surface.a_grid < principal * (1.0 - 1e-12)
-    a_sub = surface.a_grid[cols]
-    slack_tol = tol * principal
-    n_layers = surface.layer_count()
-    stars = np.full((n_layers, a_sub.size), math.inf)
-    for m, layer in enumerate(surface.values):
-        ties = (layer[:, cols] - surface.obstacle[:, cols]) <= slack_tol
-        has = ties.any(axis=0)
-        first = ties.argmax(axis=0)
-        stars[m, has] = surface.x_grid[first[has]]
-    return BoundarySurface(
-        tau_grid=surface.tau_grid,
-        a_grid=frozen(a_sub),
-        x_star=frozen(stars),
-        max_decrease=max_decrease(stars),
-    )
+    obstacle = surface.obstacle[:, cols]
+    stars = np.array([first_tie(surface.x_grid, layer[:, cols] - obstacle <= slack_tol)
+                      for layer in surface.values])
+    return BoundaryCurve(surface.tau_grid, frozen(stars), frozen(surface.a_grid[cols]))

@@ -23,13 +23,15 @@ import numpy as np
 
 from .contracts import LoanContract, MarketParams
 from .problems import (
+    LOG_FLOAT_MAX,
     BoundaryCurve,
     ProblemSpec,
     ValueSurface1D,
     VIProblem,
+    first_tie,
     frozen,
-    max_decrease,
     problem_spec,
+    slack_tolerance,
     tau_grid,
 )
 
@@ -77,16 +79,22 @@ def _march(
 
     layers yields (nodes, values, obstacle) for every layer, terminal layer
     first and root last; it keeps only the layer it is building and the one
-    before it.  Arguments are checked here, before the first layer is built.
+    before it.  Arguments are checked here, before the first layer is built,
+    down to a top node that would overflow a float.
     """
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
     spec = problem_spec(problem)
-    steps = config.steps
-    dt = problem.contract.maturity / steps
-    taus = tau_grid(problem.contract.maturity, steps)
+    steps, maturity = config.steps, problem.contract.maturity
+    dt = maturity / steps
+    taus = tau_grid(maturity, steps)
     u, d, p, disc = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
     log_u = math.log(u)
+    if max(math.log(spot), 0.0) + steps * log_u >= LOG_FLOAT_MAX:
+        raise ValueError(
+            f"the tree's top node spot*exp(sigma*sqrt(T*steps)) overflows a float "
+            f"(spot={spot}, sigma={spec.sigma}, T={maturity}, steps={steps})"
+        )
     q = 1.0 - p
     cap, source = spec.cap, spec.source
     meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
@@ -230,15 +238,9 @@ def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurv
     monotonized; the largest decrease between consecutive layers is recorded
     so callers can assert on it.
     """
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    slack_tol = tol * surface.principal
+    slack_tol = slack_tolerance(tol, surface.principal)
     stars = np.empty(surface.layer_count())
-    for j in range(surface.layer_count()):
-        x = surface.x_nodes[j]
-        slack = surface.values[j] - surface.obstacles[j]
-        hit = np.flatnonzero((slack <= slack_tol) & (x <= surface.spatial_cap))
-        stars[j] = x[hit[0]] if hit.size else math.inf
-    return BoundaryCurve(
-        tau_grid=surface.tau_grid, x_star=frozen(stars), max_decrease=max_decrease(stars)
-    )
+    for j, x in enumerate(surface.x_nodes):
+        ties = (surface.values[j] - surface.obstacles[j] <= slack_tol) & (x <= surface.spatial_cap)
+        stars[j] = first_tie(x, ties)
+    return BoundaryCurve(surface.tau_grid, frozen(stars))

@@ -17,13 +17,15 @@ coordinates because their obstacles do not scale with exp(gamma * t).
 
 The grids the backends step on are built here too (the layer times of
 all three, the log-spaced stock grid and its stencil), as are the value
-surface, which refuses any query off its layers, and the boundary types
-with the monotonicity scan every boundary reader shares.
+surface, which refuses any query off its layers, and the one boundary
+record with the tie and monotonicity scans both boundary readers share.
+Grids whose top node would overflow a float are refused.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -33,12 +35,14 @@ from .contracts import (
     DividendRegime,
     LoanContract,
     MarketParams,
-    RegionKind,
     classify,
     reduce_regime2,
 )
 
 ProblemKind = Literal["regime1", "regime2", "regime3", "amortized", "withdrawable"]
+
+# exp() of anything above this overflows a float.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _REGIME_KINDS: dict[DividendRegime, ProblemKind] = {
     DividendRegime.LENDER_KEEPS: "regime1",
@@ -68,11 +72,17 @@ def log_x_grid(
     """Stock nodes evenly spaced in log(x), read-only, and their log spacing; returns (x, dy).
 
     The log domain is log(K) +- 6 sigma sqrt(T) unless log_x_min or
-    log_x_max sets an end.
+    log_x_max sets an end.  A top node that would overflow a float is
+    refused with ValueError.
     """
     sig_span = 6.0 * sigma * math.sqrt(maturity)
     y_min = math.log(principal) - sig_span if log_x_min is None else log_x_min
     y_max = math.log(principal) + sig_span if log_x_max is None else log_x_max
+    if y_max >= LOG_FLOAT_MAX:
+        raise ValueError(
+            f"the stock grid's top node exp({y_max:.6g}) overflows a float "
+            f"(principal={principal}, sigma={sigma}, maturity={maturity})"
+        )
     y = np.linspace(y_min, y_max, nodes)
     return frozen(np.exp(y)), float(y[1] - y[0])
 
@@ -156,20 +166,37 @@ class ValueSurface1D:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Redemption boundary per tau layer, with monotonicity metadata.
+    """Redemption boundary per tau layer, and per account level when a_grid is set.
 
-    x_star holds the smallest node in the redemption region of each layer,
-    or inf where no node within the spatial cap qualifies.  max_decrease
-    records the largest observed drop between consecutive finite entries;
-    construction never repairs violations, tests assert on them.
+    x_star[m] is the smallest stock node in the redemption region of the
+    layer at tau_grid[m]; for a two-dimensional surface a_grid holds the
+    account levels scanned and x_star[m, j] the level at a_grid[j].  inf
+    marks a layer (or column) where no node qualifies.  Drops in tau are
+    never repaired; max_decrease records the largest, tests assert on it.
     """
 
     tau_grid: np.ndarray
     x_star: np.ndarray
-    max_decrease: float
+    a_grid: np.ndarray | None = None
+
+    @property
+    def max_decrease(self) -> float:
+        return max_decrease(self.x_star)
 
     def is_monotone(self, tolerance: float = 0.0) -> bool:
         return self.max_decrease <= tolerance
+
+
+def slack_tolerance(tol: float, principal: float) -> float:
+    """Slack below which a value ties with the obstacle: tol * principal, tol >= 0."""
+    if tol < 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    return tol * principal
+
+
+def first_tie(x: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Smallest node of the ascending x where ties holds, along axis 0; inf where none does."""
+    return np.where(ties.any(axis=0), x[ties.argmax(axis=0)], math.inf)
 
 
 def max_decrease(stars: np.ndarray) -> float:
@@ -283,7 +310,7 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
             market, contract = reduce_regime2(market, contract)
         r_bar = market.r - contract.loan_rate
         delta = market.delta
-        constrained = classify(market, contract).redemption_region_kind is not RegionKind.EMPTY
+        constrained = classify(market, contract).has_boundary
         if kind == "regime3" and delta > 0.0:
             source = lambda x: delta * x  # noqa: E731
             near = lambda tau, x: x * -math.expm1(-delta * tau)  # noqa: E731

@@ -315,7 +315,7 @@ def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("solver, module, name", [
-    ("lattice", lattice1d, "price_regime1"),
+    ("lattice", lattice1d, "lattice_surface"),
     ("fd", fd1d, "solve_vi"),
     ("fsg", fsg2d, "price_regime4"),
 ], ids=["lattice", "fd", "fsg"])
@@ -387,3 +387,72 @@ def test_config_header_reruns_with_every_field(tmp_path, capsys):
     code, out, _ = run(["price", "--config", str(path)], capsys)
     assert code == 0
     assert math.isfinite(float(out))
+
+
+def test_figure_reads_the_header_of_an_accrued_run(tmp_path, capsys):
+    # the figure runs its own regimes with an empty account, so the account
+    # a regime-3 header carries is not read, and not refused
+    grid = ["--space-nodes", "40", "--time-steps", "20"]
+    code, out, _ = run(["boundary", "--regime", "3", "--accrued", "0.1", "--solver", "fd"]
+                       + grid + BASE, capsys)
+    assert code == 0
+    path = tmp_path / "r3.json"
+    path.write_text(out.splitlines()[1][len("# config: "):])
+    code, from_header, err = run(["figure", "1", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    code, from_flags, _ = run(["figure", "1"] + grid + BASE, capsys)
+    assert code == 0
+    assert from_header.splitlines()[2:] == from_flags.splitlines()[2:]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # the 2000-step tree's top node 0.8 exp(3 sqrt(30 * 2000)) overflows
+    ["--solver", "lattice", "--regime", "1", "--sigma", "3", "--maturity", "30"],
+    ["--solver", "lattice", "--variant", "withdrawable", "--cap", "0.5", "--sigma", "3",
+     "--maturity", "30"],
+    # the stock grid's top node 0.7 exp(6 * 10 sqrt(150)) overflows
+    ["--solver", "fsg", "--regime", "4", "--sigma", "10", "--maturity", "150",
+     "--x-nodes", "30", "--a-nodes", "5", "--fsg-steps", "20"],
+    ["--solver", "fd", "--regime", "1", "--sigma", "10", "--maturity", "150"],
+], ids=["lattice", "lattice-withdrawable", "fsg", "fd"])
+def test_overflowing_grid_refused(argv, capsys):
+    code, out, err = run(["price", "--spot", "0.8"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflows a float" in err
+
+
+SMOKE_GRIDS = {
+    "lattice": ["--steps", "12"],
+    "fd": ["--space-nodes", "40", "--time-steps", "20"],
+    "fsg": ["--x-nodes", "40", "--a-nodes", "6", "--fsg-steps", "20"],
+    "oracle": ["--oracle-steps", "8"],
+}
+SMOKE_CONTRACTS = [["--regime", regime] for regime in "1234"] + [
+    ["--variant", "amortized"], ["--variant", "withdrawable", "--cap", "0.5"]]
+
+
+def smoke_argvs():
+    for command in (["price"], ["boundary"], ["sweep", "--param", "spot", "--values", "0.6,0.9"],
+                    ["oracle-check"]):
+        for solver, grid in SMOKE_GRIDS.items():
+            if command == ["oracle-check"] and solver != "oracle":
+                grid = grid + SMOKE_GRIDS["oracle"]
+            for contract in SMOKE_CONTRACTS:
+                yield command + ["--solver", solver] + contract + grid
+    for contract in SMOKE_CONTRACTS:
+        yield ["perpetual"] + contract
+    for number, solver in (("1", "fd"), ("2", "fd"), ("3", "fsg"), ("4", "fsg")):
+        yield ["figure", number] + SMOKE_GRIDS[solver]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", list(smoke_argvs()), ids=" ".join)
+def test_every_command_answers_or_fails_in_one_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == ""
+    assert err.count("\n") <= 1

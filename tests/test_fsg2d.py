@@ -52,6 +52,10 @@ def test_input_validation():
         price_regime4(0.8, -0.1, HIGH_VOL, contract())
     with pytest.raises(ValueError):
         price_regime4(0.8, 0.1, HIGH_VOL, contract(regime=1))
+    cfg = FSG2DConfig(x_nodes=40, a_nodes=6, time_steps=20)
+    _, surface = price_regime4(0.8, 0.1, HIGH_VOL, contract(), cfg)
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        extract_boundary_surface(surface, -0.5)
 
 
 def test_golden_value(golden_surface):

@@ -49,6 +49,11 @@ _FLOAT_FIELDS = (
 )
 _INT_FIELDS = ("regime",) + _ALL_GRID_FIELDS
 _STR_FIELDS = ("solver", "variant")
+# The JSON type each field takes (a bool is neither a number nor an integer).
+_FIELD_TYPES = (
+    (_FLOAT_FIELDS, (int, float), "a number"), (_INT_FIELDS, int, "an integer"),
+    (_STR_FIELDS, str, "a string"),
+)
 # Per figure: the settings it always runs with, the defaults a command-line
 # flag overrides, and the tau of its account-level snapshot (figures 3 and 4).
 _FIGURES = {
@@ -85,10 +90,15 @@ class RunConfig:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for names, types, kind in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("cap", "variant"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
+                if names is _FLOAT_FIELDS and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if self.tol < 0.0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
         if self.accrued < 0.0:
@@ -170,6 +180,8 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
     set every field, so the header of any run can be fed back as its config.
     """
     optional = {*_ALL_GRID_FIELDS, "tol", "solver"}
+    if cfg.variant is not None:
+        optional.add("regime")  # the loan variants have no dividend regime
     solver, read = None, set()
     if args.command == "figure":
         optional |= {"regime", "accrued"}
@@ -186,6 +198,8 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
     if ignored:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in ignored)
         on = f" on the {solver} solver" if solver else ""
+        if cfg.variant is not None:
+            on += f" for the {cfg.variant} variant"
         raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
@@ -426,8 +440,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

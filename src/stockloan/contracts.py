@@ -233,15 +233,14 @@ def classify(market: MarketParams, contract: LoanContract) -> RegimeClassificati
     """Classify the shape of the optimal redemption region.
 
     The split is driven by the sign of r - gamma and whether the borrower
-    loses dividends by waiting.  A regime-4 contract with delta = 0 has an
+    loses dividends by waiting.  A regime-2 contract is classified as its
+    dividend-free reduction; a regime-4 contract with delta = 0 has an
     identically zero dividend account and is classified like regime 1.
     """
     r_bar = market.r - contract.loan_rate
     regime = contract.regime
     if regime is DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION:
-        if r_bar >= 0.0:
-            return RegimeClassification(RegionKind.EMPTY, ClosedForm.EUROPEAN_CALL_EQUIVALENT)
-        return RegimeClassification(RegionKind.BOUNDARY_CURVE)
+        return classify(*reduce_regime2(market, contract))
     if regime is DividendRegime.DELIVERED_IMMEDIATELY and market.delta > 0.0:
         if r_bar >= 0.0:
             return RegimeClassification(RegionKind.EMPTY, ClosedForm.PARITY_FORMULA)

@@ -145,64 +145,39 @@ def _march(
     Returns every layer, the Rannacher half-step layer and the number of
     banded solves.
     """
-    m_steps = taus.size - 1
-    dtau = float(taus[-1]) / m_steps
-
+    dtau = float(taus[-1]) / (taus.size - 1)
+    half = 0.5 * dtau
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
+    solves = 0
 
-    def implicit_solve(
-        rhs: np.ndarray, weight: float, tau_new: float, init: np.ndarray
-    ) -> tuple[np.ndarray, int]:
+    def step(f_old: np.ndarray, tau_new: float, cn: bool) -> np.ndarray:
+        """One solve of (I - half L) f = rhs: Crank-Nicolson if cn, else implicit Euler."""
+        nonlocal solves
+        b = f_old[1:-1].copy()
+        if cn:
+            b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
+        if src is not None:
+            b += (dtau if cn else half) * src
         bottom = spec.near_field(tau_new, float(x[0]))
         top = spec.far_field(tau_new, float(x[-1]))
-        b = rhs.copy()
-        b[0] += weight * lo * bottom
-        b[-1] += weight * up * top
-        f_int, solves = _policy_step(
-            1.0 - weight * mid,
-            -weight * lo,
-            -weight * up,
-            b,
-            init,
-            _floor(spec, x[1:-1], tau_new),
-            spec.cap,
-        )
-        full = np.empty_like(x)
-        full[0], full[-1] = bottom, top
-        full[1:-1] = f_int
-        return full, solves
-
-    half = 0.5 * dtau
-
-    def euler_half_step(f_old: np.ndarray, tau_new: float) -> tuple[np.ndarray, int]:
-        rhs = f_old[1:-1].copy()
-        if src is not None:
-            rhs += half * src
-        return implicit_solve(rhs, half, tau_new, f_old[1:-1])
-
-    layers = [np.asarray(spec.terminal(x), dtype=float)]
-    solves_total = 0
-    startup = None
-    for m in range(m_steps):
-        f_old = layers[-1]
-        tau_new = float(taus[m + 1])
-        if m == 0:
-            # Rannacher startup: two implicit-Euler half-steps.
-            startup, s1 = euler_half_step(f_old, half)
-            f_new, s2 = euler_half_step(startup, tau_new)
-            solves_total += s1 + s2
-        else:
-            rhs = f_old[1:-1] + half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
-            if src is not None:
-                rhs += dtau * src
-            f_new, s = implicit_solve(rhs, half, tau_new, f_old[1:-1])
-            solves_total += s
+        b[0] += half * lo * bottom
+        b[-1] += half * up * top
+        f_int, s = _policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
+                                _floor(spec, x[1:-1], tau_new), spec.cap)
+        solves += s
+        f_new = np.concatenate(([bottom], f_int, [top]))
         if np.isnan(f_new).any():
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
-        layers.append(f_new)
+        return f_new
 
-    return layers, startup, solves_total
+    # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
+    terminal = np.asarray(spec.terminal(x), dtype=float)
+    startup = step(terminal, half, False)
+    layers = [terminal, step(startup, float(taus[1]), False)]
+    for tau in taus[2:]:
+        layers.append(step(layers[-1], float(tau), True))
+    return layers, startup, solves
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:

@@ -43,19 +43,17 @@ _CFL_SAFETY = 0.95
 
 @dataclass(frozen=True)
 class FSG2DConfig:
-    """Grid resolution and domain.
+    """Grid resolution and account domain.
 
-    The stock domain defaults to log(K) +- 6 sigma sqrt(T)
-    (problems.log_x_grid); the account domain defaults to [0, K] when a
-    redeeming surface exists (r < gamma) and to [0, 2 K e^{(r - gamma) T}]
-    otherwise.  The substep count follows from the explicit stability bound.
+    The stock domain is log(K) +- 6 sigma sqrt(T) (problems.log_x_grid);
+    the account domain defaults to [0, K] when a redeeming surface exists
+    (r < gamma) and to [0, 2 K e^{(r - gamma) T}] otherwise.  The substep
+    count follows from the explicit stability bound.
     """
 
     x_nodes: int = 200
     a_nodes: int = 50
     time_steps: int = 200
-    log_x_min: float | None = None
-    log_x_max: float | None = None
     a_max: float | None = None
 
     def __post_init__(self) -> None:
@@ -67,12 +65,6 @@ class FSG2DConfig:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
         if self.a_max is not None and self.a_max <= 0.0:
             raise ValueError(f"a_max must be positive, got {self.a_max}")
-        if (
-            self.log_x_min is not None
-            and self.log_x_max is not None
-            and self.log_x_min >= self.log_x_max
-        ):
-            raise ValueError("log_x_min must lie below log_x_max")
 
 
 @dataclass(frozen=True)
@@ -134,8 +126,7 @@ def _march4(
     principal = contract.principal
     maturity = contract.maturity
 
-    x, dy = log_x_grid(principal, market.sigma, maturity, config.x_nodes,
-                       config.log_x_min, config.log_x_max)
+    x, dy = log_x_grid(principal, market.sigma, maturity, config.x_nodes)
     if config.a_max is not None:
         a_max = config.a_max
     elif constrained:
@@ -157,10 +148,13 @@ def _march4(
     a_query = accrue_dividends(a[None, :], x[:, None], r_bar, delta, dt)
     if not constrained and float(a_query.max()) > 1.25 * a_max:
         raise ValueError(
-            "account grid too small for the dividend flow at the top stock "
-            "level; raise a_max or a_nodes in the configuration"
+            "the dividend flow at the top stock level outruns the account grid "
+            f"(r={market.r}, delta={delta}, sigma={market.sigma}, "
+            f"loan_rate={contract.loan_rate}, maturity={maturity})"
         )
-    pos = a_query / da
+    # Clipped above every query that is read: unconstrained ones stop at
+    # 1.25 a_max, constrained ones past a_max take the exact closure.
+    pos = np.minimum(a_query / da, 2.0 * (a.size - 1))
     k = np.clip(np.floor(pos).astype(np.intp), 0, a.size - 2)
     w = pos - k  # w > 1 extrapolates linearly past the last account node
     interior = slice(1, x.size - 1)

@@ -377,8 +377,7 @@ def test_criterion_8_property_suites():
     worst_plane = 0.0
     for _ in range(50):
         market = draw_market(rng, r_bar_hi=-0.005, delta_lo=0.005)
-        cfg = FSG2DConfig(x_nodes=120, a_nodes=40, time_steps=80, a_max=1.3 * K,
-                          log_x_min=math.log(0.2 * K), log_x_max=math.log(4 * K))
+        cfg = FSG2DConfig(x_nodes=120, a_nodes=40, time_steps=80, a_max=1.3 * K)
         _, sp = price_regime4(0.8, 0.0, market, loan(4), cfg)
         account = np.asarray(sp.a_grid)
         columns = account >= K - 1e-12

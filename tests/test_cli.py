@@ -357,9 +357,11 @@ def test_price_at_maturity_where_step_multiples_fall_short(argv, capsys):
     (["figure", "3", "--regime", "2"], "--regime"),
     (["figure", "3", "--accrued", "0.1", "--regime", "4", "--solver", "fsg"],
      "--accrued, --regime, --solver"),
+    (["price", "--variant", "amortized", "--regime", "3", "--steps", "200", "--spot", "0.9"],
+     "--regime"),
 ], ids=["price-fd-steps", "price-lattice-space-nodes", "oracle-check-fd-grids", "price-tol",
         "perpetual-grid-tol", "perpetual-solver", "perpetual-variant", "sweep-tol",
-        "figure-solver", "figure-regime", "figure-regime-accrued-solver"])
+        "figure-solver", "figure-regime", "figure-regime-accrued-solver", "price-variant-regime"])
 def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys):
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran")
@@ -422,6 +424,60 @@ def test_overflowing_grid_refused(argv, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "overflows a float" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # 400 nodes over 12 sigma sqrt(T) = 1200 in log x sit about 3 apart
+    ["--solver", "fd", "--regime", "1", "--sigma", "10", "--maturity", "100"],
+    ["--solver", "fsg", "--regime", "4", "--sigma", "5", "--maturity", "50"],
+    ["--solver", "fsg", "--regime", "4", "--sigma", "10", "--maturity", "100"],
+], ids=["fd", "fsg", "fsg-wider"])
+def test_coarse_grid_refused(argv, capsys):
+    code, out, err = run(["price", "--spot", "0.8"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "log spacing" in err and "use at least" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_fsg_account_query_above_the_grid_is_exact(capsys):
+    # the account queried at the top stock node overflows an integer index
+    argv = ["price", "--solver", "fsg", "--regime", "4", "--spot", "0.8", "--sigma", "2",
+            "--maturity", "16", "--x-nodes", "400"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == "0.73074092371258592\n"
+
+
+def test_fsg_account_grid_refusal_names_no_knob(capsys):
+    argv = ["price", "--solver", "fsg", "--regime", "4", "--spot", "0.8", "--r", "0.12",
+            "--sigma", "1.5", "--maturity", "10", "--x-nodes", "400"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "a_max" not in err and "a_nodes" not in err
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("perpetual", None, "output"),
+    ("price", {"steps": 2.5}, "steps"),
+    ("price", {"solver": "fd", "space_nodes": "40"}, "space_nodes"),
+    ("price", {"steps": True}, "steps"),
+    ("boundary", {"spot": True, "steps": 50}, "spot"),
+], ids=["unwritable-output", "float-steps", "string-nodes", "bool-steps", "bool-spot"])
+def test_bad_config_type_or_output_exits_2(command, config, field, tmp_path, capsys):
+    if config is None:
+        argv = [command, "--output", str(tmp_path / "missing" / "out.txt")]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
 
 
 SMOKE_GRIDS = {

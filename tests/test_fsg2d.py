@@ -1,7 +1,5 @@
 """Forward-shooting-grid backend for the cash-account dividend regime."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -41,8 +39,6 @@ def test_config_validation():
         FSG2DConfig(time_steps=0)
     with pytest.raises(ValueError):
         FSG2DConfig(a_max=-0.1)
-    with pytest.raises(ValueError):
-        FSG2DConfig(log_x_min=1.0, log_x_max=0.0)
 
 
 def test_input_validation():
@@ -116,8 +112,7 @@ def test_linear_solver_gating_and_agreement():
 def test_all_redeem_columns_sit_on_obstacle():
     # columns whose account already covers the principal redeem everywhere,
     # and the bilinear shift keeps those planes exact to roundoff
-    cfg = FSG2DConfig(x_nodes=120, a_nodes=40, time_steps=80, a_max=1.3 * K,
-                      log_x_min=math.log(0.2 * K), log_x_max=math.log(4 * K))
+    cfg = FSG2DConfig(x_nodes=120, a_nodes=40, time_steps=80, a_max=1.3 * K)
     _, surface = price_regime4(0.8, 0.0, HIGH_VOL, contract(), cfg)
     account = np.asarray(surface.a_grid)
     values = np.asarray(surface.values)

@@ -52,6 +52,8 @@ from .fsg2d import (
     ValueSurface2D,
     extract_boundary_surface,
     price_regime4,
+    regime4_boundary,
+    regime4_values,
 )
 from .lattice1d import (
     LatticeConfig,
@@ -111,6 +113,8 @@ __all__ = [
     "price_regime3",
     "price_regime4",
     "price_withdrawable",
+    "regime4_boundary",
+    "regime4_values",
     "residual_report",
     "solve_vi",
     "terminal_limit",

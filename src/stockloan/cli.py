@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import closedform, fd1d, fsg2d, lattice1d, oracle
 from .contracts import DividendRegime, LoanContract, MarketParams
-from .problems import BoundaryCurve, VIProblem
+from .problems import BoundaryCurve, ValueSurface1D, VIProblem
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -97,8 +98,15 @@ class RunConfig:
                     continue
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise ValueError(f"{name} must be {kind}, got {value!r}")
-                if names is _FLOAT_FIELDS and not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+                if names is _FLOAT_FIELDS:
+                    # a JSON integer is stored as the float a flag would give
+                    try:
+                        as_float = float(value)
+                    except OverflowError:
+                        as_float = math.inf
+                    if not math.isfinite(as_float):
+                        raise ValueError(f"{name} must be finite, got {value}")
+                    object.__setattr__(self, name, as_float)
         if self.tol < 0.0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
         if self.accrued < 0.0:
@@ -203,27 +211,29 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
         raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
-Surface = lattice1d.ValueSurface1D | fsg2d.ValueSurface2D | None
-
-
 def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
-    """The configured solver's value at each spot, with no lattice tree kept.
+    """The configured solver's value at each spot, with no lattice tree or FSG surface kept.
 
     The finite-difference and forward-shooting grids do not depend on the
-    spot, so they are solved once and read at every spot; the lattice tree
-    is centred on the spot, so it is rebuilt per spot.  Regime-3 values
-    from the lattice and finite differences exclude the dividends already
-    delivered, so the accrued account is added here.
+    spot, so they are solved once and read at every spot, and refuse a spot
+    off the grid; the lattice tree is centred on the spot, so it is rebuilt
+    per spot.  Regime-3 values from the lattice and finite differences
+    exclude the dividends already delivered, so the accrued account is
+    added here.
     """
     if cfg.solver == "oracle":
         market, contract = cfg.market(), cfg.contract()
         return [oracle.oracle_price(s, market, contract, cfg.oracle_steps, cfg.accrued)
                 for s in spots]
+    if cfg.solver == "fsg":
+        return fsg2d.regime4_values(spots, cfg.accrued, cfg.market(), cfg.contract(),
+                                    _fsg_config(cfg))
     if cfg.solver == "lattice":
         problem, config = _problem(cfg), lattice1d.LatticeConfig(steps=cfg.steps)
         values = [lattice1d.lattice_value(s, problem, config) for s in spots]
     else:
-        values, _ = _grid_solve(cfg, spots)
+        surface = _fd_surface(cfg)
+        values = [surface.value_at(s, cfg.maturity) for s in spots]
     if cfg.variant is None and cfg.regime == 3:
         values = [v + cfg.accrued for v in values]
     return values
@@ -234,40 +244,25 @@ def _boundary(cfg: RunConfig) -> BoundaryCurve:
 
     The spot is refused as it would be by _values.
     """
+    if cfg.solver == "fsg":
+        return fsg2d.regime4_boundary(cfg.spot, cfg.accrued, cfg.market(), cfg.contract(),
+                                      _fsg_config(cfg), cfg.tol)
     if cfg.solver == "lattice":
         config = lattice1d.LatticeConfig(steps=cfg.steps)
         surface = lattice1d.lattice_surface(cfg.spot, _problem(cfg), config)[1]
     else:
-        surface = _grid_solve(cfg, [cfg.spot])[1]
-    if cfg.solver != "fsg":
-        return lattice1d.extract_boundary(surface, cfg.tol)
-    if surface is None:
-        raise ValueError(
-            "immediate redemption is exactly optimal for this state; "
-            "no boundary surface is produced"
-        )
-    return fsg2d.extract_boundary_surface(surface, cfg.tol)
+        surface = _fd_surface(cfg)
+        surface.value_at(cfg.spot, cfg.maturity)  # refuses a spot off the grid
+    return lattice1d.extract_boundary(surface, cfg.tol)
 
 
-def _grid_solve(cfg: RunConfig, spots: list[float]) -> tuple[list[float], Surface]:
-    """Solve the finite-difference or forward-shooting grid once; read it at each spot.
+def _fsg_config(cfg: RunConfig) -> fsg2d.FSG2DConfig:
+    return fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes, time_steps=cfg.fsg_steps)
 
-    The surface refuses a spot outside the solved grid with ValueError.
-    """
-    market, contract = cfg.market(), cfg.contract()
-    if cfg.solver == "fsg":
-        fsg_cfg = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
-                                    time_steps=cfg.fsg_steps)
-        _, surface = fsg2d.price_regime4(spots[0], cfg.accrued, market, contract, fsg_cfg)
-        if surface is None:  # immediate redemption: exact values, no grid to share
-            return [fsg2d.price_regime4(s, cfg.accrued, market, contract, fsg_cfg)[0]
-                    for s in spots], None
-        coords = (cfg.accrued, cfg.maturity)
-    else:
-        fd_cfg = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
-        surface, _ = fd1d.solve_vi(_problem(cfg), fd_cfg)
-        coords = (cfg.maturity,)
-    return [surface.value_at(s, *coords) for s in spots], surface
+
+def _fd_surface(cfg: RunConfig) -> ValueSurface1D:
+    fd_cfg = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
+    return fd1d.solve_vi(_problem(cfg), fd_cfg)[0]
 
 
 def _problem(cfg: RunConfig) -> VIProblem:
@@ -288,12 +283,16 @@ def cmd_boundary(cfg: RunConfig) -> str:
     if cfg.solver == "oracle":
         raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
     curve = _boundary(cfg)
+    taus = [_fmt(tau) for tau in curve.tau_grid]
+    # Boundary levels are grid nodes or inf, so each distinct one is formatted once.
+    fmt = functools.lru_cache(maxsize=None)(_fmt)
     if curve.a_grid is None:
-        rows = [f"{_fmt(tau)},{_fmt(star)}" for tau, star in zip(curve.tau_grid, curve.x_star)]
+        rows = [f"{tau},{fmt(star)}" for tau, star in zip(taus, curve.x_star.tolist())]
         return _csv(cfg, "tau,x_star", rows)
-    rows = [f"{_fmt(tau)},{_fmt(a)},{_fmt(star)}"
-            for tau, stars in zip(curve.tau_grid, curve.x_star)
-            for a, star in zip(curve.a_grid, stars)]
+    accounts = [_fmt(a) for a in curve.a_grid]
+    rows = [f"{tau},{a},{fmt(star)}"
+            for tau, stars in zip(taus, curve.x_star.tolist())
+            for a, star in zip(accounts, stars)]
     return _csv(cfg, "tau,a,x_star", rows)
 
 

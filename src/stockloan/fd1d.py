@@ -3,7 +3,7 @@
 Crank-Nicolson time stepping on a uniform grid in y = log(x), with a
 Rannacher startup (the first step is split into two implicit-Euler halves to
 damp the payoff kink) and a policy-iteration solve of the per-step linear
-complementarity problem: every pass is one banded solve with the rows held
+complementarity problem: every pass is one tridiagonal solve with the rows held
 at the obstacle, or at the cap, pinned.  The drift term falls back to
 one-sided differencing whenever central weights would go negative, which
 keeps every per-step matrix an M-matrix.
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .lattice1d import extract_boundary
 from .problems import (
@@ -85,6 +84,23 @@ def _floor(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
     return np.full(x.size, -math.inf)
 
 
+def _tridiagonal_solve(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Solve the tridiagonal system (sub, diag, sup) f = b with LAPACK's gtsv.
+
+    Every argument is overwritten, so callers pass arrays they no longer
+    read.  scipy is imported here, so only a finite-difference solve loads it.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    *_, f, info = dgtsv(sub, diag, sup, b, overwrite_dl=True, overwrite_d=True,
+                        overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"the step matrix is singular (LAPACK gtsv info {info})")
+    return f
+
+
 def _policy_step(
     diag: float,
     off_lo: float,
@@ -102,15 +118,12 @@ def _policy_step(
     the step is done once a pass leaves the policy unchanged.  The first
     policy is read off init, the previous layer.  With no finite lower
     entry and no cap every row follows the PDE, so one solve suffices.
-    Returns the solution and the number of banded solves.
+    Returns the solution and the number of tridiagonal solves.
     """
     n = b.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off_up
-    ab[1, :] = diag
-    ab[2, :-1] = off_lo
     if cap is None and not np.isfinite(lower).any():
-        return solve_banded((1, 1), ab, b), 1
+        return _tridiagonal_solve(np.full(n - 1, off_lo), np.full(n, diag),
+                                  np.full(n - 1, off_up), b.copy()), 1
     upper = math.inf if cap is None else cap
     padded = np.zeros(n + 2)  # boundary contributions are already folded into b
 
@@ -125,11 +138,9 @@ def _policy_step(
     policy = policy_of(init)
     for solves in range(1, n + 2):
         pde = policy == _PDE
-        ab[0, 1:] = np.where(pde[:-1], off_up, 0.0)
-        ab[1, :] = np.where(pde, diag, 1.0)
-        ab[2, :-1] = np.where(pde[1:], off_lo, 0.0)
         rhs = np.where(pde, b, np.where(policy == _OBSTACLE, lower, upper))
-        f = solve_banded((1, 1), ab, rhs)
+        f = _tridiagonal_solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
+                               np.where(pde[:-1], off_up, 0.0), rhs)
         settled = policy_of(f)
         if np.array_equal(settled, policy):
             return f, solves
@@ -143,7 +154,7 @@ def _march(
     """Step from tau = 0 through taus on the nodes x, log spacing dy.
 
     Returns every layer, the Rannacher half-step layer and the number of
-    banded solves.
+    tridiagonal solves.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
@@ -185,7 +196,7 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
 
     Each step is solved by policy iteration on the tridiagonal step
     matrix.  Parameters whose redeeming region is empty have no row to pin,
-    so each step is a single banded solve, and the extracted curve is
+    so each step is a single tridiagonal solve, and the extracted curve is
     infinite at every positive tau.
     """
     spec = problem_spec(problem)

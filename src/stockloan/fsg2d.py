@@ -8,7 +8,13 @@ so each step queries the previous layer at shifted account positions
 (linear interpolation in A) and applies an explicit step of the
 one-dimensional log-space stencil in x.  Explicit stability caps the step
 size, so each requested layer is subdivided as needed and only the
-requested layers are stored.
+requested layers are yielded.  The shift and the stencil are fixed by the
+grids, so every substep applies one map built before the march: fixed
+gathers, fixed weights and a fixed closure term.
+
+price_regime4 keeps every yielded layer in a surface; regime4_values and
+regime4_boundary read the values at the maturity, or the boundary layer by
+layer, keeping one.
 
 When redeeming early is never strictly better (r >= gamma) the account
 grid extends well past the principal, where the value is close to affine
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -90,10 +96,7 @@ class ValueSurface2D:
 
     def value_at(self, x: float, a: float, tau: float) -> float:
         """Interpolate the surface: bilinear in (x, A), linear in tau."""
-        if not self.x_grid[0] <= x <= self.x_grid[-1]:
-            raise ValueError(f"stock level {x} outside grid [{self.x_grid[0]}, {self.x_grid[-1]}]")
-        if not self.a_grid[0] <= a <= self.a_grid[-1]:
-            raise ValueError(f"account level {a} outside grid [0, {self.a_grid[-1]}]")
+        _check_state(self.x_grid, self.a_grid, x, a)
         if not self.tau_grid[0] <= tau <= self.tau_grid[-1]:
             raise ValueError(f"tau {tau} outside [0, {self.tau_grid[-1]}]")
         m = int(np.clip(np.searchsorted(self.tau_grid, tau), 1, self.tau_grid.size - 1))
@@ -103,6 +106,14 @@ class ValueSurface2D:
             return lower
         upper = _interp2(self.x_grid, self.a_grid, self.values[m], x, a)
         return (1.0 - w) * lower + w * upper
+
+
+def _check_state(x_grid: np.ndarray, a_grid: np.ndarray, x: float, a: float) -> None:
+    """Refuse a stock or account level off the grids with ValueError."""
+    if not x_grid[0] <= x <= x_grid[-1]:
+        raise ValueError(f"stock level {x} outside grid [{x_grid[0]}, {x_grid[-1]}]")
+    if not a_grid[0] <= a <= a_grid[-1]:
+        raise ValueError(f"account level {a} outside grid [0, {a_grid[-1]}]")
 
 
 def _interp2(
@@ -118,9 +129,35 @@ def _interp2(
     )
 
 
+class _March(NamedTuple):
+    """A set-up forward-shooting-grid march; see _march4."""
+
+    tau_grid: np.ndarray
+    x_grid: np.ndarray
+    a_grid: np.ndarray
+    obstacle: np.ndarray
+    solver_meta: dict[str, Any]
+    layers: Iterator[np.ndarray]
+
+
 def _march4(
     market: MarketParams, contract: LoanContract, config: FSG2DConfig, constrained: bool
-) -> ValueSurface2D:
+) -> _March:
+    """Set up the grids and the substep map; returns the march.
+
+    Its layers yield every stored layer, terminal layer first and the layer
+    at the maturity last.  Each is a read-only view of the one buffer the
+    march writes in place, so it holds until the next layer is requested;
+    callers copy what they keep.  Arguments are checked here, before the
+    first layer.
+
+    Every substep applies one linear map, built here: each of the three
+    stencil rows of a parent row is interpolated in the account at the
+    position the parent's dividends move it to, by two gathers at fixed
+    flat indices, and the three are summed with the stencil weights.  The
+    account positions depend only on the parent row, so interpolating once
+    after the stencil would be the same map, but rounded differently.
+    """
     r_bar = market.r - contract.loan_rate
     delta = market.delta
     principal = contract.principal
@@ -133,16 +170,16 @@ def _march4(
         a_max = principal
     else:
         a_max = 2.0 * principal * math.exp(r_bar * maturity)
-    a = np.linspace(0.0, a_max, config.a_nodes)
+    a = frozen(np.linspace(0.0, a_max, config.a_nodes))
     da = a[1] - a[0]
 
     lo, mid, up = log_stencil(market.sigma, r_bar - delta, r_bar, dy)
     dtau_layer = maturity / config.time_steps
     n_sub = max(1, math.ceil(dtau_layer * max(-mid, 0.0) / _CFL_SAFETY))
     dt = dtau_layer / n_sub
-    coef_lo = dt * lo
-    coef_mid = 1.0 + dt * mid
-    coef_up = dt * up
+    # Stencil weights of the parent row and of the rows below and above it.
+    shifts = (0, -1, 1)
+    weights = np.array([1.0 + dt * mid, dt * lo, dt * up])[:, None, None]
 
     # Account position queried in the previous layer, per parent stock row.
     a_query = accrue_dividends(a[None, :], x[:, None], r_bar, delta, dt)
@@ -154,65 +191,83 @@ def _march4(
         )
     # Clipped above every query that is read: unconstrained ones stop at
     # 1.25 a_max, constrained ones past a_max take the exact closure.
+    a_query = a_query[1:-1]  # the boundary rows are set, not queried
     pos = np.minimum(a_query / da, 2.0 * (a.size - 1))
     k = np.clip(np.floor(pos).astype(np.intp), 0, a.size - 2)
-    w = pos - k  # w > 1 extrapolates linearly past the last account node
-    interior = slice(1, x.size - 1)
-    ki, wi = k[interior], w[interior]
-    aq_int = a_query[interior]
-    over = pos[interior] > (a.size - 1) + 1e-9 if constrained else None
-    row_idx = np.arange(x.size)[interior]
+    w_hi = pos - k  # w > 1 extrapolates linearly past the last account node
+    w_lo = 1.0 - w_hi
+    parent = np.arange(1, x.size - 1)[:, None] * a.size + k
+    idx_lo = np.stack([parent + shift * a.size for shift in shifts])
+    idx_hi = idx_lo + 1
+    if constrained:
+        # Queries above A = K sit in the all-redeem region: exact value x + A - K.
+        over = np.flatnonzero(pos > (a.size - 1) + 1e-9)
+        row, a_over = over // a.size + 1, a_query.reshape(-1)[over]
+        over = np.concatenate([over + i * pos.size for i in range(len(shifts))])
+        closure = np.concatenate([x[row + shift] + a_over - principal for shift in shifts])
+        bottom = np.maximum(a - principal, 0.0)
+        top = x[-1] + a - principal
+        right = x + a_max - principal if a_max >= principal else None
 
-    obstacle = x[:, None] + a[None, :] - principal
+    obstacle = frozen(x[:, None] + a[None, :] - principal)
     f = np.maximum(obstacle, 0.0)
-    layers = [f.copy()]
+    f_flat = f.reshape(-1)
+    interior = f[1:-1]
+    shifted = np.empty(idx_lo.shape)
+    shifted_flat = shifted.reshape(-1)
+    scratch = np.empty(idx_lo.shape)
+    layer = frozen(f.view())
 
-    def shifted(offset: int) -> np.ndarray:
-        rows = (row_idx + offset)[:, None]
-        vals = f[rows, ki] * (1.0 - wi) + f[rows, ki + 1] * wi
-        if over is not None and over.any():
-            # Queries above A = K sit in the all-redeem region: exact value.
-            closure = x[rows] + aq_int - principal
-            vals = np.where(over, closure, vals)
-        return vals
+    def layers() -> Iterator[np.ndarray]:
+        yield layer
+        for step in range(1, config.time_steps * n_sub + 1):
+            # Every index is in range; mode="clip" only skips the range check.
+            np.take(f_flat, idx_lo, out=shifted, mode="clip")
+            np.multiply(shifted, w_lo, out=shifted)
+            np.take(f_flat, idx_hi, out=scratch, mode="clip")
+            np.multiply(scratch, w_hi, out=scratch)
+            np.add(shifted, scratch, out=shifted)
+            if constrained:
+                shifted_flat[over] = closure
+            np.multiply(shifted, weights, out=shifted)
+            np.add(shifted[0], shifted[1], out=interior)
+            np.add(interior, shifted[2], out=interior)
+            if constrained:
+                f[0] = bottom
+                f[-1] = top
+                np.maximum(f, obstacle, out=f)
+                if right is not None:
+                    f[:, -1] = right
+            else:
+                disc = principal * math.exp(-r_bar * (step * dt))
+                f[0] = np.maximum(a - disc, 0.0)
+                f[-1] = x[-1] + a - disc
+            if step % n_sub == 0:
+                if np.isnan(f).any():
+                    raise RuntimeError("forward-shooting-grid solve produced NaN")
+                yield layer
 
-    total_steps = config.time_steps * n_sub
-    for step in range(1, total_steps + 1):
-        tau_new = step * dt
-        new = np.empty_like(f)
-        new[interior] = coef_mid * shifted(0) + coef_lo * shifted(-1) + coef_up * shifted(1)
-        if constrained:
-            new[0] = np.maximum(a - principal, 0.0)
-            new[-1] = x[-1] + a - principal
-            np.maximum(new, obstacle, out=new)
-            if a_max >= principal:
-                new[:, -1] = x + a_max - principal
-        else:
-            disc = principal * math.exp(-r_bar * tau_new)
-            new[0] = np.maximum(a - disc, 0.0)
-            new[-1] = x[-1] + a - disc
-        f = new
-        if step % n_sub == 0:
-            if np.isnan(f).any():
-                raise RuntimeError("forward-shooting-grid solve produced NaN")
-            layers.append(f.copy())
+    meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt,
+            "constrained": constrained}
+    return _March(tau_grid(maturity, config.time_steps), x, a, obstacle, meta, layers())
 
-    return ValueSurface2D(
-        tau_grid=tau_grid(maturity, config.time_steps),
-        x_grid=x,
-        a_grid=frozen(a),
-        values=tuple(frozen(layer) for layer in layers),
-        obstacle=frozen(obstacle),
-        principal=principal,
-        label="fsg-regime4" if constrained else "fsg-regime4-linear",
-        solver_meta={
-            "solver": "fsg",
-            "config": config,
-            "n_sub": n_sub,
-            "dt": dt,
-            "constrained": constrained,
-        },
-    )
+
+def _start(
+    spot: float,
+    accrued: float,
+    market: MarketParams,
+    contract: LoanContract,
+    config: FSG2DConfig | None,
+) -> _March | None:
+    """Check the state and set up its march; None when redeeming at once is exactly optimal."""
+    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
+        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
+    if spot <= 0.0 or accrued < 0.0:
+        raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
+    constrained = classify(market, contract).has_boundary
+    if constrained and accrued >= contract.principal:
+        return None
+    return _march4(market, contract, config or FSG2DConfig(), constrained)
 
 
 def price_regime4(
@@ -233,16 +288,87 @@ def price_regime4(
     solver_meta["constrained"] False.  A state outside the solved grid is
     refused by the surface lookup with ValueError.
     """
-    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
-        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
-    if spot <= 0.0 or accrued < 0.0:
-        raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
-    config = config or FSG2DConfig()
-    constrained = classify(market, contract).has_boundary
-    if constrained and accrued >= contract.principal:
+    march = _start(spot, accrued, market, contract, config)
+    if march is None:
         return spot + accrued - contract.principal, None
-    surface = _march4(market, contract, config, constrained)
+    constrained = march.solver_meta["constrained"]
+    surface = ValueSurface2D(
+        tau_grid=march.tau_grid,
+        x_grid=march.x_grid,
+        a_grid=march.a_grid,
+        values=tuple(frozen(layer.copy()) for layer in march.layers),
+        obstacle=march.obstacle,
+        principal=contract.principal,
+        label="fsg-regime4" if constrained else "fsg-regime4-linear",
+        solver_meta=march.solver_meta,
+    )
     return surface.value_at(spot, accrued, contract.maturity), surface
+
+
+def regime4_values(
+    spots: list[float],
+    accrued: float,
+    market: MarketParams,
+    contract: LoanContract,
+    config: FSG2DConfig | None = None,
+) -> list[float]:
+    """price_regime4's value at each spot, bit for bit, from one march that keeps one layer.
+
+    The grids do not depend on the spot, so every spot is read off the
+    layer at the maturity; each is checked before the march, and refused
+    as the surface lookup would refuse it.
+    """
+    march = _start(spots[0], accrued, market, contract, config)
+    if march is None:
+        return [price_regime4(s, accrued, market, contract, config)[0] for s in spots]
+    for s in spots:
+        _check_state(march.x_grid, march.a_grid, s, accrued)
+    for layer in march.layers:
+        pass
+    # At tau = T the surface lookup's weight on this layer is exactly one.
+    return [_interp2(march.x_grid, march.a_grid, layer, s, accrued) for s in spots]
+
+
+def regime4_boundary(
+    spot: float,
+    accrued: float,
+    market: MarketParams,
+    contract: LoanContract,
+    config: FSG2DConfig | None = None,
+    tol: float = 1e-7,
+) -> BoundaryCurve:
+    """extract_boundary_surface of price_regime4's surface, read off each layer as it is marched.
+
+    Keeps one layer instead of the surface.  The state (spot, accrued) is
+    checked as price_regime4 checks it, off-grid states included; a state
+    where immediate redemption is exactly optimal produces no surface and
+    is refused with ValueError.
+    """
+    march = _start(spot, accrued, market, contract, config)
+    if march is None:
+        raise ValueError(
+            "immediate redemption is exactly optimal for this state; "
+            "no boundary surface is produced"
+        )
+    _check_state(march.x_grid, march.a_grid, spot, accrued)
+    a_cols, stars_of = _tie_scan(march.x_grid, march.a_grid, march.obstacle,
+                                 contract.principal, tol)
+    stars = np.array([stars_of(layer) for layer in march.layers])
+    return BoundaryCurve(march.tau_grid, frozen(stars), a_cols)
+
+
+def _tie_scan(
+    x_grid: np.ndarray, a_grid: np.ndarray, obstacle: np.ndarray, principal: float, tol: float
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The account levels scanned and the per-layer scan of extract_boundary_surface."""
+    slack_tol = slack_tolerance(tol, principal)
+    cols = a_grid < principal * (1.0 - 1e-12)
+    obstacle = obstacle[:, cols]
+
+    def stars_of(layer: np.ndarray) -> np.ndarray:
+        return first_tie(x_grid, layer[:, cols] - obstacle <= slack_tol)
+
+    return frozen(a_grid[cols]), stars_of
 
 
 def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> BoundaryCurve:
@@ -254,10 +380,7 @@ def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> Boun
     negative tol is refused.  The surface is never repaired; the worst
     decrease in tau is recorded.
     """
-    principal = surface.principal
-    slack_tol = slack_tolerance(tol, principal)
-    cols = surface.a_grid < principal * (1.0 - 1e-12)
-    obstacle = surface.obstacle[:, cols]
-    stars = np.array([first_tie(surface.x_grid, layer[:, cols] - obstacle <= slack_tol)
-                      for layer in surface.values])
-    return BoundaryCurve(surface.tau_grid, frozen(stars), frozen(surface.a_grid[cols]))
+    a_cols, stars_of = _tie_scan(surface.x_grid, surface.a_grid, surface.obstacle,
+                                 surface.principal, tol)
+    stars = np.array([stars_of(layer) for layer in surface.values])
+    return BoundaryCurve(surface.tau_grid, frozen(stars), a_cols)

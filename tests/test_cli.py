@@ -274,7 +274,7 @@ FSG_SMALL = ["--regime", "4", "--solver", "fsg", "--x-nodes", "60", "--a-nodes",
 
 @pytest.mark.parametrize("flags, module, name", [
     (FD_SMALL, fd1d, "solve_vi"),
-    (FSG_SMALL, fsg2d, "price_regime4"),
+    (FSG_SMALL, fsg2d, "_march4"),
 ], ids=["fd", "fsg"])
 def test_grid_spot_sweep_solves_once(flags, module, name, monkeypatch, capsys):
     spots = ["0.55", "0.8", "1.3"]
@@ -306,7 +306,7 @@ def test_lattice_nan_exits_3(monkeypatch, capsys):
 
 
 def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, fsg2d, "price_regime4")
+    calls = count_calls(monkeypatch, fsg2d, "_march4")
     code, out, err = run(["figure", "3", "--maturity", "0.5"], capsys)
     assert code == 2
     assert out == ""
@@ -317,7 +317,7 @@ def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
 @pytest.mark.parametrize("solver, module, name", [
     ("lattice", lattice1d, "lattice_surface"),
     ("fd", fd1d, "solve_vi"),
-    ("fsg", fsg2d, "price_regime4"),
+    ("fsg", fsg2d, "_march4"),
 ], ids=["lattice", "fd", "fsg"])
 def test_negative_tol_refused_before_solving(solver, module, name, monkeypatch, capsys):
     calls = count_calls(monkeypatch, module, name)
@@ -367,7 +367,7 @@ def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys)
         raise AssertionError("a solve ran")
 
     for module, name in ((lattice1d, "lattice_value"), (lattice1d, "lattice_surface"),
-                         (fd1d, "solve_vi"), (fsg2d, "price_regime4"),
+                         (fd1d, "solve_vi"), (fsg2d, "_march4"),
                          (oracle, "oracle_price"), (closedform, "perpetual_regime1")):
         monkeypatch.setattr(module, name, solved)
     code, out, err = run(argv, capsys)
@@ -389,6 +389,27 @@ def test_config_header_reruns_with_every_field(tmp_path, capsys):
     code, out, _ = run(["price", "--config", str(path)], capsys)
     assert code == 0
     assert math.isfinite(float(out))
+
+
+def test_config_integer_float_field_prints_the_flag_header(tmp_path, capsys):
+    # a JSON integer in a float field is stored as a float, so the run from
+    # a config file and the same run from flags print one header
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"maturity": 1, "steps": 50}))
+    code, from_file, _ = run(["boundary", "--config", str(path)], capsys)
+    assert code == 0
+    code, from_flags, _ = run(["boundary", "--maturity", "1", "--steps", "50"], capsys)
+    assert code == 0
+    assert from_file == from_flags
+    assert '"maturity":1.0,' in from_file.splitlines()[1]
+
+
+def test_config_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"maturity": 1' + "0" * 400 + "}")
+    code, out, err = run(["price", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maturity must be finite")
 
 
 def test_figure_reads_the_header_of_an_accrued_run(tmp_path, capsys):

@@ -132,10 +132,10 @@ def test_delivered_stream_matches_parity():
 def test_policy_iteration_guard_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
-    def never_settles(l_and_u, ab, b):
+    def never_settles(sub, diag, sup, b):
         return rng.standard_normal(b.size)
 
-    monkeypatch.setattr("stockloan.fd1d.solve_banded", never_settles)
+    monkeypatch.setattr("stockloan.fd1d._tridiagonal_solve", never_settles)
     with pytest.raises(RuntimeError, match="did not settle"):
         solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 

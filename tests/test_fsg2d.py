@@ -1,5 +1,8 @@
 """Forward-shooting-grid backend for the cash-account dividend regime."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,14 @@ from stockloan import (
     LatticeConfig,
     LoanContract,
     MarketParams,
+    accrue_dividends,
     extract_boundary_surface,
     price_regime1,
     price_regime4,
+    regime4_boundary,
+    regime4_values,
 )
+from stockloan.problems import log_stencil, log_x_grid
 
 K = 0.7
 GAMMA = 0.1
@@ -135,3 +142,123 @@ def test_boundary_surface_shape_and_terminal_row(golden_surface):
     assert np.allclose(levels[0], expected)
     assert boundary.is_monotone(tolerance=0.0)
     assert boundary.max_decrease == 0.0
+
+
+def reference_layers(market, loan, config, constrained):
+    """The stored layers of the per-offset march: each substep sums three
+    account-interpolated stock rows, each with its own closure past A = K."""
+    r_bar = market.r - loan.loan_rate
+    x, dy = log_x_grid(loan.principal, market.sigma, loan.maturity, config.x_nodes)
+    if config.a_max is not None:
+        a_max = config.a_max
+    elif constrained:
+        a_max = loan.principal
+    else:
+        a_max = 2.0 * loan.principal * math.exp(r_bar * loan.maturity)
+    a = np.linspace(0.0, a_max, config.a_nodes)
+    lo, mid, up = log_stencil(market.sigma, r_bar - market.delta, r_bar, dy)
+    dtau = loan.maturity / config.time_steps
+    n_sub = max(1, math.ceil(dtau * max(-mid, 0.0) / 0.95))
+    dt = dtau / n_sub
+    a_query = accrue_dividends(a[None, :], x[:, None], r_bar, market.delta, dt)
+    pos = np.minimum(a_query / (a[1] - a[0]), 2.0 * (a.size - 1))
+    k = np.clip(np.floor(pos).astype(np.intp), 0, a.size - 2)
+    w = pos - k
+    inner = slice(1, x.size - 1)
+    rows = np.arange(x.size)[inner][:, None]
+    over = pos[inner] > (a.size - 1) + 1e-9
+    obstacle = x[:, None] + a[None, :] - loan.principal
+    f = np.maximum(obstacle, 0.0)
+    layers = [f.copy()]
+
+    def shifted(offset):
+        vals = (f[rows + offset, k[inner]] * (1.0 - w[inner])
+                + f[rows + offset, k[inner] + 1] * w[inner])
+        if constrained:
+            vals = np.where(over, x[rows + offset] + a_query[inner] - loan.principal, vals)
+        return vals
+
+    for step in range(1, config.time_steps * n_sub + 1):
+        new = np.empty_like(f)
+        new[inner] = ((1.0 + dt * mid) * shifted(0) + dt * lo * shifted(-1)
+                      + dt * up * shifted(1))
+        if constrained:
+            new[0] = np.maximum(a - loan.principal, 0.0)
+            new[-1] = x[-1] + a - loan.principal
+            np.maximum(new, obstacle, out=new)
+            if a_max >= loan.principal:
+                new[:, -1] = x + a_max - loan.principal
+        else:
+            disc = loan.principal * math.exp(-r_bar * (step * dt))
+            new[0] = np.maximum(a - disc, 0.0)
+            new[-1] = x[-1] + a - disc
+        f = new
+        if step % n_sub == 0:
+            layers.append(f.copy())
+    return layers
+
+
+@pytest.mark.parametrize("market, a_max, constrained", [
+    (HIGH_VOL, 1.3 * K, True),
+    (MarketParams(r=0.12, delta=0.05, sigma=0.3), None, False),
+], ids=["constrained-past-K", "unconstrained"])
+def test_march_matches_per_offset_reference(market, a_max, constrained):
+    config = FSG2DConfig(x_nodes=60, a_nodes=12, time_steps=30, a_max=a_max)
+    loan = contract(maturity=2.0)
+    _, surface = price_regime4(0.8, 0.1, market, loan, config)
+    assert surface.solver_meta["constrained"] is constrained
+    reference = reference_layers(market, loan, config, constrained)
+    assert len(reference) == surface.layer_count()
+    # the precomputed map rounds as the per-offset sums do, so bit for bit
+    for ours, theirs in zip(surface.values, reference):
+        assert np.array_equal(ours, theirs)
+    if constrained:
+        # some queries land past A = K, so the closure term is exercised
+        r_bar = market.r - GAMMA
+        queries = accrue_dividends(np.asarray(surface.a_grid)[None, :],
+                                   np.asarray(surface.x_grid[1:-1])[:, None],
+                                   r_bar, market.delta, surface.solver_meta["dt"])
+        assert queries.max() > a_max
+
+
+@pytest.mark.parametrize("market", [HIGH_VOL, MarketParams(r=0.12, delta=0.05, sigma=0.3)],
+                         ids=["constrained", "unconstrained"])
+def test_two_layer_consumers_equal_the_surface(market):
+    config = FSG2DConfig(x_nodes=80, a_nodes=16, time_steps=40)
+    loan = contract()
+    for accrued in (0.0, 0.1, 0.35):
+        spots = [0.3, 0.8, 1.7]
+        values = regime4_values(spots, accrued, market, loan, config)
+        for spot, value in zip(spots, values):
+            assert value == price_regime4(spot, accrued, market, loan, config)[0]
+        _, surface = price_regime4(0.8, accrued, market, loan, config)
+        for tol in (0.0, 1e-7, 1e-3):
+            ours = regime4_boundary(0.8, accrued, market, loan, config, tol)
+            theirs = extract_boundary_surface(surface, tol)
+            assert np.array_equal(ours.tau_grid, theirs.tau_grid)
+            assert np.array_equal(ours.a_grid, theirs.a_grid)
+            assert np.array_equal(ours.x_star, theirs.x_star)
+
+
+def test_two_layer_consumers_refuse_as_the_surface_does():
+    config = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
+    with pytest.raises(ValueError, match="stock level 50.0 outside grid"):
+        regime4_values([0.8, 50.0], 0.1, HIGH_VOL, contract(), config)
+    with pytest.raises(ValueError, match="account level 2.0 outside grid"):
+        regime4_boundary(0.8, 2.0, MarketParams(r=0.12, delta=0.03, sigma=0.3), contract(),
+                         config)
+    with pytest.raises(ValueError, match="immediate redemption is exactly optimal"):
+        regime4_boundary(0.55, 0.75, HIGH_VOL, contract(), config)
+    assert regime4_values([0.55, 0.6], 0.75, HIGH_VOL, contract()) == [
+        price_regime4(s, 0.75, HIGH_VOL, contract())[0] for s in (0.55, 0.6)]
+
+
+def test_boundary_path_memory_at_the_default_grid():
+    # the full default surface holds 201 layers of 200 x 50 values (16 MB)
+    tracemalloc.start()
+    try:
+        regime4_boundary(0.8, 0.1, HIGH_VOL, contract(), FSG2DConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

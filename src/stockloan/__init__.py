@@ -33,31 +33,28 @@ from .contracts import (
     MarketParams,
     RegimeClassification,
     RegionKind,
-    SimilarityState,
     accrue_dividends,
     classify,
-    from_similarity,
     payoff,
     reduce_regime2,
-    to_similarity,
 )
 from .fd1d import (
     ComplementarityReport,
     FDConfig,
+    fd_stream,
     residual_report,
     solve_vi,
 )
 from .fsg2d import (
     FSG2DConfig,
-    ValueSurface2D,
     extract_boundary_surface,
+    fsg_stream,
     price_regime4,
-    regime4_boundary,
-    regime4_values,
 )
 from .lattice1d import (
     LatticeConfig,
     extract_boundary,
+    lattice_stream,
     lattice_surface,
     lattice_value,
     price_amortized,
@@ -67,7 +64,17 @@ from .lattice1d import (
     price_withdrawable,
 )
 from .oracle import MAX_ORACLE_STEPS, oracle_boundary, oracle_price
-from .problems import BoundaryCurve, ValueSurface1D, VIProblem, amortized_payment_rate
+from .problems import (
+    BoundaryCurve,
+    LayerStream,
+    ValueSurface1D,
+    ValueSurface2D,
+    VIProblem,
+    amortized_payment_rate,
+    fold_boundary,
+    fold_surface,
+    fold_values,
+)
 
 __all__ = [
     "MAX_ORACLE_STEPS",
@@ -79,13 +86,13 @@ __all__ = [
     "FDConfig",
     "FSG2DConfig",
     "LatticeConfig",
+    "LayerStream",
     "LoanContract",
     "MarketParams",
     "PerpetualRegime3Result",
     "PerpetualResult",
     "RegimeClassification",
     "RegionKind",
-    "SimilarityState",
     "TerminalLimit",
     "VIProblem",
     "ValueSurface1D",
@@ -97,7 +104,12 @@ __all__ = [
     "european_put",
     "extract_boundary",
     "extract_boundary_surface",
-    "from_similarity",
+    "fd_stream",
+    "fold_boundary",
+    "fold_surface",
+    "fold_values",
+    "fsg_stream",
+    "lattice_stream",
     "lattice_surface",
     "lattice_value",
     "oracle_boundary",
@@ -113,8 +125,6 @@ __all__ = [
     "price_regime3",
     "price_regime4",
     "price_withdrawable",
-    "regime4_boundary",
-    "regime4_values",
     "residual_report",
     "solve_vi",
     "terminal_limit",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import closedform, fd1d, fsg2d, lattice1d, oracle
 from .contracts import DividendRegime, LoanContract, MarketParams
-from .problems import BoundaryCurve, ValueSurface1D, VIProblem
+from .problems import BoundaryCurve, LayerStream, VIProblem, fold_boundary, fold_values
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -211,29 +211,41 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
         raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
-def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
-    """The configured solver's value at each spot, with no lattice tree or FSG surface kept.
+def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
+    """The configured grid solver's march, with every spot checked before its first layer.
 
     The finite-difference and forward-shooting grids do not depend on the
-    spot, so they are solved once and read at every spot, and refuse a spot
-    off the grid; the lattice tree is centred on the spot, so it is rebuilt
-    per spot.  Regime-3 values from the lattice and finite differences
-    exclude the dividends already delivered, so the accrued account is
-    added here.
+    spot, so one march serves every spot; the lattice tree is centred on
+    its one spot.  None when the forward-shooting state redeems at once.
+    """
+    if cfg.solver == "fsg":
+        config = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
+                                   time_steps=cfg.fsg_steps)
+        return fsg2d.fsg_stream(spots, cfg.accrued, cfg.market(), cfg.contract(), config)
+    if cfg.solver == "lattice":
+        (spot,) = spots
+        return lattice1d.lattice_stream(spot, _problem(cfg), lattice1d.LatticeConfig(cfg.steps))
+    config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
+    return fd1d.fd_stream(_problem(cfg), config, spots)
+
+
+def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
+    """The configured solver's value at each spot, keeping no more than two layers.
+
+    Regime-3 values from the lattice and finite differences exclude the
+    dividends already delivered, so the accrued account is added here.
     """
     if cfg.solver == "oracle":
         market, contract = cfg.market(), cfg.contract()
         return [oracle.oracle_price(s, market, contract, cfg.oracle_steps, cfg.accrued)
                 for s in spots]
-    if cfg.solver == "fsg":
-        return fsg2d.regime4_values(spots, cfg.accrued, cfg.market(), cfg.contract(),
-                                    _fsg_config(cfg))
     if cfg.solver == "lattice":
-        problem, config = _problem(cfg), lattice1d.LatticeConfig(steps=cfg.steps)
-        values = [lattice1d.lattice_value(s, problem, config) for s in spots]
+        values = [fold_values(_stream(cfg, [s]), [s])[0] for s in spots]
     else:
-        surface = _fd_surface(cfg)
-        values = [surface.value_at(s, cfg.maturity) for s in spots]
+        stream = _stream(cfg, spots)
+        if stream is None:
+            return [s + cfg.accrued - cfg.principal for s in spots]
+        values = fold_values(stream, spots, cfg.accrued)
     if cfg.variant is None and cfg.regime == 3:
         values = [v + cfg.accrued for v in values]
     return values
@@ -244,25 +256,13 @@ def _boundary(cfg: RunConfig) -> BoundaryCurve:
 
     The spot is refused as it would be by _values.
     """
-    if cfg.solver == "fsg":
-        return fsg2d.regime4_boundary(cfg.spot, cfg.accrued, cfg.market(), cfg.contract(),
-                                      _fsg_config(cfg), cfg.tol)
-    if cfg.solver == "lattice":
-        config = lattice1d.LatticeConfig(steps=cfg.steps)
-        surface = lattice1d.lattice_surface(cfg.spot, _problem(cfg), config)[1]
-    else:
-        surface = _fd_surface(cfg)
-        surface.value_at(cfg.spot, cfg.maturity)  # refuses a spot off the grid
-    return lattice1d.extract_boundary(surface, cfg.tol)
-
-
-def _fsg_config(cfg: RunConfig) -> fsg2d.FSG2DConfig:
-    return fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes, time_steps=cfg.fsg_steps)
-
-
-def _fd_surface(cfg: RunConfig) -> ValueSurface1D:
-    fd_cfg = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
-    return fd1d.solve_vi(_problem(cfg), fd_cfg)[0]
+    stream = _stream(cfg, [cfg.spot])
+    if stream is None:
+        raise ValueError(
+            "immediate redemption is exactly optimal for this state; "
+            "no boundary surface is produced"
+        )
+    return fold_boundary(stream, cfg.tol)
 
 
 def _problem(cfg: RunConfig) -> VIProblem:

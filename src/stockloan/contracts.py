@@ -124,26 +124,6 @@ class LoanContract:
 
 
 @dataclass(frozen=True)
-class SimilarityState:
-    """Point in similarity coordinates (x, a, tau).
-
-    x scales the stock, a scales the accrued dividend account, and tau is
-    time to maturity.  All three are nonnegative and tau never exceeds the
-    contract maturity of the problem that produced the state.
-    """
-
-    x: float
-    a: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.x < 0.0 or self.a < 0.0:
-            raise ValueError(f"similarity state must be nonnegative, got x={self.x}, a={self.a}")
-        if self.tau < 0.0:
-            raise ValueError(f"time to maturity must be nonnegative, got tau={self.tau}")
-
-
-@dataclass(frozen=True)
 class RegimeClassification:
     """Redemption-region shape plus the closed form that applies, if any.
 
@@ -185,25 +165,6 @@ def payoff(regime: DividendRegime, s: float, i: float, t: float, contract: LoanC
     if regime is DividendRegime.DELIVERED_IMMEDIATELY:
         return max(s - balance, 0.0) + i
     return max(s + i - balance, 0.0)
-
-
-def to_similarity(s: float, i: float, t: float, contract: LoanContract) -> SimilarityState:
-    """Map calendar state (s, i, t) to similarity coordinates (x, a, tau)."""
-    if not 0.0 <= t <= contract.maturity:
-        raise ValueError(f"calendar time must lie in [0, {contract.maturity}], got t={t}")
-    scale = math.exp(-contract.loan_rate * t)
-    return SimilarityState(x=scale * s, a=scale * i, tau=contract.maturity - t)
-
-
-def from_similarity(state: SimilarityState, contract: LoanContract) -> tuple[float, float, float]:
-    """Invert to_similarity, returning (s, i, t)."""
-    if state.tau > contract.maturity:
-        raise ValueError(
-            f"time to maturity {state.tau} exceeds contract maturity {contract.maturity}"
-        )
-    t = contract.maturity - state.tau
-    scale = math.exp(contract.loan_rate * t)
-    return scale * state.x, scale * state.a, t
 
 
 def reduce_regime2(

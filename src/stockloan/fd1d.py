@@ -12,22 +12,30 @@ Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
 larger of the obstacle and the discounted-forward asymptote, so it stays
 sensible when a finite redeeming boundary lies beyond the grid.
+
+fd_stream hands the march over one layer at a time, for the folds of
+problems.py; solve_vi keeps every layer in a surface and reads the boundary
+off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice1d import extract_boundary
 from .problems import (
     BoundaryCurve,
+    Layer,
+    LayerStream,
     ProblemSpec,
     ValueSurface1D,
     VIProblem,
-    frozen,
+    check_nodes,
+    fold_boundary,
+    fold_surface,
     log_stencil,
     log_x_grid,
     problem_spec,
@@ -149,22 +157,20 @@ def _policy_step(
 
 
 def _march(
-    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray, int]:
-    """Step from tau = 0 through taus on the nodes x, log spacing dy.
+    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray, meta: dict
+) -> Iterator[Layer]:
+    """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
 
-    Returns every layer, the Rannacher half-step layer and the number of
-    tridiagonal solves.
+    Adds the tridiagonal solves to meta["linear_solves"] and stores the
+    Rannacher half-step layer as meta["rannacher_intermediate"].
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
-    solves = 0
 
     def step(f_old: np.ndarray, tau_new: float, cn: bool) -> np.ndarray:
         """One solve of (I - half L) f = rhs: Crank-Nicolson if cn, else implicit Euler."""
-        nonlocal solves
         b = f_old[1:-1].copy()
         if cn:
             b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
@@ -174,63 +180,59 @@ def _march(
         top = spec.far_field(tau_new, float(x[-1]))
         b[0] += half * lo * bottom
         b[-1] += half * up * top
-        f_int, s = _policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
-                                _floor(spec, x[1:-1], tau_new), spec.cap)
-        solves += s
+        f_int, solves = _policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
+                                     _floor(spec, x[1:-1], tau_new), spec.cap)
+        meta["linear_solves"] += solves
         f_new = np.concatenate(([bottom], f_int, [top]))
         if np.isnan(f_new).any():
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
         return f_new
 
+    def layer(f: np.ndarray, tau: float) -> Layer:
+        return x, f, np.asarray(spec.obstacle(x, tau), dtype=float)
+
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
-    terminal = np.asarray(spec.terminal(x), dtype=float)
-    startup = step(terminal, half, False)
-    layers = [terminal, step(startup, float(taus[1]), False)]
+    f = np.asarray(spec.terminal(x), dtype=float)
+    yield layer(f, 0.0)
+    meta["rannacher_intermediate"] = step(f, half, False)
+    f = step(meta["rannacher_intermediate"], float(taus[1]), False)
+    yield layer(f, float(taus[1]))
     for tau in taus[2:]:
-        layers.append(step(layers[-1], float(tau), True))
-    return layers, startup, solves
+        f = step(f, float(tau), True)
+        yield layer(f, float(tau))
 
 
-def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:
-    """Solve the variational inequality; returns (surface, boundary curve).
+def fd_stream(
+    problem: VIProblem, config: FDConfig, spots: Sequence[float] = ()
+) -> LayerStream:
+    """The march for problem on config's grid, as a stream of (x, values, obstacle) layers.
 
-    Each step is solved by policy iteration on the tridiagonal step
-    matrix.  Parameters whose redeeming region is empty have no row to pin,
-    so each step is a single tridiagonal solve, and the extracted curve is
-    infinite at every positive tau.
+    The grid is checked, and every spot is refused with ValueError when it
+    lies off the stock nodes, before the first layer.  solver_meta counts
+    the tridiagonal solves as the layers are drawn.  Parameters whose
+    redeeming region is empty have no row to pin, so each step is a single
+    tridiagonal solve.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
     taus = tau_grid(maturity, config.time_steps)
     x, dy = log_x_grid(principal, spec.sigma, maturity, config.space_nodes)
-    layers, startup, solves = _march(spec, x, dy, taus)
+    for spot in spots:
+        check_nodes(x, spot, maturity)
+    meta = {"solver": "fd", "config": config, "linear_solves": 0,
+            "constrained": spec.constrained}
+    return LayerStream(taus, None, principal, float(x[-1]), f"fd-{spec.label}", meta,
+                       _march(spec, x, dy, taus, meta))
 
-    values = []
-    obstacles = []
-    for tau, layer in zip(taus, layers):
-        obs = np.asarray(spec.obstacle(x, float(tau)), dtype=float)
-        if obstacles and np.array_equal(obs, obstacles[-1]):
-            obs = obstacles[-1]  # a time-independent obstacle is stored once
-        values.append(frozen(layer))
-        obstacles.append(frozen(obs))
 
-    surface = ValueSurface1D(
-        tau_grid=taus,
-        x_nodes=tuple([x] * (config.time_steps + 1)),
-        values=tuple(values),
-        obstacles=tuple(obstacles),
-        principal=principal,
-        spatial_cap=float(x[-1]),
-        label=f"fd-{spec.label}",
-        solver_meta={
-            "solver": "fd",
-            "config": config,
-            "linear_solves": solves,
-            "rannacher_intermediate": startup,
-            "constrained": spec.constrained,
-        },
-    )
-    return surface, extract_boundary(surface)
+def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:
+    """Every layer of fd_stream in a surface, and the boundary read off it; returns both.
+
+    The extracted curve is infinite at every positive tau when the
+    redeeming region is empty.
+    """
+    surface = fold_surface(fd_stream(problem, config))
+    return surface, fold_boundary(surface.stream())
 
 
 def residual_report(

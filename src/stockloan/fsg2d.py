@@ -12,9 +12,8 @@ requested layers are yielded.  The shift and the stencil are fixed by the
 grids, so every substep applies one map built before the march: fixed
 gathers, fixed weights and a fixed closure term.
 
-price_regime4 keeps every yielded layer in a surface; regime4_values and
-regime4_boundary read the values at the maturity, or the boundary layer by
-layer, keeping one.
+fsg_stream hands the march over one layer at a time, for the folds of
+problems.py; price_regime4 keeps every layer in a surface.
 
 When redeeming early is never strictly better (r >= gamma) the account
 grid extends well past the principal, where the value is close to affine
@@ -27,19 +26,23 @@ closes queries above an account grid that stops at K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .contracts import DividendRegime, LoanContract, MarketParams, accrue_dividends, classify
 from .problems import (
     BoundaryCurve,
-    first_tie,
+    Layer,
+    LayerStream,
+    ValueSurface2D,
+    check_state,
+    fold_boundary,
+    fold_surface,
     frozen,
     log_stencil,
     log_x_grid,
-    slack_tolerance,
     tau_grid,
 )
 
@@ -73,83 +76,22 @@ class FSG2DConfig:
             raise ValueError(f"a_max must be positive, got {self.a_max}")
 
 
-@dataclass(frozen=True)
-class ValueSurface2D:
-    """Stored layers of a two-dimensional solve, newest (largest tau) last.
+def fsg_stream(
+    spots: list[float],
+    accrued: float,
+    market: MarketParams,
+    contract: LoanContract,
+    config: FSG2DConfig | None = None,
+) -> LayerStream | None:
+    """The march from the state (spot, accrued) of every spot, as a stream of layers.
 
-    values[m] is an (x_nodes, a_nodes) array on the fixed grids; the
-    redemption obstacle x + A - K does not depend on tau, so a single
-    matrix serves every layer.  value_at refuses a state off the grids.
-    """
-
-    tau_grid: np.ndarray
-    x_grid: np.ndarray
-    a_grid: np.ndarray
-    values: tuple[np.ndarray, ...]
-    obstacle: np.ndarray
-    principal: float
-    label: str
-    solver_meta: dict[str, Any] = field(default_factory=dict)
-
-    def layer_count(self) -> int:
-        return len(self.values)
-
-    def value_at(self, x: float, a: float, tau: float) -> float:
-        """Interpolate the surface: bilinear in (x, A), linear in tau."""
-        _check_state(self.x_grid, self.a_grid, x, a)
-        if not self.tau_grid[0] <= tau <= self.tau_grid[-1]:
-            raise ValueError(f"tau {tau} outside [0, {self.tau_grid[-1]}]")
-        m = int(np.clip(np.searchsorted(self.tau_grid, tau), 1, self.tau_grid.size - 1))
-        w = (tau - self.tau_grid[m - 1]) / (self.tau_grid[m] - self.tau_grid[m - 1])
-        lower = _interp2(self.x_grid, self.a_grid, self.values[m - 1], x, a)
-        if w <= 0.0:
-            return lower
-        upper = _interp2(self.x_grid, self.a_grid, self.values[m], x, a)
-        return (1.0 - w) * lower + w * upper
-
-
-def _check_state(x_grid: np.ndarray, a_grid: np.ndarray, x: float, a: float) -> None:
-    """Refuse a stock or account level off the grids with ValueError."""
-    if not x_grid[0] <= x <= x_grid[-1]:
-        raise ValueError(f"stock level {x} outside grid [{x_grid[0]}, {x_grid[-1]}]")
-    if not a_grid[0] <= a <= a_grid[-1]:
-        raise ValueError(f"account level {a} outside grid [0, {a_grid[-1]}]")
-
-
-def _interp2(
-    x_grid: np.ndarray, a_grid: np.ndarray, layer: np.ndarray, x: float, a: float
-) -> float:
-    i = int(np.clip(np.searchsorted(x_grid, x), 1, x_grid.size - 1))
-    j = int(np.clip(np.searchsorted(a_grid, a), 1, a_grid.size - 1))
-    wx = (x - x_grid[i - 1]) / (x_grid[i] - x_grid[i - 1])
-    wa = (a - a_grid[j - 1]) / (a_grid[j] - a_grid[j - 1])
-    return float(
-        (1.0 - wx) * ((1.0 - wa) * layer[i - 1, j - 1] + wa * layer[i - 1, j])
-        + wx * ((1.0 - wa) * layer[i, j - 1] + wa * layer[i, j])
-    )
-
-
-class _March(NamedTuple):
-    """A set-up forward-shooting-grid march; see _march4."""
-
-    tau_grid: np.ndarray
-    x_grid: np.ndarray
-    a_grid: np.ndarray
-    obstacle: np.ndarray
-    solver_meta: dict[str, Any]
-    layers: Iterator[np.ndarray]
-
-
-def _march4(
-    market: MarketParams, contract: LoanContract, config: FSG2DConfig, constrained: bool
-) -> _March:
-    """Set up the grids and the substep map; returns the march.
-
-    Its layers yield every stored layer, terminal layer first and the layer
-    at the maturity last.  Each is a read-only view of the one buffer the
-    march writes in place, so it holds until the next layer is requested;
-    callers copy what they keep.  Arguments are checked here, before the
-    first layer.
+    Returns None when r < gamma and the account already covers the
+    principal: redeeming at once is then exactly optimal.  Otherwise every
+    layer is (x grid, values, obstacle) with one column per account level,
+    terminal layer first and the layer at the maturity last; the values are
+    a read-only view of the one buffer the march writes in place, so they
+    hold until the next layer is drawn.  Arguments, the grids and every
+    state are checked here, before the first layer.
 
     Every substep applies one linear map, built here: each of the three
     stencil rows of a parent row is interpolated in the account at the
@@ -158,6 +100,17 @@ def _march4(
     account positions depend only on the parent row, so interpolating once
     after the stencil would be the same map, but rounded differently.
     """
+    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
+        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
+    constrained = classify(market, contract).has_boundary
+    immediate = constrained and accrued >= contract.principal
+    # the grid refuses a spot past the first that is not positive; with no grid, this does
+    for spot in spots if immediate else spots[:1]:
+        if spot <= 0.0 or accrued < 0.0:
+            raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
+    if immediate:
+        return None
+    config = config or FSG2DConfig()
     r_bar = market.r - contract.loan_rate
     delta = market.delta
     principal = contract.principal
@@ -218,8 +171,8 @@ def _march4(
     scratch = np.empty(idx_lo.shape)
     layer = frozen(f.view())
 
-    def layers() -> Iterator[np.ndarray]:
-        yield layer
+    def layers() -> Iterator[Layer]:
+        yield x, layer, obstacle
         for step in range(1, config.time_steps * n_sub + 1):
             # Every index is in range; mode="clip" only skips the range check.
             np.take(f_flat, idx_lo, out=shifted, mode="clip")
@@ -245,29 +198,15 @@ def _march4(
             if step % n_sub == 0:
                 if np.isnan(f).any():
                     raise RuntimeError("forward-shooting-grid solve produced NaN")
-                yield layer
+                yield x, layer, obstacle
 
+    for spot in spots:
+        check_state(x, a, spot, accrued)
     meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt,
             "constrained": constrained}
-    return _March(tau_grid(maturity, config.time_steps), x, a, obstacle, meta, layers())
-
-
-def _start(
-    spot: float,
-    accrued: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: FSG2DConfig | None,
-) -> _March | None:
-    """Check the state and set up its march; None when redeeming at once is exactly optimal."""
-    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
-        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
-    if spot <= 0.0 or accrued < 0.0:
-        raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
-    constrained = classify(market, contract).has_boundary
-    if constrained and accrued >= contract.principal:
-        return None
-    return _march4(market, contract, config or FSG2DConfig(), constrained)
+    label = "fsg-regime4" if constrained else "fsg-regime4-linear"
+    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]), label,
+                       meta, layers())
 
 
 def price_regime4(
@@ -286,101 +225,19 @@ def price_regime4(
     strictly optimal (r >= gamma), the obstacle never binds and the plain
     pricing equation is marched over a wider account grid, with
     solver_meta["constrained"] False.  A state outside the solved grid is
-    refused by the surface lookup with ValueError.
+    refused with ValueError.
     """
-    march = _start(spot, accrued, market, contract, config)
-    if march is None:
+    stream = fsg_stream([spot], accrued, market, contract, config)
+    if stream is None:
         return spot + accrued - contract.principal, None
-    constrained = march.solver_meta["constrained"]
-    surface = ValueSurface2D(
-        tau_grid=march.tau_grid,
-        x_grid=march.x_grid,
-        a_grid=march.a_grid,
-        values=tuple(frozen(layer.copy()) for layer in march.layers),
-        obstacle=march.obstacle,
-        principal=contract.principal,
-        label="fsg-regime4" if constrained else "fsg-regime4-linear",
-        solver_meta=march.solver_meta,
-    )
+    surface = fold_surface(stream)
     return surface.value_at(spot, accrued, contract.maturity), surface
 
 
-def regime4_values(
-    spots: list[float],
-    accrued: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: FSG2DConfig | None = None,
-) -> list[float]:
-    """price_regime4's value at each spot, bit for bit, from one march that keeps one layer.
-
-    The grids do not depend on the spot, so every spot is read off the
-    layer at the maturity; each is checked before the march, and refused
-    as the surface lookup would refuse it.
-    """
-    march = _start(spots[0], accrued, market, contract, config)
-    if march is None:
-        return [price_regime4(s, accrued, market, contract, config)[0] for s in spots]
-    for s in spots:
-        _check_state(march.x_grid, march.a_grid, s, accrued)
-    for layer in march.layers:
-        pass
-    # At tau = T the surface lookup's weight on this layer is exactly one.
-    return [_interp2(march.x_grid, march.a_grid, layer, s, accrued) for s in spots]
-
-
-def regime4_boundary(
-    spot: float,
-    accrued: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: FSG2DConfig | None = None,
-    tol: float = 1e-7,
-) -> BoundaryCurve:
-    """extract_boundary_surface of price_regime4's surface, read off each layer as it is marched.
-
-    Keeps one layer instead of the surface.  The state (spot, accrued) is
-    checked as price_regime4 checks it, off-grid states included; a state
-    where immediate redemption is exactly optimal produces no surface and
-    is refused with ValueError.
-    """
-    march = _start(spot, accrued, market, contract, config)
-    if march is None:
-        raise ValueError(
-            "immediate redemption is exactly optimal for this state; "
-            "no boundary surface is produced"
-        )
-    _check_state(march.x_grid, march.a_grid, spot, accrued)
-    a_cols, stars_of = _tie_scan(march.x_grid, march.a_grid, march.obstacle,
-                                 contract.principal, tol)
-    stars = np.array([stars_of(layer) for layer in march.layers])
-    return BoundaryCurve(march.tau_grid, frozen(stars), a_cols)
-
-
-def _tie_scan(
-    x_grid: np.ndarray, a_grid: np.ndarray, obstacle: np.ndarray, principal: float, tol: float
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """The account levels scanned and the per-layer scan of extract_boundary_surface."""
-    slack_tol = slack_tolerance(tol, principal)
-    cols = a_grid < principal * (1.0 - 1e-12)
-    obstacle = obstacle[:, cols]
-
-    def stars_of(layer: np.ndarray) -> np.ndarray:
-        return first_tie(x_grid, layer[:, cols] - obstacle <= slack_tol)
-
-    return frozen(a_grid[cols]), stars_of
-
-
 def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> BoundaryCurve:
-    """Smallest stock level tying with the obstacle, per layer and account.
+    """fold_boundary over the layers of a stored cash-account surface.
 
-    Only account columns strictly below the principal are scanned; at and
-    above the principal the r < gamma problem redeems everywhere and there
-    is no boundary to locate.  A column with no tying node reports inf; a
-    negative tol is refused.  The surface is never repaired; the worst
-    decrease in tau is recorded.
+    Kept under this name for the tests and for the benchmark's tracer,
+    which wraps it; the CLI folds the stream itself.
     """
-    a_cols, stars_of = _tie_scan(surface.x_grid, surface.a_grid, surface.obstacle,
-                                 surface.principal, tol)
-    stars = np.array([stars_of(layer) for layer in surface.values])
-    return BoundaryCurve(surface.tau_grid, frozen(stars), a_cols)
+    return fold_boundary(surface.stream(), tol)

@@ -6,11 +6,12 @@ exp(drift * dt), each expectation is discounted at the spec's rate, and a
 running source is added explicitly after discounting, before the value is
 floored at the obstacle and clamped at the cap.
 
-One march builds the tree layer by layer, terminal layer first and root
-last.  lattice_surface, and the price_* functions that wrap it, keep every
-layer in a surface, so redemption boundaries can be read off afterwards
-(immutable once returned); lattice_value keeps only the layer being built
-and the one before it, for callers that need the root value alone.
+lattice_stream builds the tree layer by layer, terminal layer first and
+root last, keeping only the layer it is building and the one before it; the
+folds of problems.py read it.  lattice_value reads the root off it;
+lattice_surface, and the price_* functions that wrap it, keep every layer
+in a surface, so redemption boundaries can be read off afterwards
+(immutable once returned).
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from .contracts import LoanContract, MarketParams
 from .problems import (
     LOG_FLOAT_MAX,
     BoundaryCurve,
-    ProblemSpec,
+    Layer,
+    LayerStream,
     ValueSurface1D,
     VIProblem,
-    first_tie,
-    frozen,
+    fold_boundary,
+    fold_surface,
+    fold_values,
     problem_spec,
-    slack_tolerance,
     tau_grid,
 )
 
@@ -72,15 +74,12 @@ def crr_step_params(
     return u, d, p, math.exp(-rate * dt)
 
 
-def _march(
-    spot: float, problem: VIProblem, config: LatticeConfig
-) -> tuple[ProblemSpec, np.ndarray, dict, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Set up the tree for problem; returns (spec, tau grid, solver_meta, layers).
+def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> LayerStream:
+    """The tree for problem centred on spot, as a stream of (nodes, values, obstacle) layers.
 
-    layers yields (nodes, values, obstacle) for every layer, terminal layer
-    first and root last; it keeps only the layer it is building and the one
-    before it.  Arguments are checked here, before the first layer is built,
-    down to a top node that would overflow a float.
+    Arguments are checked here, before the first layer is built, down to a
+    top node that would overflow a float.  A NaN anywhere in the tree is
+    refused with RuntimeError when the root is drawn.
     """
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
@@ -102,7 +101,7 @@ def _march(
     def layer_nodes(level: int) -> np.ndarray:
         return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
 
-    def layers() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def layers() -> Iterator[Layer]:
         x = layer_nodes(steps)
         v = np.asarray(spec.terminal(x), dtype=float)
         obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
@@ -125,7 +124,8 @@ def _march(
             raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
         yield x, v, obs
 
-    return spec, taus, meta, layers()
+    principal = problem.contract.principal
+    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, spec.label, meta, layers())
 
 
 def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:
@@ -134,10 +134,7 @@ def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> flo
     Memory grows with the step count, not its square.  The value is the
     root of the surface lattice_surface returns, bit for bit.
     """
-    *_, layers = _march(spot, problem, config)
-    for _, v, _ in layers:
-        pass
-    return float(v[0])
+    return fold_values(lattice_stream(spot, problem, config), [spot])[0]
 
 
 def lattice_surface(
@@ -147,19 +144,8 @@ def lattice_surface(
 
     Memory grows with the square of the step count.
     """
-    spec, taus, meta, layers = _march(spot, problem, config)
-    xs, vals, obss = zip(*[tuple(map(frozen, layer)) for layer in layers])
-    surface = ValueSurface1D(
-        tau_grid=taus,
-        x_nodes=xs,
-        values=vals,
-        obstacles=obss,
-        principal=problem.contract.principal,
-        spatial_cap=_X_MAX_MULT * problem.contract.principal,
-        label=spec.label,
-        solver_meta=meta,
-    )
-    return float(vals[-1][0]), surface
+    surface = fold_surface(lattice_stream(spot, problem, config))
+    return float(surface.values[-1][0]), surface
 
 
 def price_regime1(
@@ -230,17 +216,9 @@ def price_withdrawable(
 
 
 def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurve:
-    """Read the redemption boundary off a value surface.
+    """fold_boundary over the layers of a stored one-dimensional surface.
 
-    Per tau layer, the boundary is the smallest node whose value sits within
-    tol * principal of the obstacle (ties count as redemption).  Layers with
-    no qualifying node below the spatial cap report inf.  The curve is never
-    monotonized; the largest decrease between consecutive layers is recorded
-    so callers can assert on it.
+    Kept under this name for the tests and for the benchmark's tracer,
+    which wraps it; the CLI folds the stream itself.
     """
-    slack_tol = slack_tolerance(tol, surface.principal)
-    stars = np.empty(surface.layer_count())
-    for j, x in enumerate(surface.x_nodes):
-        ties = (surface.values[j] - surface.obstacles[j] <= slack_tol) & (x <= surface.spatial_cap)
-        stars[j] = first_tie(x, ties)
-    return BoundaryCurve(surface.tau_grid, frozen(stars))
+    return fold_boundary(surface.stream(), tol)

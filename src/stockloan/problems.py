@@ -1,4 +1,4 @@
-"""The one-dimensional stock-loan obstacle problems, defined once.
+"""The one-dimensional stock-loan obstacle problems, defined once, and the folds over a march.
 
 Every one-dimensional contract is the same optimal-redemption problem: a
 value that dominates a redemption obstacle, grows under a lognormal state
@@ -16,11 +16,14 @@ equivalent.  The amortizing and withdrawable variants keep calendar cash
 coordinates because their obstacles do not scale with exp(gamma * t).
 
 The grids the backends step on are built here too (the layer times of
-all three, the log-spaced stock grid and its stencil), as are the value
-surface, which refuses any query off its layers, and the one boundary
-record with the tie and monotonicity scans both boundary readers share.
-Grids whose top node would overflow a float, or too coarse to price on, are
-refused.
+all three, the log-spaced stock grid and its stencil).  Grids whose top
+node would overflow a float, or too coarse to price on, are refused.
+
+Every grid backend hands its march over as one LayerStream, terminal layer
+first, and three folds read it: fold_values keeps the last layer and reads
+the values off it, fold_boundary scans each layer for the smallest node
+tying with the obstacle, and fold_surface keeps every layer in a value
+surface, which refuses any query off its layers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -126,6 +129,61 @@ def log_stencil(
     return lo, mid, up
 
 
+Layer = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class LayerStream:
+    """A grid backend's march: its grids and its layers, terminal layer first.
+
+    Each layer is (x, values, obstacle): the stock nodes, and the values and
+    the redemption obstacle on them, with one column per level of a_grid when
+    it is set (None in one dimension).  A layer may be a view of a buffer
+    the march reuses, so it holds until the next one is drawn; only
+    fold_surface copies.  principal scales the tie tolerance, ties above
+    spatial_cap are not boundary points, label names the problem and
+    solver_meta carries diagnostics, some of them filled in as the layers
+    are drawn.  The builder of a stream checks its arguments before the
+    first layer.
+    """
+
+    tau_grid: np.ndarray
+    a_grid: np.ndarray | None
+    principal: float
+    spatial_cap: float
+    label: str
+    solver_meta: dict
+    layers: Iterator[Layer]
+
+
+def check_nodes(nodes: np.ndarray, x: float, tau: float) -> None:
+    """Refuse an x outside the ascending nodes of the layer at tau with ValueError."""
+    if not nodes[0] <= x <= nodes[-1]:
+        raise ValueError(f"x={x} outside the surface nodes [{nodes[0]}, {nodes[-1]}] at tau={tau}")
+
+
+def check_state(x_grid: np.ndarray, a_grid: np.ndarray, x: float, a: float) -> None:
+    """Refuse a stock or account level off the grids with ValueError."""
+    if not x_grid[0] <= x <= x_grid[-1]:
+        raise ValueError(f"stock level {x} outside grid [{x_grid[0]}, {x_grid[-1]}]")
+    if not a_grid[0] <= a <= a_grid[-1]:
+        raise ValueError(f"account level {a} outside grid [0, {a_grid[-1]}]")
+
+
+def bilinear(
+    x_grid: np.ndarray, a_grid: np.ndarray, layer: np.ndarray, x: float, a: float
+) -> float:
+    """The two-dimensional layer at (x, a), linear in each of x and a."""
+    i = int(np.clip(np.searchsorted(x_grid, x), 1, x_grid.size - 1))
+    j = int(np.clip(np.searchsorted(a_grid, a), 1, a_grid.size - 1))
+    wx = (x - x_grid[i - 1]) / (x_grid[i] - x_grid[i - 1])
+    wa = (a - a_grid[j - 1]) / (a_grid[j] - a_grid[j - 1])
+    return float(
+        (1.0 - wx) * ((1.0 - wa) * layer[i - 1, j - 1] + wa * layer[i - 1, j])
+        + wx * ((1.0 - wa) * layer[i, j - 1] + wa * layer[i, j])
+    )
+
+
 @dataclass(frozen=True)
 class ValueSurface1D:
     """Value surface on a one-dimensional grid, one layer per time to maturity.
@@ -148,6 +206,11 @@ class ValueSurface1D:
     def layer_count(self) -> int:
         return len(self.tau_grid)
 
+    def stream(self) -> LayerStream:
+        """The stored layers as a stream again, for the folds."""
+        return LayerStream(self.tau_grid, None, self.principal, self.spatial_cap, self.label,
+                           self.solver_meta, zip(self.x_nodes, self.values, self.obstacles))
+
     def value_at(self, x: float, tau: float) -> float:
         """Bilinear lookup: linear in x within layers, linear across tau.
 
@@ -167,12 +230,49 @@ class ValueSurface1D:
         return (1.0 - w) * v_lo + w * v_hi
 
     def _layer_value(self, j: int, x: float, tau: float) -> float:
-        nodes = self.x_nodes[j]
-        if not nodes[0] <= x <= nodes[-1]:
-            raise ValueError(
-                f"x={x} outside the surface nodes [{nodes[0]}, {nodes[-1]}] at tau={tau}"
-            )
-        return float(np.interp(x, nodes, self.values[j]))
+        check_nodes(self.x_nodes[j], x, tau)
+        return float(np.interp(x, self.x_nodes[j], self.values[j]))
+
+
+@dataclass(frozen=True)
+class ValueSurface2D:
+    """Stored layers of a two-dimensional solve, newest (largest tau) last.
+
+    values[m] is an (x_nodes, a_nodes) array on the fixed grids; the
+    redemption obstacle x + A - K does not depend on tau, so a single
+    matrix serves every layer.  value_at refuses a state off the grids.
+    """
+
+    tau_grid: np.ndarray
+    x_grid: np.ndarray
+    a_grid: np.ndarray
+    values: tuple[np.ndarray, ...]
+    obstacle: np.ndarray
+    principal: float
+    label: str
+    solver_meta: dict
+
+    def layer_count(self) -> int:
+        return len(self.values)
+
+    def stream(self) -> LayerStream:
+        """The stored layers as a stream again, for the folds."""
+        layers = ((self.x_grid, v, self.obstacle) for v in self.values)
+        return LayerStream(self.tau_grid, self.a_grid, self.principal, float(self.x_grid[-1]),
+                           self.label, self.solver_meta, layers)
+
+    def value_at(self, x: float, a: float, tau: float) -> float:
+        """Interpolate the surface: bilinear in (x, A), linear in tau."""
+        check_state(self.x_grid, self.a_grid, x, a)
+        if not self.tau_grid[0] <= tau <= self.tau_grid[-1]:
+            raise ValueError(f"tau {tau} outside [0, {self.tau_grid[-1]}]")
+        m = int(np.clip(np.searchsorted(self.tau_grid, tau), 1, self.tau_grid.size - 1))
+        w = (tau - self.tau_grid[m - 1]) / (self.tau_grid[m] - self.tau_grid[m - 1])
+        lower = bilinear(self.x_grid, self.a_grid, self.values[m - 1], x, a)
+        if w <= 0.0:
+            return lower
+        upper = bilinear(self.x_grid, self.a_grid, self.values[m], x, a)
+        return (1.0 - w) * lower + w * upper
 
 
 @dataclass(frozen=True)
@@ -221,6 +321,63 @@ def max_decrease(stars: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
         drops = (left - right)[~both_inf]
     return max(0.0, float(drops.max())) if drops.size else 0.0
+
+
+def fold_values(stream: LayerStream, spots: list[float], accrued: float = 0.0) -> list[float]:
+    """The values at spots (and, in two dimensions, the account accrued) at the maturity.
+
+    Keeps one layer and reads the last, linearly in x (and in the account).
+    The spots are the ones the stream's builder checked.
+    """
+    for x, v, _ in stream.layers:
+        pass
+    if stream.a_grid is None:
+        return [float(np.interp(s, x, v)) for s in spots]
+    return [bilinear(x, stream.a_grid, v, s, accrued) for s in spots]
+
+
+def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
+    """The redemption boundary, read off each layer as it is drawn.
+
+    Per layer, the boundary is the smallest node at or below spatial_cap
+    whose value sits within tol * principal of the obstacle (ties count as
+    redemption), inf where none does.  In two dimensions only the account
+    columns strictly below the principal are scanned: at and above it every
+    state redeems and there is no boundary to locate.  The curve is never
+    monotonized.  A negative tol is refused before the first layer.
+    """
+    slack_tol = slack_tolerance(tol, stream.principal)
+    a_cols, cols = stream.a_grid, slice(None)
+    if a_cols is not None:
+        # the account grid ascends from 0, so the columns below the principal come first
+        a_cols = frozen(a_cols[a_cols < stream.principal * (1.0 - 1e-12)])
+        cols = slice(a_cols.size)
+    stars = np.array([first_tie(x, (v - obs <= slack_tol)[..., cols])
+                      for x, v, obs in stream.layers])
+    # x ascends, so a tie at or below spatial_cap exists only if the first tie is one
+    stars[stars > stream.spatial_cap] = math.inf
+    return BoundaryCurve(stream.tau_grid, frozen(stars), a_cols)
+
+
+def fold_surface(stream: LayerStream) -> ValueSurface1D | ValueSurface2D:
+    """Every layer, copied and read-only, in a value surface.
+
+    Stock nodes and obstacles that equal the previous layer's are stored
+    once.
+    """
+    xs: list[np.ndarray] = []
+    values = []
+    obstacles: list[np.ndarray] = []
+    for x, v, obs in stream.layers:
+        for kept, arr in ((xs, x), (obstacles, obs)):
+            kept.append(kept[-1] if kept and np.array_equal(arr, kept[-1]) else frozen(arr.copy()))
+        values.append(frozen(v.copy()))
+    if stream.a_grid is None:
+        return ValueSurface1D(stream.tau_grid, tuple(xs), tuple(values), tuple(obstacles),
+                              stream.principal, stream.spatial_cap, stream.label,
+                              stream.solver_meta)
+    return ValueSurface2D(stream.tau_grid, xs[0], stream.a_grid, tuple(values), obstacles[0],
+                          stream.principal, stream.label, stream.solver_meta)
 
 
 @dataclass(frozen=True)

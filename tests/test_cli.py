@@ -1,11 +1,13 @@
 """Command-line interface: output formats, exits, config precedence."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +258,33 @@ def test_fd_spot_off_grid_exits_2(capsys):
     assert "outside the surface nodes" in err
 
 
+def test_fd_spot_off_grid_refused_before_the_march(monkeypatch, capsys):
+    drawn = []
+    original = fd1d.fd_stream
+
+    def spied(*args, **kwargs):
+        stream = original(*args, **kwargs)
+
+        def layers():
+            for layer in stream.layers:
+                drawn.append(layer[1])
+                yield layer
+
+        return dataclasses.replace(stream, layers=layers())
+
+    monkeypatch.setattr(fd1d, "fd_stream", spied)
+    code, _, _ = run(["price", "--spot", "0.8"] + FD_SMALL, capsys)
+    assert code == 0 and len(drawn) == 41  # the spy sees every layer of a solve
+    drawn.clear()
+    for argv in (["price", "--spot", "1000"], ["boundary", "--spot", "1000"],
+                 ["sweep", "--param", "spot", "--values", "0.8,1000"]):
+        code, out, err = run(argv + FD_SMALL, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: x=1000.0 outside the surface nodes [")
+        assert err.endswith("] at tau=1.0\n")
+    assert drawn == []
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -273,8 +302,8 @@ FSG_SMALL = ["--regime", "4", "--solver", "fsg", "--x-nodes", "60", "--a-nodes",
 
 
 @pytest.mark.parametrize("flags, module, name", [
-    (FD_SMALL, fd1d, "solve_vi"),
-    (FSG_SMALL, fsg2d, "_march4"),
+    (FD_SMALL, fd1d, "fd_stream"),
+    (FSG_SMALL, fsg2d, "fsg_stream"),
 ], ids=["fd", "fsg"])
 def test_grid_spot_sweep_solves_once(flags, module, name, monkeypatch, capsys):
     spots = ["0.55", "0.8", "1.3"]
@@ -306,7 +335,7 @@ def test_lattice_nan_exits_3(monkeypatch, capsys):
 
 
 def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, fsg2d, "_march4")
+    calls = count_calls(monkeypatch, fsg2d, "fsg_stream")
     code, out, err = run(["figure", "3", "--maturity", "0.5"], capsys)
     assert code == 2
     assert out == ""
@@ -315,9 +344,9 @@ def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("solver, module, name", [
-    ("lattice", lattice1d, "lattice_surface"),
-    ("fd", fd1d, "solve_vi"),
-    ("fsg", fsg2d, "_march4"),
+    ("lattice", lattice1d, "lattice_stream"),
+    ("fd", fd1d, "fd_stream"),
+    ("fsg", fsg2d, "fsg_stream"),
 ], ids=["lattice", "fd", "fsg"])
 def test_negative_tol_refused_before_solving(solver, module, name, monkeypatch, capsys):
     calls = count_calls(monkeypatch, module, name)
@@ -366,9 +395,9 @@ def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys)
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    for module, name in ((lattice1d, "lattice_value"), (lattice1d, "lattice_surface"),
-                         (fd1d, "solve_vi"), (fsg2d, "_march4"),
-                         (oracle, "oracle_price"), (closedform, "perpetual_regime1")):
+    for module, name in ((lattice1d, "lattice_stream"), (fd1d, "fd_stream"),
+                         (fsg2d, "fsg_stream"), (oracle, "oracle_price"),
+                         (closedform, "perpetual_regime1")):
         monkeypatch.setattr(module, name, solved)
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -533,3 +562,74 @@ def test_every_command_answers_or_fails_in_one_line(argv, capsys):
     if code != 0:
         assert out == ""
     assert err.count("\n") <= 1
+
+
+def test_fsg_immediate_redemption(capsys):
+    # the account covers the principal and r < gamma: redeeming now is exact, nothing marches
+    flags = ["--solver", "fsg", "--regime", "4", "--accrued", "0.75"] + BASE
+    code, out, err = run(["boundary"] + flags, capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: immediate redemption is exactly optimal for this state; "
+                   "no boundary surface is produced\n")
+    code, out, err = run(["sweep", "--param", "spot", "--values", "0.55,0.6"] + flags, capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[1] for line in out.splitlines()[3:]] == [
+        f"{s + 0.75 - 0.7:.17g}" for s in (0.55, 0.6)]
+
+
+def peak_mb(argv, capsys):
+    """Peak traced allocation of one in-process run, in MB; the run must succeed."""
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    return peak / 2**20
+
+
+def test_lattice_boundary_keeps_two_layers(capsys):
+    # the whole 2000-step tree holds about 48 MB
+    argv = ["boundary", "--solver", "lattice", "--regime", "1", "--steps", "2000"] + BASE
+    assert peak_mb(argv, capsys) < 5
+
+
+@pytest.mark.parametrize("command", ["price", "boundary"])
+@pytest.mark.parametrize("contract", [["--regime", "1"], ["--variant", "amortized"]],
+                         ids=["regime1", "amortized"])
+def test_fd_price_and_boundary_keep_two_layers(command, contract, capsys):
+    # 401 layers of 400 nodes hold 1.3 MB, 2.6 MB with a time-dependent obstacle
+    from scipy.linalg import lapack  # noqa: F401  (the first solve loads it; not counted)
+
+    argv = [command, "--solver", "fd", "--spot", "0.8"] + contract + BASE
+    assert peak_mb(argv, capsys) < 0.5
+
+
+# sha256 of the stdout of small-grid boundary runs, recorded before the march
+# became a layer stream; every fold must print the same bytes.
+BOUNDARY_DIGESTS = {
+    "lattice": (["--solver", "lattice", "--regime", "1", "--steps", "60"],
+                "1dc9e4527ac1f4376fc3d5f191f257a0647b275591d1cd51ed55fcb82841b298"),
+    "fd-regime1": (["--solver", "fd", "--regime", "1", "--space-nodes", "80",
+                    "--time-steps", "40"],
+                   "9a2e0c823642e8174e0e02b06f32ed86197584fe3a866445b16c49cdfb539b66"),
+    "fd-withdrawable": (["--solver", "fd", "--variant", "withdrawable", "--cap", "0.5",
+                         "--space-nodes", "80", "--time-steps", "40"],
+                        "b28eedb3a3eda48da9175eb830df88f2f32d782aa86dabcf678ca6a6db8b9c6c"),
+    "fsg-constrained": (["--solver", "fsg", "--regime", "4", "--accrued", "0.1",
+                         "--x-nodes", "60", "--a-nodes", "10", "--fsg-steps", "40"],
+                        "9e561c2df1a4a01bac0af2f362ffa3f03636a2a107e1191bd7eaa7e66775fb15"),
+    "fsg-unconstrained": (["--solver", "fsg", "--regime", "4", "--accrued", "0.1",
+                           "--x-nodes", "60", "--a-nodes", "10", "--fsg-steps", "40",
+                           "--r", "0.13"],
+                          "51bfd181c29b45fe8bcacf89d05dd20487e205536942ea38b325c870cfaffb33"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_DIGESTS))
+def test_boundary_stdout_digest(name, capsys):
+    flags, digest = BOUNDARY_DIGESTS[name]
+    code, out, err = run(["boundary"] + BASE + flags, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,10 +13,8 @@ from stockloan import (
     ClosedForm,
     accrue_dividends,
     classify,
-    from_similarity,
     payoff,
     reduce_regime2,
-    to_similarity,
 )
 
 K = 0.7
@@ -72,22 +70,6 @@ def test_payoff_redemption_nets_balance():
     assert payoff(DividendRegime(3), 0.1, 0.3, t, contract) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         payoff(DividendRegime(1), -0.5, 0.0, t, contract)
-
-
-def test_similarity_round_trip():
-    _, contract = make(4)
-    rng = np.random.default_rng(1234)
-    for _ in range(50):
-        s = float(rng.uniform(0.01, 5.0))
-        i = float(rng.uniform(0.0, 2.0))
-        t = float(rng.uniform(0.0, contract.maturity))
-        state = to_similarity(s, i, t, contract)
-        assert state.x == pytest.approx(math.exp(-GAMMA * t) * s, rel=1e-15)
-        assert state.a == pytest.approx(math.exp(-GAMMA * t) * i, rel=1e-15)
-        s2, i2, t2 = from_similarity(state, contract)
-        assert s2 == pytest.approx(s, rel=1e-13)
-        assert i2 == pytest.approx(i, rel=1e-13, abs=1e-15)
-        assert t2 == t
 
 
 def test_similarity_obstacle_is_time_independent():

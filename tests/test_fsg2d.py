@@ -14,10 +14,11 @@ from stockloan import (
     MarketParams,
     accrue_dividends,
     extract_boundary_surface,
+    fold_boundary,
+    fold_values,
+    fsg_stream,
     price_regime1,
     price_regime4,
-    regime4_boundary,
-    regime4_values,
 )
 from stockloan.problems import log_stencil, log_x_grid
 
@@ -228,12 +229,12 @@ def test_two_layer_consumers_equal_the_surface(market):
     loan = contract()
     for accrued in (0.0, 0.1, 0.35):
         spots = [0.3, 0.8, 1.7]
-        values = regime4_values(spots, accrued, market, loan, config)
+        values = fold_values(fsg_stream(spots, accrued, market, loan, config), spots, accrued)
         for spot, value in zip(spots, values):
             assert value == price_regime4(spot, accrued, market, loan, config)[0]
         _, surface = price_regime4(0.8, accrued, market, loan, config)
         for tol in (0.0, 1e-7, 1e-3):
-            ours = regime4_boundary(0.8, accrued, market, loan, config, tol)
+            ours = fold_boundary(fsg_stream([0.8], accrued, market, loan, config), tol)
             theirs = extract_boundary_surface(surface, tol)
             assert np.array_equal(ours.tau_grid, theirs.tau_grid)
             assert np.array_equal(ours.a_grid, theirs.a_grid)
@@ -243,21 +244,22 @@ def test_two_layer_consumers_equal_the_surface(market):
 def test_two_layer_consumers_refuse_as_the_surface_does():
     config = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
     with pytest.raises(ValueError, match="stock level 50.0 outside grid"):
-        regime4_values([0.8, 50.0], 0.1, HIGH_VOL, contract(), config)
+        fsg_stream([0.8, 50.0], 0.1, HIGH_VOL, contract(), config)
     with pytest.raises(ValueError, match="account level 2.0 outside grid"):
-        regime4_boundary(0.8, 2.0, MarketParams(r=0.12, delta=0.03, sigma=0.3), contract(),
-                         config)
-    with pytest.raises(ValueError, match="immediate redemption is exactly optimal"):
-        regime4_boundary(0.55, 0.75, HIGH_VOL, contract(), config)
-    assert regime4_values([0.55, 0.6], 0.75, HIGH_VOL, contract()) == [
-        price_regime4(s, 0.75, HIGH_VOL, contract())[0] for s in (0.55, 0.6)]
+        fsg_stream([0.8], 2.0, MarketParams(r=0.12, delta=0.03, sigma=0.3), contract(), config)
+    # an account that covers the principal redeems at once: no march, no surface
+    assert fsg_stream([0.55, 0.6], 0.75, HIGH_VOL, contract(), config) is None
+    for s in (0.55, 0.6):
+        assert price_regime4(s, 0.75, HIGH_VOL, contract()) == (s + 0.75 - K, None)
+    with pytest.raises(ValueError, match="need spot > 0"):
+        fsg_stream([0.55, -0.6], 0.75, HIGH_VOL, contract(), config)
 
 
 def test_boundary_path_memory_at_the_default_grid():
     # the full default surface holds 201 layers of 200 x 50 values (16 MB)
     tracemalloc.start()
     try:
-        regime4_boundary(0.8, 0.1, HIGH_VOL, contract(), FSG2DConfig())
+        fold_boundary(fsg_stream([0.8], 0.1, HIGH_VOL, contract(), FSG2DConfig()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

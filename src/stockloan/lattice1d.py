@@ -7,11 +7,14 @@ running source is added explicitly after discounting, before the value is
 floored at the obstacle and clamped at the cap.
 
 lattice_stream builds the tree layer by layer, terminal layer first and
-root last, keeping only the layer it is building and the one before it; the
-folds of problems.py read it.  lattice_value reads the root off it;
-lattice_surface, and the price_* functions that wrap it, keep every layer
-in a surface, so redemption boundaries can be read off afterwards
-(immutable once returned).
+root last; the folds of problems.py read it.  Every layer's nodes are a
+slice of one ladder spot * exp(k log u), k = -steps..steps, built before
+the first layer, and the source is evaluated once on that ladder; values
+alternate between two buffers of steps + 1 floats.  So a march does no
+per-layer exp and allocates only each layer's obstacle.  lattice_value
+reads the root off it; lattice_surface, and the price_* functions that
+wrap it, keep every layer in a surface, so redemption boundaries can be
+read off afterwards (immutable once returned).
 """
 
 from __future__ import annotations
@@ -79,10 +82,14 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
 
     Arguments are checked here, before the first layer is built, down to a
     top node that would overflow a float.  A NaN anywhere in the tree is
-    refused with RuntimeError when the root is drawn.
+    refused with RuntimeError when the root is drawn.  A layer's nodes are
+    a view of the ladder, and its values a view of a buffer the march
+    overwrites as soon as the next layer is drawn.
     """
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
+    if not math.isfinite(spot):
+        raise ValueError(f"spot must be finite, got {spot}")
     spec = problem_spec(problem)
     steps, maturity = config.steps, problem.contract.maturity
     dt = maturity / steps
@@ -98,25 +105,40 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
     cap, source = spec.cap, spec.source
     meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
 
-    def layer_nodes(level: int) -> np.ndarray:
-        return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
+    def rung(ladders: tuple[np.ndarray, np.ndarray], level: int) -> np.ndarray:
+        # level's nodes are ladder[steps - level : steps + level + 1 : 2], all
+        # of one parity, and each parity of the ladder is stored contiguously
+        start = steps - level
+        return ladders[start % 2][start // 2 : start // 2 + level + 1]
 
     def layers() -> Iterator[Layer]:
-        x = layer_nodes(steps)
-        v = np.asarray(spec.terminal(x), dtype=float)
+        # 2 i - level is an exact integer in a float, so every node equals
+        # spot * exp(log_u * (2 i - level)) bit for bit
+        ladder = spot * np.exp(log_u * np.arange(-steps, steps + 1, dtype=float))
+        nodes = (ladder[0::2].copy(), ladder[1::2].copy())
+        # the source is elementwise in x, so it is evaluated once per node
+        sources = None if source is None else tuple(source(n) * dt for n in nodes)
+        buffers = (np.empty(steps + 1), np.empty(steps + 1))
+        x, v = rung(nodes, steps), buffers[0]
+        v[:] = spec.terminal(x)
         obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
         if cap is not None:
-            v = np.minimum(v, cap)
+            np.minimum(v, cap, out=v)
         for j in range(1, steps + 1):
             yield x, v, obs
-            x = layer_nodes(steps - j)
-            cont = disc * (p * v[1:] + q * v[:-1])
-            if source is not None:
-                cont = cont + source(x) * dt
+            level = steps - j
+            x = rung(nodes, level)
+            # disc * (p * v[1:] + q * v[:-1]), computed in the other buffer;
+            # the layer just drawn is no longer held, so q * v overwrites it
+            cont = np.multiply(p, v[1:], out=buffers[j % 2][: level + 1])
+            np.add(cont, np.multiply(q, v[:-1], out=v[:-1]), out=cont)
+            np.multiply(disc, cont, out=cont)
+            if sources is not None:
+                np.add(cont, rung(sources, level), out=cont)
             obs = np.asarray(spec.obstacle(x, float(taus[j])), dtype=float)
-            v = np.maximum(cont, obs)
+            v = np.maximum(cont, obs, out=cont)
             if cap is not None:
-                v = np.minimum(v, cap)
+                np.minimum(v, cap, out=v)
         # The root depends on every node of every layer (0 < p < 1), and the
         # expectation, np.maximum and np.minimum all carry a NaN forward, so
         # a NaN anywhere in the tree shows up here.
@@ -131,8 +153,10 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
 def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:
     """Value of problem at spot, read off the root without keeping the tree.
 
-    Memory grows with the step count, not its square.  The value is the
-    root of the surface lattice_surface returns, bit for bit.
+    Memory grows with the step count, not its square: the node ladder, the
+    source on it, two value buffers and one obstacle, each a few times
+    steps floats.  The value is the root of the surface lattice_surface
+    returns, bit for bit.
     """
     return fold_values(lattice_stream(spot, problem, config), [spot])[0]
 

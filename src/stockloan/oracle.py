@@ -10,9 +10,9 @@ failure modes.
 
 Level k holds 2**k nodes; the children of node i sit at 2 i (up move) and
 2 i + 1 (down move).  The tree runs in similarity coordinates and reuses
-the recombining lattice's step parameters, node-level expression, and
-combination arithmetic, so matched-step comparisons agree to float
-precision rather than merely to discretization error.
+the recombining lattice's step parameters, the same node values (tested
+bitwise), and its combination arithmetic, so matched-step comparisons
+agree to float precision rather than merely to discretization error.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ def _prepare(
 ) -> tuple[MarketParams, LoanContract]:
     if accrued < 0.0:
         raise ValueError(f"accrued account must be nonnegative, got {accrued}")
+    if not math.isfinite(accrued):
+        raise ValueError(f"accrued account must be finite, got {accrued}")
     if contract.regime is DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION:
         if accrued != 0.0:
             raise ValueError("regimes without a cash account require accrued == 0")
@@ -77,6 +79,8 @@ def _solve_tree(
         )
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
+    if not math.isfinite(spot):
+        raise ValueError(f"spot must be finite, got {spot}")
     allowed = None if exercise_steps is None else frozenset(exercise_steps)
     if allowed is not None and not all(0 <= k <= steps for k in allowed):
         raise ValueError(f"exercise steps must lie in [0, {steps}], got {sorted(allowed)}")

@@ -266,3 +266,101 @@ def test_nan_anywhere_reaches_the_root_guard(problem, monkeypatch):
         lattice_value(0.8, problem, LatticeConfig(steps=50))
     with pytest.raises(RuntimeError, match="NaN"):
         lattice1d.lattice_surface(0.8, problem, LatticeConfig(steps=50))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_spot_refused_before_the_march(bad):
+    # a NaN spot used to march the whole tree and fail at the root guard
+    for problem in PROBLEMS:
+        with pytest.raises(ValueError, match="spot must be finite"):
+            lattice1d.lattice_stream(bad, problem, LatticeConfig(steps=50))
+        with pytest.raises(ValueError, match="spot must be finite"):
+            lattice_value(bad, problem, LatticeConfig(steps=50))
+
+
+def reference_layers(spot, problem, steps):
+    """The march with each layer's nodes from their own np.exp and fresh arrays."""
+    spec = lattice1d.problem_spec(problem)
+    maturity = problem.contract.maturity
+    dt = maturity / steps
+    taus = lattice1d.tau_grid(maturity, steps)
+    u, _, p, disc = lattice1d.crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
+    log_u, q = math.log(u), 1.0 - p
+
+    def nodes(level):
+        return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
+
+    x = nodes(steps)
+    v = np.asarray(spec.terminal(x), dtype=float)
+    obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
+    if spec.cap is not None:
+        v = np.minimum(v, spec.cap)
+    layers = [(x, v, obs)]
+    for j in range(1, steps + 1):
+        x = nodes(steps - j)
+        cont = disc * (p * v[1:] + q * v[:-1])
+        if spec.source is not None:
+            cont = cont + spec.source(x) * dt
+        obs = np.asarray(spec.obstacle(x, float(taus[j])), dtype=float)
+        v = np.maximum(cont, obs)
+        if spec.cap is not None:
+            v = np.minimum(v, spec.cap)
+        layers.append((x, v, obs))
+    return layers
+
+
+# r above gamma: the regimes lose their boundary and the variants discount faster
+HIGH_RATE = MarketParams(r=0.14, delta=0.03, sigma=0.4)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 300])
+@pytest.mark.parametrize(
+    "problem",
+    PROBLEMS + [dataclasses.replace(p, market=HIGH_RATE) for p in PROBLEMS],
+    ids=lambda p: f"{p.kind}-r{p.market.r}",
+)
+def test_every_layer_matches_the_reference_march_bitwise(problem, steps):
+    for spot in (0.5, 0.8, 1.4):
+        stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+        # a layer holds only until the next is drawn, so copy each one as it comes
+        drawn = [tuple(arr.copy() for arr in layer) for layer in stream.layers]
+        expected = reference_layers(spot, problem, steps)
+        assert len(drawn) == len(expected) == steps + 1
+        for got, want in zip(drawn, expected):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_ladder_nodes_equal_the_oracle_path_nodes():
+    # the path tree reaches node 2 * ups - k of level k by every path with
+    # ups up moves; its distinct values must be the lattice layer exactly
+    steps, spot = 12, 0.8
+    problem = PROBLEMS[0]
+    stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+    log_u = math.log(stream.solver_meta["up_factor"])
+    layers = [x.copy() for x, _, _ in stream.layers]
+    ups = [np.zeros(1, dtype=np.int64)]
+    for k in range(steps):
+        nxt = np.empty(ups[k].size * 2, dtype=np.int64)
+        nxt[0::2] = ups[k] + 1
+        nxt[1::2] = ups[k]
+        ups.append(nxt)
+    for k in range(steps + 1):
+        path_nodes = spot * np.exp(log_u * (2.0 * ups[k] - k))
+        assert np.array_equal(layers[steps - k], np.unique(path_nodes))
+
+
+def test_ladder_nodes_equal_per_layer_exp_on_random_trees():
+    rng = np.random.default_rng(20240611)
+    for _ in range(20):
+        spot = float(rng.uniform(0.2, 3.0))
+        sigma = float(rng.uniform(0.05, 1.5))
+        dt = float(rng.uniform(1e-4, 0.05))
+        steps = int(rng.integers(1, 400))
+        market = MarketParams(r=0.06, delta=0.03, sigma=sigma)
+        problem = VIProblem("regime1", market, contract(1, maturity=dt * steps))
+        stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+        log_u = math.log(stream.solver_meta["up_factor"])
+        for j, (x, _, _) in enumerate(stream.layers):
+            level = steps - j
+            assert np.array_equal(x, spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level)))

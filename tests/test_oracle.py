@@ -45,6 +45,18 @@ def test_input_validation():
         oracle_price(0.8, HIGH_VOL, contract(2), steps=10, accrued=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_refused(bad):
+    # a NaN or infinite spot or account used to come back as the price
+    with pytest.raises(ValueError, match="spot must be finite"):
+        oracle_price(bad, HIGH_VOL, contract(1), steps=8)
+    with pytest.raises(ValueError, match="spot must be finite"):
+        oracle_boundary(np.array([0.8, bad]), HIGH_VOL, contract(1), steps=8)
+    for regime in (3, 4):
+        with pytest.raises(ValueError, match="accrued account must be finite"):
+            oracle_price(0.8, HIGH_VOL, contract(regime), steps=8, accrued=bad)
+
+
 def test_golden_values():
     assert oracle_price(0.8, HIGH_VOL, contract(1), steps=12) == pytest.approx(
         0.15427927437394354, rel=1e-14)

@@ -67,8 +67,7 @@ from .oracle import MAX_ORACLE_STEPS, oracle_boundary, oracle_price
 from .problems import (
     BoundaryCurve,
     LayerStream,
-    ValueSurface1D,
-    ValueSurface2D,
+    ValueSurface,
     VIProblem,
     amortized_payment_rate,
     fold_boundary,
@@ -95,8 +94,7 @@ __all__ = [
     "RegionKind",
     "TerminalLimit",
     "VIProblem",
-    "ValueSurface1D",
-    "ValueSurface2D",
+    "ValueSurface",
     "accrue_dividends",
     "amortized_payment_rate",
     "classify",

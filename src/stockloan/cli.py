@@ -435,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: a value overflows a float: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -180,7 +180,8 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
     Requires a nonempty redemption region: either r >= gamma with delta > 0,
     or r < gamma.  The boundary is finite when delta > 0, and with delta = 0
     exactly when r < gamma - sigma^2 / 2; in the remaining band
-    gamma - sigma^2 / 2 <= r < gamma it is UNBOUNDED.
+    gamma - sigma^2 / 2 <= r < gamma it is UNBOUNDED.  A bounded case whose
+    coefficient c1 over- or underflows a float is refused with ValueError.
     """
     r_bar = market.r - contract.loan_rate
     delta, sigma = market.delta, market.sigma
@@ -195,7 +196,16 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
         return PerpetualResult(alpha_plus, alpha_minus, UNBOUNDED, None)
     principal = contract.principal
     x_star = alpha_plus * principal / (alpha_plus - 1.0)
-    c1 = (1.0 / alpha_plus) * ((alpha_plus - 1.0) / (alpha_plus * principal)) ** (alpha_plus - 1.0)
+    base = (alpha_plus - 1.0) / (alpha_plus * principal)
+    try:
+        c1 = (1.0 / alpha_plus) * base ** (alpha_plus - 1.0)
+    except OverflowError:
+        c1 = math.inf
+    if not 0.0 < c1 < math.inf:
+        raise ValueError(
+            f"the value coefficient c1={c1} is not a positive finite float "
+            f"(alpha_plus={alpha_plus}, principal={principal})"
+        )
     return PerpetualResult(alpha_plus, alpha_minus, x_star, c1, _principal=principal)
 
 

@@ -31,7 +31,7 @@ from .problems import (
     Layer,
     LayerStream,
     ProblemSpec,
-    ValueSurface1D,
+    ValueSurface,
     VIProblem,
     check_nodes,
     fold_boundary,
@@ -225,7 +225,7 @@ def fd_stream(
                        _march(spec, x, dy, taus, meta))
 
 
-def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, BoundaryCurve]:
+def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, BoundaryCurve]:
     """Every layer of fd_stream in a surface, and the boundary read off it; returns both.
 
     The extracted curve is infinite at every positive tau when the
@@ -236,7 +236,7 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface1D, Boun
 
 
 def residual_report(
-    surface: ValueSurface1D, problem: VIProblem, tol: float = 1e-6
+    surface: ValueSurface, problem: VIProblem, tol: float = 1e-6
 ) -> ComplementarityReport:
     """Audit a solved surface against its per-step complementarity systems.
 

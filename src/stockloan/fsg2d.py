@@ -10,17 +10,18 @@ one-dimensional log-space stencil in x.  Explicit stability caps the step
 size, so each requested layer is subdivided as needed and only the
 requested layers are yielded.  The shift and the stencil are fixed by the
 grids, so every substep applies one map built before the march: fixed
-gathers, fixed weights and a fixed closure term.
+gathers and fixed weights.
 
 fsg_stream hands the march over one layer at a time, for the folds of
 problems.py; price_regime4 keeps every layer in a surface.
 
-When redeeming early is never strictly better (r >= gamma) the account
-grid extends well past the principal, where the value is close to affine
-in the account with slope near one, so one-sided linear extrapolation from
-the last two nodes handles the small per-step overshoot.  When r < gamma
-the region A >= K redeems immediately with value exactly x + A - K, which
-closes queries above an account grid that stops at K.
+A query past the last account node extrapolates linearly from the last
+two nodes.  When redeeming early is never strictly better (r >= gamma) the
+account grid extends well past the principal, where the value is close to
+affine in the account with slope near one, so the extrapolation handles
+the small per-step overshoot.  When r < gamma the region A >= K redeems
+immediately with value exactly x + A - K, and every node whose query
+passes K is held at that obstacle by np.maximum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .problems import (
     BoundaryCurve,
     Layer,
     LayerStream,
-    ValueSurface2D,
+    ValueSurface,
     check_state,
     fold_boundary,
     fold_surface,
@@ -48,6 +49,9 @@ from .problems import (
 
 # Fraction of the explicit stability bound each substep may use.
 _CFL_SAFETY = 0.95
+# Most substeps per layer: a substep on the default 200 x 50 grid took about
+# 110 us on a 2-core x86 host, so its 200 layers at this bound take a minute.
+_MAX_SUBSTEPS = 2_500
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,12 @@ def fsg_stream(
 
     lo, mid, up = log_stencil(market.sigma, r_bar - delta, r_bar, dy)
     dtau_layer = maturity / config.time_steps
-    n_sub = max(1, math.ceil(dtau_layer * max(-mid, 0.0) / _CFL_SAFETY))
+    substeps = dtau_layer * max(-mid, 0.0) / _CFL_SAFETY
+    if not substeps <= _MAX_SUBSTEPS:
+        raise ValueError(f"explicit stability needs {substeps:.3g} substeps per layer, over "
+                         f"{_MAX_SUBSTEPS} (r={market.r}, delta={delta}, sigma={market.sigma}, "
+                         f"loan_rate={contract.loan_rate}, maturity={maturity})")
+    n_sub = max(1, math.ceil(substeps))
     dt = dtau_layer / n_sub
     # Stencil weights of the parent row and of the rows below and above it.
     shifts = (0, -1, 1)
@@ -143,7 +152,7 @@ def fsg_stream(
             f"loan_rate={contract.loan_rate}, maturity={maturity})"
         )
     # Clipped above every query that is read: unconstrained ones stop at
-    # 1.25 a_max, constrained ones past a_max take the exact closure.
+    # 1.25 a_max, constrained ones past a_max are held at the obstacle.
     a_query = a_query[1:-1]  # the boundary rows are set, not queried
     pos = np.minimum(a_query / da, 2.0 * (a.size - 1))
     k = np.clip(np.floor(pos).astype(np.intp), 0, a.size - 2)
@@ -152,22 +161,15 @@ def fsg_stream(
     parent = np.arange(1, x.size - 1)[:, None] * a.size + k
     idx_lo = np.stack([parent + shift * a.size for shift in shifts])
     idx_hi = idx_lo + 1
-    if constrained:
-        # Queries above A = K sit in the all-redeem region: exact value x + A - K.
-        over = np.flatnonzero(pos > (a.size - 1) + 1e-9)
-        row, a_over = over // a.size + 1, a_query.reshape(-1)[over]
-        over = np.concatenate([over + i * pos.size for i in range(len(shifts))])
-        closure = np.concatenate([x[row + shift] + a_over - principal for shift in shifts])
-        bottom = np.maximum(a - principal, 0.0)
-        top = x[-1] + a - principal
-        right = x + a_max - principal if a_max >= principal else None
+    # The boundary rows start at max(obstacle, 0), which np.maximum keeps when
+    # constrained; a right column past the principal is pinned to its obstacle.
+    right = x + a_max - principal if constrained and a_max >= principal else None
 
     obstacle = frozen(x[:, None] + a[None, :] - principal)
     f = np.maximum(obstacle, 0.0)
     f_flat = f.reshape(-1)
     interior = f[1:-1]
     shifted = np.empty(idx_lo.shape)
-    shifted_flat = shifted.reshape(-1)
     scratch = np.empty(idx_lo.shape)
     layer = frozen(f.view())
 
@@ -180,14 +182,10 @@ def fsg_stream(
             np.take(f_flat, idx_hi, out=scratch, mode="clip")
             np.multiply(scratch, w_hi, out=scratch)
             np.add(shifted, scratch, out=shifted)
-            if constrained:
-                shifted_flat[over] = closure
             np.multiply(shifted, weights, out=shifted)
             np.add(shifted[0], shifted[1], out=interior)
             np.add(interior, shifted[2], out=interior)
             if constrained:
-                f[0] = bottom
-                f[-1] = top
                 np.maximum(f, obstacle, out=f)
                 if right is not None:
                     f[:, -1] = right
@@ -215,7 +213,7 @@ def price_regime4(
     market: MarketParams,
     contract: LoanContract,
     config: FSG2DConfig | None = None,
-) -> tuple[float, ValueSurface2D | None]:
+) -> tuple[float, ValueSurface | None]:
     """Value at inception of a cash-dividend loan; returns (value, surface).
 
     spot and accrued are the time-zero stock level and collected-dividend
@@ -231,10 +229,10 @@ def price_regime4(
     if stream is None:
         return spot + accrued - contract.principal, None
     surface = fold_surface(stream)
-    return surface.value_at(spot, accrued, contract.maturity), surface
+    return surface.value_at(spot, contract.maturity, a=accrued), surface
 
 
-def extract_boundary_surface(surface: ValueSurface2D, tol: float = 1e-7) -> BoundaryCurve:
+def extract_boundary_surface(surface: ValueSurface, tol: float = 1e-7) -> BoundaryCurve:
     """fold_boundary over the layers of a stored cash-account surface.
 
     Kept under this name for the tests and for the benchmark's tracer,

@@ -31,7 +31,7 @@ from .problems import (
     BoundaryCurve,
     Layer,
     LayerStream,
-    ValueSurface1D,
+    ValueSurface,
     VIProblem,
     fold_boundary,
     fold_surface,
@@ -163,7 +163,7 @@ def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> flo
 
 def lattice_surface(
     spot: float, problem: VIProblem, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Value of problem at spot and the whole tree it was read off; returns (value, surface).
 
     Memory grows with the square of the step count.
@@ -174,7 +174,7 @@ def lattice_surface(
 
 def price_regime1(
     spot: float, market: MarketParams, contract: LoanContract, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Price a lender-keeps-dividends loan; returns (value, surface).
 
     The surface lives in similarity coordinates; at t = 0 those coincide
@@ -185,7 +185,7 @@ def price_regime1(
 
 def price_regime2(
     spot: float, market: MarketParams, contract: LoanContract, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Price a reinvested-dividend loan via its dividend-free reduction.
 
     The surface is indexed by the scaled reinvested position; at t = 0 the
@@ -196,7 +196,7 @@ def price_regime2(
 
 def price_regime3(
     spot: float, market: MarketParams, contract: LoanContract, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Price a delivered-dividend loan net of already-delivered dividends.
 
     The value solves the obstacle problem with dividend inflow delta * x as
@@ -209,7 +209,7 @@ def price_regime3(
 
 def price_amortized(
     spot: float, market: MarketParams, contract: LoanContract, config: LatticeConfig
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Price the amortizing variant, where the loan is repaid continuously.
 
     The borrower pays at the constant rate c = amortized_payment_rate and
@@ -228,7 +228,7 @@ def price_withdrawable(
     contract: LoanContract,
     config: LatticeConfig,
     cap: float,
-) -> tuple[float, ValueSurface1D]:
+) -> tuple[float, ValueSurface]:
     """Price the variant where the lender may cash the borrower out at cap.
 
     The borrower redeems as usual against the accreted balance, but the
@@ -239,7 +239,7 @@ def price_withdrawable(
     return lattice_surface(spot, VIProblem("withdrawable", market, contract, cap), config)
 
 
-def extract_boundary(surface: ValueSurface1D, tol: float = 1e-7) -> BoundaryCurve:
+def extract_boundary(surface: ValueSurface, tol: float = 1e-7) -> BoundaryCurve:
     """fold_boundary over the layers of a stored one-dimensional surface.
 
     Kept under this name for the tests and for the benchmark's tracer,

@@ -23,7 +23,8 @@ Every grid backend hands its march over as one LayerStream, terminal layer
 first, and three folds read it: fold_values keeps the last layer and reads
 the values off it, fold_boundary scans each layer for the smallest node
 tying with the obstacle, and fold_surface keeps every layer in a value
-surface, which refuses any query off its layers.
+surface, which refuses any query off its layers.  All three carry the cash
+account as an a_grid, None in one dimension, and read layers by read_layer.
 """
 
 from __future__ import annotations
@@ -170,13 +171,15 @@ def check_state(x_grid: np.ndarray, a_grid: np.ndarray, x: float, a: float) -> N
         raise ValueError(f"account level {a} outside grid [0, {a_grid[-1]}]")
 
 
-def bilinear(
-    x_grid: np.ndarray, a_grid: np.ndarray, layer: np.ndarray, x: float, a: float
+def read_layer(
+    x: np.ndarray, a_grid: np.ndarray | None, layer: np.ndarray, s: float, a: float | None
 ) -> float:
-    """The two-dimensional layer at (x, a), linear in each of x and a."""
-    i = int(np.clip(np.searchsorted(x_grid, x), 1, x_grid.size - 1))
+    """The layer at stock level s, and at account level a when a_grid is set: linear in each."""
+    if a_grid is None:
+        return float(np.interp(s, x, layer))
+    i = int(np.clip(np.searchsorted(x, s), 1, x.size - 1))
     j = int(np.clip(np.searchsorted(a_grid, a), 1, a_grid.size - 1))
-    wx = (x - x_grid[i - 1]) / (x_grid[i] - x_grid[i - 1])
+    wx = (s - x[i - 1]) / (x[i] - x[i - 1])
     wa = (a - a_grid[j - 1]) / (a_grid[j] - a_grid[j - 1])
     return float(
         (1.0 - wx) * ((1.0 - wa) * layer[i - 1, j - 1] + wa * layer[i - 1, j])
@@ -185,16 +188,18 @@ def bilinear(
 
 
 @dataclass(frozen=True)
-class ValueSurface1D:
-    """Value surface on a one-dimensional grid, one layer per time to maturity.
+class ValueSurface:
+    """Every layer of a march, one per time to maturity, and the grids they sit on.
 
     tau_grid ascends from 0 (the terminal layer) to the maturity.  Layer j
-    holds node coordinates x_nodes[j], values and the redemption obstacle.
-    principal scales tolerances; spatial_cap bounds boundary extraction;
-    label names the problem and solver_meta carries diagnostics.
+    holds the stock nodes x_nodes[j], the values and the redemption obstacle
+    on them, with one column per level of a_grid when it is set (None in one
+    dimension).  principal scales tolerances; spatial_cap bounds boundary
+    extraction; label names the problem and solver_meta carries diagnostics.
     """
 
     tau_grid: np.ndarray
+    a_grid: np.ndarray | None
     x_nodes: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     obstacles: tuple[np.ndarray, ...]
@@ -208,71 +213,35 @@ class ValueSurface1D:
 
     def stream(self) -> LayerStream:
         """The stored layers as a stream again, for the folds."""
-        return LayerStream(self.tau_grid, None, self.principal, self.spatial_cap, self.label,
+        return LayerStream(self.tau_grid, self.a_grid, self.principal, self.spatial_cap, self.label,
                            self.solver_meta, zip(self.x_nodes, self.values, self.obstacles))
 
-    def value_at(self, x: float, tau: float) -> float:
-        """Bilinear lookup: linear in x within layers, linear across tau.
+    def value_at(self, x: float, tau: float, *, a: float | None = None) -> float:
+        """Linear in x (and in the account a) within layers, linear across tau.
 
-        A tau off the surface, or an x outside the nodes of a layer the
-        lookup reads, is refused with ValueError.
+        A tau off the surface, an x outside the nodes of a layer the lookup
+        reads, or an a off a_grid is refused with ValueError, as is an a on
+        a surface without an account grid or a missing one on a surface with it.
         """
+        if (a is None) != (self.a_grid is None):
+            raise ValueError(f"a={a}: the account is given exactly when there is an a_grid")
+        if a is not None and not self.a_grid[0] <= a <= self.a_grid[-1]:
+            raise ValueError(f"account level {a} outside grid [0, {self.a_grid[-1]}]")
         taus = self.tau_grid
         if not taus[0] <= tau <= taus[-1]:
             raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
         j_hi = int(np.searchsorted(taus, tau))
         if j_hi == 0 or taus[j_hi] == tau:
-            return self._layer_value(j_hi, x, tau)
+            return self._layer_value(j_hi, x, tau, a)
         j_lo = j_hi - 1
-        v_lo = self._layer_value(j_lo, x, tau)
-        v_hi = self._layer_value(j_hi, x, tau)
+        v_lo = self._layer_value(j_lo, x, tau, a)
+        v_hi = self._layer_value(j_hi, x, tau, a)
         w = (tau - taus[j_lo]) / (taus[j_hi] - taus[j_lo])
         return (1.0 - w) * v_lo + w * v_hi
 
-    def _layer_value(self, j: int, x: float, tau: float) -> float:
+    def _layer_value(self, j: int, x: float, tau: float, a: float | None) -> float:
         check_nodes(self.x_nodes[j], x, tau)
-        return float(np.interp(x, self.x_nodes[j], self.values[j]))
-
-
-@dataclass(frozen=True)
-class ValueSurface2D:
-    """Stored layers of a two-dimensional solve, newest (largest tau) last.
-
-    values[m] is an (x_nodes, a_nodes) array on the fixed grids; the
-    redemption obstacle x + A - K does not depend on tau, so a single
-    matrix serves every layer.  value_at refuses a state off the grids.
-    """
-
-    tau_grid: np.ndarray
-    x_grid: np.ndarray
-    a_grid: np.ndarray
-    values: tuple[np.ndarray, ...]
-    obstacle: np.ndarray
-    principal: float
-    label: str
-    solver_meta: dict
-
-    def layer_count(self) -> int:
-        return len(self.values)
-
-    def stream(self) -> LayerStream:
-        """The stored layers as a stream again, for the folds."""
-        layers = ((self.x_grid, v, self.obstacle) for v in self.values)
-        return LayerStream(self.tau_grid, self.a_grid, self.principal, float(self.x_grid[-1]),
-                           self.label, self.solver_meta, layers)
-
-    def value_at(self, x: float, a: float, tau: float) -> float:
-        """Interpolate the surface: bilinear in (x, A), linear in tau."""
-        check_state(self.x_grid, self.a_grid, x, a)
-        if not self.tau_grid[0] <= tau <= self.tau_grid[-1]:
-            raise ValueError(f"tau {tau} outside [0, {self.tau_grid[-1]}]")
-        m = int(np.clip(np.searchsorted(self.tau_grid, tau), 1, self.tau_grid.size - 1))
-        w = (tau - self.tau_grid[m - 1]) / (self.tau_grid[m] - self.tau_grid[m - 1])
-        lower = bilinear(self.x_grid, self.a_grid, self.values[m - 1], x, a)
-        if w <= 0.0:
-            return lower
-        upper = bilinear(self.x_grid, self.a_grid, self.values[m], x, a)
-        return (1.0 - w) * lower + w * upper
+        return read_layer(self.x_nodes[j], self.a_grid, self.values[j], x, a)
 
 
 @dataclass(frozen=True)
@@ -331,9 +300,7 @@ def fold_values(stream: LayerStream, spots: list[float], accrued: float = 0.0) -
     """
     for x, v, _ in stream.layers:
         pass
-    if stream.a_grid is None:
-        return [float(np.interp(s, x, v)) for s in spots]
-    return [bilinear(x, stream.a_grid, v, s, accrued) for s in spots]
+    return [read_layer(x, stream.a_grid, v, s, accrued) for s in spots]
 
 
 def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
@@ -359,7 +326,7 @@ def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
     return BoundaryCurve(stream.tau_grid, frozen(stars), a_cols)
 
 
-def fold_surface(stream: LayerStream) -> ValueSurface1D | ValueSurface2D:
+def fold_surface(stream: LayerStream) -> ValueSurface:
     """Every layer, copied and read-only, in a value surface.
 
     Stock nodes and obstacles that equal the previous layer's are stored
@@ -372,12 +339,9 @@ def fold_surface(stream: LayerStream) -> ValueSurface1D | ValueSurface2D:
         for kept, arr in ((xs, x), (obstacles, obs)):
             kept.append(kept[-1] if kept and np.array_equal(arr, kept[-1]) else frozen(arr.copy()))
         values.append(frozen(v.copy()))
-    if stream.a_grid is None:
-        return ValueSurface1D(stream.tau_grid, tuple(xs), tuple(values), tuple(obstacles),
-                              stream.principal, stream.spatial_cap, stream.label,
-                              stream.solver_meta)
-    return ValueSurface2D(stream.tau_grid, xs[0], stream.a_grid, tuple(values), obstacles[0],
-                          stream.principal, stream.label, stream.solver_meta)
+    return ValueSurface(stream.tau_grid, stream.a_grid, tuple(xs), tuple(values),
+                        tuple(obstacles), stream.principal, stream.spatial_cap, stream.label,
+                        stream.solver_meta)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def test_criterion_3_terminal_boundary_limits():
     _, s4 = price_regime4(0.8, 0.0, HIGH_VOL, loan(4, 3.0),
                           FSG2DConfig(x_nodes=200, a_nodes=50, time_steps=200))
     account_boundary = extract_boundary_surface(s4)
-    x_grid = np.asarray(s4.x_grid)
+    x_grid = np.asarray(s4.x_nodes[0])
     dy = math.log(x_grid[1]) - math.log(x_grid[0])
     row0 = np.asarray(account_boundary.x_star)[0]
     account = np.asarray(account_boundary.a_grid)
@@ -169,7 +169,7 @@ def test_criterion_5_boundary_orderings():
     _, s4 = price_regime4(0.8, 0.0, HIGH_VOL, loan(4, 3.0),
                           FSG2DConfig(x_nodes=200, a_nodes=50, time_steps=200))
     account_boundary = extract_boundary_surface(s4)
-    x_grid = np.asarray(s4.x_grid)
+    x_grid = np.asarray(s4.x_nodes[0])
     dy = math.log(x_grid[1]) - math.log(x_grid[0])
     levels = np.asarray(account_boundary.x_star)
     account = np.asarray(account_boundary.a_grid)
@@ -305,7 +305,7 @@ def test_criterion_8_property_suites():
                               FSG2DConfig(x_nodes=200, a_nodes=120, time_steps=100))
         s2, _ = solve_vi(VIProblem.from_regime(market, loan(2)),
                          FDConfig(space_nodes=300, time_steps=200))
-        x_grid = np.asarray(s4.x_grid)
+        x_grid = np.asarray(s4.x_nodes[0])
         account = np.asarray(s4.a_grid)
         values = np.asarray(s4.values)
         taus = np.asarray(s4.tau_grid)
@@ -339,10 +339,10 @@ def test_criterion_8_property_suites():
         cfg = FDConfig(space_nodes=300, time_steps=200)
         s2, b2 = solve_vi(VIProblem.from_regime(market, loan(2)), cfg)
         _, b3 = solve_vi(VIProblem.from_regime(market, loan(3)), cfg)
-        x_grid = np.asarray(s4.x_grid)
+        x_grid = np.asarray(s4.x_nodes[0])
         account = np.asarray(s4.a_grid)
         values = np.asarray(s4.values)
-        obstacle = np.asarray(s4.obstacle)
+        obstacle = np.asarray(s4.obstacles[0])
         flags = values - obstacle[None] <= 1e-12 * K
         taus = np.asarray(s4.tau_grid)
         fd_tau = np.asarray(s2.tau_grid)
@@ -383,7 +383,7 @@ def test_criterion_8_property_suites():
         columns = account >= K - 1e-12
         worst_plane = max(worst_plane, float(np.max(np.abs(
             np.asarray(sp.values)[:, :, columns]
-            - np.asarray(sp.obstacle)[None, :, columns]))))
+            - np.asarray(sp.obstacles[0])[None, :, columns]))))
     if worst_plane > 1e-10 * K:
         failures.append(f"all-redeem exactness {worst_plane:.2e}")
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -552,6 +553,13 @@ def smoke_argvs():
         yield ["perpetual"] + contract
     for number, solver in (("1", "fd"), ("2", "fd"), ("3", "fsg"), ("4", "fsg")):
         yield ["figure", number] + SMOKE_GRIDS[solver]
+    # inputs whose numbers leave the floats
+    yield ["perpetual", "--regime", "1", "--sigma", "0.001"]
+    yield ["perpetual", "--regime", "2", "--sigma", "0.001"]
+    yield ["perpetual", "--regime", "1", "--principal", "2", "--sigma", "0.01"]
+    yield ["price", "--r", "1e300"]
+    yield ["price", "--solver", "fd", "--loan-rate", "1e300"]
+    yield ["price", "--variant", "amortized", "--maturity", "1e6", "--steps", "40"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -562,6 +570,19 @@ def test_every_command_answers_or_fails_in_one_line(argv, capsys):
     if code != 0:
         assert out == ""
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("flag, named", [("--delta", "delta=1e+300"),
+                                         ("--loan-rate", "loan_rate=1e+300")])
+def test_fsg_march_that_cannot_finish_refused(flag, named, capsys):
+    # explicit stability would ask for about 2e299 substeps per layer
+    argv = ["price", "--solver", "fsg", "--regime", "4", "--maturity", "1", flag, "1e300"]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "substeps per layer" in err and named in err
 
 
 def test_fsg_immediate_redemption(capsys):

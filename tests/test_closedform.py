@@ -134,6 +134,17 @@ def test_perpetual_value_shape():
         result.value(-0.1)
 
 
+@pytest.mark.parametrize("sigma, principal", [(0.01, 2.0), (0.001, K)],
+                         ids=["underflow", "overflow"])
+def test_perpetual_coefficient_off_the_floats_refused(sigma, principal):
+    # c1 = (1 / a) ((a - 1) / (a K))^(a - 1) with alpha_plus a in the thousands:
+    # the true c1 is positive and finite, but its float rounds to 0 or overflows
+    loan = LoanContract(principal=principal, loan_rate=GAMMA, maturity=1.0,
+                        regime=DividendRegime(1))
+    with pytest.raises(ValueError, match="c1="):
+        perpetual_regime1(MarketParams(r=0.06, delta=0.03, sigma=sigma), loan)
+
+
 def test_perpetual_delivered_dividend_boundary_unbounded():
     # the delivered-stream loan value approaches the stock itself, so no
     # finite perpetual redemption level exists

@@ -65,7 +65,7 @@ def test_input_validation():
 def test_golden_value(golden_surface):
     value, surface = golden_surface
     assert value == pytest.approx(0.22307362104371448, rel=1e-12)
-    assert surface.value_at(0.8, 0.1, 1.0) == pytest.approx(value, rel=1e-12)
+    assert surface.value_at(0.8, 1.0, a=0.1) == pytest.approx(value, rel=1e-12)
     meta = surface.solver_meta
     assert meta["solver"] == "fsg"
     assert meta["constrained"] is True
@@ -83,7 +83,7 @@ def test_redeem_now_fast_path():
 def test_surface_dominates_raw_obstacle(golden_surface):
     _, surface = golden_surface
     values = np.asarray(surface.values)
-    obstacle = np.asarray(surface.obstacle)
+    obstacle = np.asarray(surface.obstacles[0])
     assert np.min(values - obstacle[None]) >= 0.0
     assert values.min() >= 0.0
     assert np.array_equal(values[0], np.maximum(obstacle, 0.0))
@@ -92,10 +92,10 @@ def test_surface_dominates_raw_obstacle(golden_surface):
 def test_value_at_bounds(golden_surface):
     _, surface = golden_surface
     with pytest.raises(ValueError):
-        surface.value_at(0.8, 5.0, 1.0)
+        surface.value_at(0.8, 1.0, a=5.0)
     with pytest.raises(ValueError):
-        surface.value_at(0.8, 0.1, 2.0)
-    assert surface.value_at(0.8, 0.1, 0.0) == pytest.approx(max(0.8 + 0.1 - K, 0.0), abs=1e-12)
+        surface.value_at(0.8, 2.0, a=0.1)
+    assert surface.value_at(0.8, 0.0, a=0.1) == pytest.approx(max(0.8 + 0.1 - K, 0.0), abs=1e-12)
 
 
 def test_zero_dividend_collapses_to_single_factor():
@@ -124,7 +124,7 @@ def test_all_redeem_columns_sit_on_obstacle():
     _, surface = price_regime4(0.8, 0.0, HIGH_VOL, contract(), cfg)
     account = np.asarray(surface.a_grid)
     values = np.asarray(surface.values)
-    obstacle = np.asarray(surface.obstacle)
+    obstacle = np.asarray(surface.obstacles[0])
     columns = account >= K - 1e-12
     assert columns.sum() >= 5
     worst = np.max(np.abs(values[:, :, columns] - obstacle[None, :, columns]))
@@ -138,7 +138,7 @@ def test_boundary_surface_shape_and_terminal_row(golden_surface):
     assert np.all(account < K)
     levels = np.asarray(boundary.x_star)
     assert levels.shape == (surface.layer_count(), account.size)
-    x_grid = np.asarray(surface.x_grid)
+    x_grid = np.asarray(surface.x_nodes[0])
     expected = np.array([x_grid[np.searchsorted(x_grid, K - a)] for a in account])
     assert np.allclose(levels[0], expected)
     assert boundary.is_monotone(tolerance=0.0)
@@ -201,8 +201,12 @@ def reference_layers(market, loan, config, constrained):
 
 @pytest.mark.parametrize("market, a_max, constrained", [
     (HIGH_VOL, 1.3 * K, True),
+    (MarketParams(r=0.02, delta=0.2, sigma=1.0), None, True),
+    (MarketParams(r=0.09, delta=0.03, sigma=0.2), None, True),
+    (MarketParams(r=0.04, delta=0.2, sigma=0.4), 1.3 * K, True),
     (MarketParams(r=0.12, delta=0.05, sigma=0.3), None, False),
-], ids=["constrained-past-K", "unconstrained"])
+], ids=["constrained-past-K", "constrained-wide", "constrained-calm", "constrained-rich",
+        "unconstrained"])
 def test_march_matches_per_offset_reference(market, a_max, constrained):
     config = FSG2DConfig(x_nodes=60, a_nodes=12, time_steps=30, a_max=a_max)
     loan = contract(maturity=2.0)
@@ -214,12 +218,14 @@ def test_march_matches_per_offset_reference(market, a_max, constrained):
     for ours, theirs in zip(surface.values, reference):
         assert np.array_equal(ours, theirs)
     if constrained:
-        # some queries land past A = K, so the closure term is exercised
+        # some queries land past the last account node, where the reference
+        # takes the exact closure and the march extrapolates linearly
         r_bar = market.r - GAMMA
-        queries = accrue_dividends(np.asarray(surface.a_grid)[None, :],
-                                   np.asarray(surface.x_grid[1:-1])[:, None],
+        account = np.asarray(surface.a_grid)
+        queries = accrue_dividends(account[None, :],
+                                   np.asarray(surface.x_nodes[0][1:-1])[:, None],
                                    r_bar, market.delta, surface.solver_meta["dt"])
-        assert queries.max() > a_max
+        assert queries.max() > account[-1]
 
 
 @pytest.mark.parametrize("market", [HIGH_VOL, MarketParams(r=0.12, delta=0.05, sigma=0.3)],

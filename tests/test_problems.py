@@ -49,4 +49,4 @@ def test_every_backend_surface_ends_at_maturity():
         assert surface.tau_grid[-1] == maturity
     assert lattice.value_at(0.8, maturity) == value
     assert fd.value_at(0.8, maturity) == pytest.approx(value, abs=0.01)
-    assert fsg.value_at(0.8, 0.1, maturity) == fsg_value
+    assert fsg.value_at(0.8, maturity, a=0.1) == fsg_value

@@ -11,7 +11,13 @@ Solvers: a binomial lattice and a Crank-Nicolson variational-inequality
 solver for the one-dimensional regimes, a forward-shooting grid for the
 two-dimensional cash-dividend regime, infinite-maturity closed forms, and
 an exhaustive-stopping path tree for cross-checking everything else.
+
+Importing the package loads only the closed forms and the contract
+definitions, which use math alone.  Every other public name is served by
+its solver module on first use, and numpy loads with the first of them.
 """
+
+import importlib
 
 from .closedform import (
     UNBOUNDED,
@@ -38,42 +44,34 @@ from .contracts import (
     payoff,
     reduce_regime2,
 )
-from .fd1d import (
-    ComplementarityReport,
-    FDConfig,
-    fd_stream,
-    residual_report,
-    solve_vi,
-)
-from .fsg2d import (
-    FSG2DConfig,
-    extract_boundary_surface,
-    fsg_stream,
-    price_regime4,
-)
-from .lattice1d import (
-    LatticeConfig,
-    extract_boundary,
-    lattice_stream,
-    lattice_surface,
-    lattice_value,
-    price_amortized,
-    price_regime1,
-    price_regime2,
-    price_regime3,
-    price_withdrawable,
-)
-from .oracle import MAX_ORACLE_STEPS, oracle_boundary, oracle_price
-from .problems import (
-    BoundaryCurve,
-    LayerStream,
-    ValueSurface,
-    VIProblem,
-    amortized_payment_rate,
-    fold_boundary,
-    fold_surface,
-    fold_values,
-)
+
+# The submodule of every other public name.  Those modules import numpy, so
+# each one loads on the first read of one of its names (PEP 562).
+_SUBMODULE = {name: module for module, names in {
+    "fd1d": ("ComplementarityReport", "FDConfig", "fd_stream", "residual_report", "solve_vi"),
+    "fsg2d": ("FSG2DConfig", "extract_boundary_surface", "fsg_stream", "price_regime4"),
+    "lattice1d": (
+        "LatticeConfig", "extract_boundary", "lattice_stream", "lattice_surface",
+        "lattice_value", "price_amortized", "price_regime1", "price_regime2", "price_regime3",
+        "price_withdrawable",
+    ),
+    "oracle": ("MAX_ORACLE_STEPS", "oracle_boundary", "oracle_price"),
+    "problems": (
+        "BoundaryCurve", "LayerStream", "ValueSurface", "VIProblem", "amortized_payment_rate",
+        "fold_boundary", "fold_surface", "fold_values",
+    ),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_SUBMODULE]
+
 
 __all__ = [
     "MAX_ORACLE_STEPS",

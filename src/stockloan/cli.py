@@ -8,6 +8,10 @@ literal inf, so repeated runs are byte-identical and self-describing.
 
 Exit codes: 0 on success, 2 for configuration or parameter errors, 3 for
 solver failures.
+
+Parsing, validation, every refusal made before a solve, --help and the
+perpetual closed forms use math alone: the solver modules, and numpy with
+them, load when a command first solves (_solvers).
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import closedform, fd1d, fsg2d, lattice1d, oracle
+from . import closedform
 from .contracts import DividendRegime, LoanContract, MarketParams
-from .problems import BoundaryCurve, LayerStream, VIProblem, fold_boundary, fold_values
+
+if TYPE_CHECKING:
+    from .problems import BoundaryCurve, LayerStream, VIProblem
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -211,6 +216,18 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
         raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
+def _solvers():
+    """The modules fd1d, fsg2d, lattice1d, oracle and problems, imported together.
+
+    They load, and numpy with them, when a command first solves.  All of
+    them load at once, whichever solver the command uses, so that code
+    wrapping every backend's functions finds each module imported.
+    """
+    from . import fd1d, fsg2d, lattice1d, oracle, problems
+
+    return fd1d, fsg2d, lattice1d, oracle, problems
+
+
 def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
     """The configured grid solver's march, with every spot checked before its first layer.
 
@@ -218,6 +235,7 @@ def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
     spot, so one march serves every spot; the lattice tree is centred on
     its one spot.  None when the forward-shooting state redeems at once.
     """
+    fd1d, fsg2d, lattice1d, *_ = _solvers()
     if cfg.solver == "fsg":
         config = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
                                    time_steps=cfg.fsg_steps)
@@ -235,17 +253,18 @@ def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
     Regime-3 values from the lattice and finite differences exclude the
     dividends already delivered, so the accrued account is added here.
     """
+    *_, oracle, problems = _solvers()
     if cfg.solver == "oracle":
         market, contract = cfg.market(), cfg.contract()
         return [oracle.oracle_price(s, market, contract, cfg.oracle_steps, cfg.accrued)
                 for s in spots]
     if cfg.solver == "lattice":
-        values = [fold_values(_stream(cfg, [s]), [s])[0] for s in spots]
+        values = [problems.fold_values(_stream(cfg, [s]), [s])[0] for s in spots]
     else:
         stream = _stream(cfg, spots)
         if stream is None:
             return [s + cfg.accrued - cfg.principal for s in spots]
-        values = fold_values(stream, spots, cfg.accrued)
+        values = problems.fold_values(stream, spots, cfg.accrued)
     if cfg.variant is None and cfg.regime == 3:
         values = [v + cfg.accrued for v in values]
     return values
@@ -262,11 +281,14 @@ def _boundary(cfg: RunConfig) -> BoundaryCurve:
             "immediate redemption is exactly optimal for this state; "
             "no boundary surface is produced"
         )
-    return fold_boundary(stream, cfg.tol)
+    *_, problems = _solvers()
+    return problems.fold_boundary(stream, cfg.tol)
 
 
 def _problem(cfg: RunConfig) -> VIProblem:
-    return VIProblem(cfg.variant or f"regime{cfg.regime}", cfg.market(), cfg.contract(), cfg.cap)
+    *_, problems = _solvers()
+    return problems.VIProblem(cfg.variant or f"regime{cfg.regime}", cfg.market(), cfg.contract(),
+                              cfg.cap)
 
 
 def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
@@ -355,7 +377,8 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     if target > cfg.maturity:
         raise ValueError(f"snapshot at tau={target} needs maturity >= {target}")
     curve = _boundary(cfg)
-    layer = int(np.argmin(np.abs(curve.tau_grid - target)))
+    taus = curve.tau_grid.tolist()
+    layer = min(range(len(taus)), key=lambda m: abs(taus[m] - target))  # the first nearest
     rows = [f"{_fmt(a)},{_fmt(star)}" for a, star in zip(curve.a_grid, curve.x_star[layer])]
     return _csv(cfg, "a,x_star", rows)
 
@@ -365,6 +388,7 @@ def cmd_oracle_check(cfg: RunConfig) -> str:
     if cfg.variant is not None:
         raise ValueError("the path-tree check covers the four regimes, not variants")
     solver_value = _values(cfg, [cfg.spot])[0]
+    *_, oracle, _ = _solvers()
     oracle_value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
     return (
         f"solver_value={_fmt(solver_value)}\n"

@@ -167,6 +167,8 @@ def _alpha_roots(r_bar: float, delta: float, sigma: float) -> tuple[float, float
     # Positive root from the explicit radical; the other via the root sum,
     # which avoids cancellation in the second radical.
     s2 = sigma * sigma
+    if s2 == 0.0:
+        raise ValueError(f"volatility sigma={sigma} is too small: its square underflows a float")
     alpha_plus = (
         -(r_bar - delta - 0.5 * s2) + math.sqrt((r_bar - delta + 0.5 * s2) ** 2 + 2.0 * delta * s2)
     ) / s2
@@ -180,8 +182,9 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
     Requires a nonempty redemption region: either r >= gamma with delta > 0,
     or r < gamma.  The boundary is finite when delta > 0, and with delta = 0
     exactly when r < gamma - sigma^2 / 2; in the remaining band
-    gamma - sigma^2 / 2 <= r < gamma it is UNBOUNDED.  A bounded case whose
-    coefficient c1 over- or underflows a float is refused with ValueError.
+    gamma - sigma^2 / 2 <= r < gamma it is UNBOUNDED.  A sigma whose square
+    underflows a float, and a bounded case whose coefficient c1 over- or
+    underflows one, are refused with ValueError.
     """
     r_bar = market.r - contract.loan_rate
     delta, sigma = market.delta, market.sigma

@@ -133,14 +133,20 @@ def _policy_step(
         return _tridiagonal_solve(np.full(n - 1, off_lo), np.full(n, diag),
                                   np.full(n - 1, off_up), b.copy()), 1
     upper = math.inf if cap is None else cap
-    padded = np.zeros(n + 2)  # boundary contributions are already folded into b
+    # every pass reuses these; boundary contributions are already folded into b
+    padded, (residual, slack, term) = np.zeros(n + 2), np.empty((3, n))
 
     def policy_of(f: np.ndarray) -> np.ndarray:
+        # residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b, in that order
         padded[1:-1] = f
-        residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
-        slack = f - lower
+        np.multiply(f, diag, out=residual)
+        np.add(residual, np.multiply(padded[:-2], off_lo, out=term), out=residual)
+        np.add(residual, np.multiply(padded[2:], off_up, out=term), out=residual)
+        np.subtract(residual, b, out=residual)
+        np.subtract(f, lower, out=slack)
         policy = np.where(slack < residual, _OBSTACLE, _PDE)
-        policy[f - upper > np.minimum(residual, slack)] = _CAP
+        if cap is not None:
+            policy[f - cap > np.minimum(residual, slack)] = _CAP
         return policy
 
     policy = policy_of(init)
@@ -162,44 +168,55 @@ def _march(
     """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
 
     Adds the tridiagonal solves to meta["linear_solves"] and stores the
-    Rannacher half-step layer as meta["rannacher_intermediate"].
+    Rannacher half-step layer as meta["rannacher_intermediate"].  Each step
+    builds its right-hand side in buffers the march reuses, summed in the
+    order of the plain expression, so the layers are bit for bit those of a
+    march that allocates every sum.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
+    # every step rebuilds its right-hand side b in these
+    b, acc, term = np.empty((3, x.size - 2))
+    unpinned = np.full(x.size - 2, -math.inf)
 
-    def step(f_old: np.ndarray, tau_new: float, cn: bool) -> np.ndarray:
-        """One solve of (I - half L) f = rhs: Crank-Nicolson if cn, else implicit Euler."""
-        b = f_old[1:-1].copy()
+    def step(f_old: np.ndarray, tau_new: float, cn: bool) -> Layer:
+        """One solve of (I - half L) f = rhs: Crank-Nicolson if cn, else implicit Euler.
+
+        Returns the layer at tau_new; its obstacle is also the step's floor.
+        """
+        np.copyto(b, f_old[1:-1])
         if cn:
-            b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
+            # b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:]), in that order
+            np.multiply(f_old[:-2], lo, out=acc)
+            np.add(acc, np.multiply(f_old[1:-1], mid, out=term), out=acc)
+            np.add(acc, np.multiply(f_old[2:], up, out=term), out=acc)
+            np.add(b, np.multiply(acc, half, out=acc), out=b)
         if src is not None:
-            b += (dtau if cn else half) * src
+            np.add(b, np.multiply(src, dtau if cn else half, out=term), out=b)
         bottom = spec.near_field(tau_new, float(x[0]))
         top = spec.far_field(tau_new, float(x[-1]))
         b[0] += half * lo * bottom
         b[-1] += half * up * top
+        obstacle = np.asarray(spec.obstacle(x, tau_new), dtype=float)
         f_int, solves = _policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
-                                     _floor(spec, x[1:-1], tau_new), spec.cap)
+                                     obstacle[1:-1] if spec.constrained else unpinned, spec.cap)
         meta["linear_solves"] += solves
         f_new = np.concatenate(([bottom], f_int, [top]))
         if np.isnan(f_new).any():
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
-        return f_new
-
-    def layer(f: np.ndarray, tau: float) -> Layer:
-        return x, f, np.asarray(spec.obstacle(x, tau), dtype=float)
+        return x, f_new, obstacle
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
     f = np.asarray(spec.terminal(x), dtype=float)
-    yield layer(f, 0.0)
-    meta["rannacher_intermediate"] = step(f, half, False)
-    f = step(meta["rannacher_intermediate"], float(taus[1]), False)
-    yield layer(f, float(taus[1]))
+    yield x, f, np.asarray(spec.obstacle(x, 0.0), dtype=float)
+    _, meta["rannacher_intermediate"], _ = step(f, half, False)
+    layer = step(meta["rannacher_intermediate"], float(taus[1]), False)
+    yield layer
     for tau in taus[2:]:
-        f = step(f, float(tau), True)
-        yield layer(f, float(tau))
+        layer = step(layer[1], float(tau), True)
+        yield layer
 
 
 def fd_stream(

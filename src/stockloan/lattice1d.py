@@ -63,10 +63,16 @@ def crr_step_params(
 
     drift is the risk-neutral growth rate of the lattice state and rate the
     discount rate, both per unit time.  The martingale probability must lie
-    strictly inside (0, 1) or the step size is too coarse for the drift.
+    strictly inside (0, 1) or the step size is too coarse for the drift; a
+    volatility so small that u and d round to one float is refused too.
     """
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u
+    if u == d:
+        raise ValueError(
+            f"volatility sigma={sigma:.6g} is too small for a step of dt={dt:.6g}: "
+            f"the up and down factors round to the same float"
+        )
     p = (math.exp(drift * dt) - d) / (u - d)
     if not 0.0 < p < 1.0:
         raise ValueError(

@@ -80,8 +80,9 @@ def log_x_grid(
     """Stock nodes evenly spaced in log(x), read-only, and their log spacing; returns (x, dy).
 
     The log domain is log(K) +- 6 sigma sqrt(T).  A top node that would
-    overflow a float, or a spacing wider than MAX_LOG_SPACING, is refused
-    with ValueError.
+    overflow a float, a spacing wider than MAX_LOG_SPACING, or one whose
+    square underflows to 0 (a volatility too small for the floats) is
+    refused with ValueError.
     """
     sig_span = 6.0 * sigma * math.sqrt(maturity)
     y_min = math.log(principal) - sig_span
@@ -99,7 +100,14 @@ def log_x_grid(
             f"use at least {math.floor(2.0 * sig_span / MAX_LOG_SPACING) + 2} stock nodes"
         )
     y = np.linspace(y_min, y_max, nodes)
-    return frozen(np.exp(y)), float(y[1] - y[0])
+    dy = float(y[1] - y[0])
+    if dy * dy == 0.0:
+        raise ValueError(
+            f"the stock grid's log spacing {dy:.3g} is too small for a float stencil, "
+            f"which divides by its square (principal={principal}, sigma={sigma}, "
+            f"maturity={maturity}, nodes={nodes})"
+        )
+    return frozen(np.exp(y)), dy
 
 
 def log_stencil(

@@ -560,6 +560,15 @@ def smoke_argvs():
     yield ["price", "--r", "1e300"]
     yield ["price", "--solver", "fd", "--loan-rate", "1e300"]
     yield ["price", "--variant", "amortized", "--maturity", "1e6", "--steps", "40"]
+    # a volatility too small for the floats: its square, the tree's u - d or the log spacing is 0
+    yield ["perpetual", "--sigma", "1e-200"]
+    yield ["perpetual", "--sigma", "1e-162"]
+    yield ["price", "--sigma", "1e-150"]
+    yield ["price", "--solver", "fd", "--sigma", "1e-150"]
+    yield ["price", "--solver", "fsg", "--regime", "4", "--sigma", "1e-170"]
+    yield ["price", "--solver", "oracle", "--sigma", "1e-200"]
+    yield ["sweep", "--param", "sigma", "--values", "1e-200"]
+    yield ["figure", "1", "--sigma", "1e-200"]
 
 
 @pytest.mark.filterwarnings("error")

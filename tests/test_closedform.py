@@ -145,6 +145,13 @@ def test_perpetual_coefficient_off_the_floats_refused(sigma, principal):
         perpetual_regime1(MarketParams(r=0.06, delta=0.03, sigma=sigma), loan)
 
 
+@pytest.mark.parametrize("sigma", [1e-162, 1e-200])
+def test_volatility_whose_square_underflows_refused(sigma):
+    # the roots divide by sigma^2, which rounds to 0
+    with pytest.raises(ValueError, match=f"sigma={sigma} is too small"):
+        perpetual_regime1(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(1))
+
+
 def test_perpetual_delivered_dividend_boundary_unbounded():
     # the delivered-stream loan value approaches the stock itself, so no
     # finite perpetual redemption level exists

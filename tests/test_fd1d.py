@@ -15,6 +15,7 @@ from stockloan import (
     VIProblem,
     classify,
     european_call,
+    fd_stream,
     parity_price_regime3,
     price_amortized,
     price_regime1,
@@ -226,3 +227,111 @@ def test_value_at_refuses_off_grid():
         for tau in (1.0, 0.0, 0.5 * (surface.tau_grid[3] + surface.tau_grid[4])):
             with pytest.raises(ValueError, match="outside the surface nodes"):
                 surface.value_at(spot, tau)
+
+
+def reference_march(problem, config):
+    """The march with a fresh array for every sum and the obstacle evaluated apart
+    for the floor and for the layer; returns its layers, Rannacher layer and solve count."""
+    from scipy.linalg.lapack import dgtsv
+
+    from stockloan.problems import log_x_grid, problem_spec, tau_grid
+
+    spec = problem_spec(problem)
+    maturity = problem.contract.maturity
+    taus = tau_grid(maturity, config.time_steps)
+    x, dy = log_x_grid(problem.contract.principal, spec.sigma, maturity, config.space_nodes)
+    dtau = float(taus[-1]) / (taus.size - 1)
+    half = 0.5 * dtau
+    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
+    src = spec.source(x[1:-1]) if spec.source is not None else None
+    solves = 0
+
+    def solve(sub, diag, sup, b):
+        *_, f, info = dgtsv(sub, diag, sup, b)
+        assert info == 0
+        return f
+
+    def floor(tau):
+        if spec.constrained:
+            return np.asarray(spec.obstacle(x[1:-1], tau), dtype=float)
+        return np.full(x.size - 2, -math.inf)
+
+    def policy_step(diag, off_lo, off_up, b, init, lower, cap):
+        n = b.size
+        if cap is None and not np.isfinite(lower).any():
+            return solve(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up),
+                         b.copy()), 1
+        upper = math.inf if cap is None else cap
+        padded = np.zeros(n + 2)
+
+        def policy_of(f):
+            padded[1:-1] = f
+            residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
+            slack = f - lower
+            policy = np.where(slack < residual, 1, 0)
+            policy[f - upper > np.minimum(residual, slack)] = 2
+            return policy
+
+        policy = policy_of(init)
+        for count in range(1, n + 2):
+            pde = policy == 0
+            rhs = np.where(pde, b, np.where(policy == 1, lower, upper))
+            f = solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
+                      np.where(pde[:-1], off_up, 0.0), rhs)
+            settled = policy_of(f)
+            if np.array_equal(settled, policy):
+                return f, count
+            policy = settled
+        raise AssertionError("the reference policy iteration did not settle")
+
+    def step(f_old, tau_new, cn):
+        nonlocal solves
+        b = f_old[1:-1].copy()
+        if cn:
+            b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
+        if src is not None:
+            b += (dtau if cn else half) * src
+        bottom = spec.near_field(tau_new, float(x[0]))
+        top = spec.far_field(tau_new, float(x[-1]))
+        b[0] += half * lo * bottom
+        b[-1] += half * up * top
+        f_int, count = policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
+                                   floor(tau_new), spec.cap)
+        solves += count
+        return np.concatenate(([bottom], f_int, [top]))
+
+    def layer(f, tau):
+        return x, f, np.asarray(spec.obstacle(x, tau), dtype=float)
+
+    f = np.asarray(spec.terminal(x), dtype=float)
+    layers = [layer(f, 0.0)]
+    rannacher = step(f, half, False)
+    f = step(rannacher, float(taus[1]), False)
+    layers.append(layer(f, float(taus[1])))
+    for tau in taus[2:]:
+        f = step(f, float(tau), True)
+        layers.append(layer(f, float(tau)))
+    return layers, rannacher, solves
+
+
+# r above gamma: regimes 2 and 3 lose their boundary, so each of their steps is one solve
+FD_MARKETS = [HIGH_VOL, MarketParams(r=0.14, delta=0.03, sigma=0.25)]
+
+
+@pytest.mark.parametrize("grid", [(40, 2), (64, 37), (200, 120)], ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("market", FD_MARKETS, ids=lambda m: f"r{m.r}")
+@pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
+def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
+    regime = int(kind[-1]) if kind.startswith("regime") else 1
+    prob = VIProblem(kind, market, contract(regime, maturity=3.0),
+                     cap=0.5 if kind == "withdrawable" else None)
+    config = FDConfig(space_nodes=grid[0], time_steps=grid[1])
+    stream = fd_stream(prob, config)
+    drawn = list(stream.layers)
+    expected, rannacher, solves = reference_march(prob, config)
+    assert len(drawn) == len(expected) == grid[1] + 1
+    for got, want in zip(drawn, expected):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    assert stream.solver_meta["rannacher_intermediate"].tobytes() == rannacher.tobytes()
+    assert stream.solver_meta["linear_solves"] == solves

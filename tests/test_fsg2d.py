@@ -270,3 +270,10 @@ def test_boundary_path_memory_at_the_default_grid():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("principal", [0.7, 1.0])
+def test_log_spacing_too_small_for_the_stencil_refused(principal):
+    # at K = 0.7 the spacing rounds to 0; at K = 1 it is 6e-172 and its square underflows
+    with pytest.raises(ValueError, match="too small for a float stencil"):
+        log_x_grid(principal, 1e-170, 1.0, 200)

@@ -364,3 +364,9 @@ def test_ladder_nodes_equal_per_layer_exp_on_random_trees():
         for j, (x, _, _) in enumerate(stream.layers):
             level = steps - j
             assert np.array_equal(x, spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level)))
+
+
+def test_volatility_too_small_for_the_tree_refused():
+    # exp(sigma sqrt(dt)) rounds to 1, so u == d and the up probability divides by 0
+    with pytest.raises(ValueError, match="sigma=1e-150 is too small"):
+        lattice1d.crr_step_params(1e-150, -0.04, -0.04, 0.0025)

@@ -25,6 +25,13 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def run_probe(probe):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    return result.stdout.strip()
+
+
 def test_cli_import_leaves_heavy_scipy_out():
     # scipy serves only the finite-difference step; importing it cost every
     # CLI start about 0.2-0.35 s (scipy.stats alone once added about 1.2 s)
@@ -45,8 +52,57 @@ for argv in (["perpetual", "--regime", "1"],
     loaded[argv[0] + " " + argv[2]] = scipy_modules()
 print(loaded)
 """
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, check=True)
-    assert result.stdout.strip() == str({"import": [], "perpetual 1": [], "price lattice": [],
-                                         "price fsg": [], "boundary fsg": []})
+    assert run_probe(probe) == str({"import": [], "perpetual 1": [], "price lattice": [],
+                                    "price fsg": [], "boundary fsg": []})
+
+
+def test_closed_forms_and_refusals_leave_numpy_out():
+    # the perpetual closed forms and every refusal made before a solve need only math;
+    # numpy alone once cost a cold start about 0.12 s of 0.17 s
+    probe = """
+import contextlib, io, sys
+import stockloan.cli as cli
+
+loaded = {"import": "numpy" in sys.modules}
+for argv in (["perpetual", "--regime", "1"], ["perpetual", "--regime", "2"],
+             ["perpetual", "--regime", "3"], ["--help"], ["price", "--sigma", "nan"],
+             ["price", "--solver", "fsg", "--regime", "1"], ["perpetual", "--sigma", "1e-200"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded[" ".join(argv)] = (code, "numpy" in sys.modules)
+print(loaded)
+"""
+    assert run_probe(probe) == str({
+        "import": False, "perpetual --regime 1": (0, False), "perpetual --regime 2": (0, False),
+        "perpetual --regime 3": (0, False), "--help": (0, False),
+        "price --sigma nan": (2, False), "price --solver fsg --regime 1": (2, False),
+        "perpetual --sigma 1e-200": (2, False)})
+
+
+def test_first_solve_loads_every_solver_module():
+    # a tracer that wraps every backend looks each module up in sys.modules, so one
+    # lattice price must load the grid backends and the oracle as well
+    probe = """
+import contextlib, io, sys
+import stockloan.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["price", "--solver", "lattice", "--steps", "50"]) == 0
+print(sorted(n for n in sys.modules if n.startswith("stockloan.")))
+"""
+    assert run_probe(probe) == str([f"stockloan.{name}" for name in (
+        "cli", "closedform", "contracts", "fd1d", "fsg2d", "lattice1d", "oracle", "problems")])
+
+
+def test_star_import_and_dir_serve_every_public_name():
+    probe = """
+import stockloan
+namespace = {}
+exec("from stockloan import *", namespace)
+public = set(stockloan.__all__)
+print(sorted(public - set(namespace)), sorted(public - set(dir(stockloan))))
+"""
+    assert run_probe(probe) == "[] []"

@@ -33,7 +33,7 @@ from .problems import (
     ProblemSpec,
     ValueSurface,
     VIProblem,
-    check_nodes,
+    check_state,
     fold_boundary,
     fold_surface,
     log_stencil,
@@ -224,18 +224,17 @@ def fd_stream(
 ) -> LayerStream:
     """The march for problem on config's grid, as a stream of (x, values, obstacle) layers.
 
-    The grid is checked, and every spot is refused with ValueError when it
-    lies off the stock nodes, before the first layer.  solver_meta counts
-    the tridiagonal solves as the layers are drawn.  Parameters whose
-    redeeming region is empty have no row to pin, so each step is a single
-    tridiagonal solve.
+    The grid, and every spot (by check_state, against the stock nodes), are
+    checked before the first layer.  solver_meta counts the tridiagonal
+    solves as the layers are drawn.  Parameters whose redeeming region is
+    empty have no row to pin, so each step is a single tridiagonal solve.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
     taus = tau_grid(maturity, config.time_steps)
     x, dy = log_x_grid(principal, spec.sigma, maturity, config.space_nodes)
     for spot in spots:
-        check_nodes(x, spot, maturity)
+        check_state(spot, x=x, tau=maturity)
     meta = {"solver": "fd", "config": config, "linear_solves": 0,
             "constrained": spec.constrained}
     return LayerStream(taus, None, principal, float(x[-1]), f"fd-{spec.label}", meta,

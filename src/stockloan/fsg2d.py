@@ -95,7 +95,8 @@ def fsg_stream(
     terminal layer first and the layer at the maturity last; the values are
     a read-only view of the one buffer the march writes in place, so they
     hold until the next layer is drawn.  Arguments, the grids and every
-    state are checked here, before the first layer.
+    state (by check_state, also before the immediate answer) are checked
+    here, before the first layer.
 
     Every substep applies one linear map, built here: each of the three
     stencil rows of a parent row is interpolated in the account at the
@@ -106,13 +107,10 @@ def fsg_stream(
     """
     if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
         raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
+    for spot in spots:
+        check_state(spot, accrued)
     constrained = classify(market, contract).has_boundary
-    immediate = constrained and accrued >= contract.principal
-    # the grid refuses a spot past the first that is not positive; with no grid, this does
-    for spot in spots if immediate else spots[:1]:
-        if spot <= 0.0 or accrued < 0.0:
-            raise ValueError(f"need spot > 0 and accrued >= 0, got {spot}, {accrued}")
-    if immediate:
+    if constrained and accrued >= contract.principal:
         return None
     config = config or FSG2DConfig()
     r_bar = market.r - contract.loan_rate
@@ -199,7 +197,7 @@ def fsg_stream(
                 yield x, layer, obstacle
 
     for spot in spots:
-        check_state(x, a, spot, accrued)
+        check_state(spot, accrued, x, a, maturity)
     meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt,
             "constrained": constrained}
     label = "fsg-regime4" if constrained else "fsg-regime4-linear"
@@ -222,8 +220,8 @@ def price_regime4(
     is returned without a solve (surface None).  When no redemption is
     strictly optimal (r >= gamma), the obstacle never binds and the plain
     pricing equation is marched over a wider account grid, with
-    solver_meta["constrained"] False.  A state outside the solved grid is
-    refused with ValueError.
+    solver_meta["constrained"] False.  check_state refuses, on either path,
+    a state no loan is in, and one outside the solved grid.
     """
     stream = fsg_stream([spot], accrued, market, contract, config)
     if stream is None:

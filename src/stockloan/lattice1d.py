@@ -33,6 +33,7 @@ from .problems import (
     LayerStream,
     ValueSurface,
     VIProblem,
+    check_state,
     fold_boundary,
     fold_surface,
     fold_values,
@@ -86,16 +87,13 @@ def crr_step_params(
 def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> LayerStream:
     """The tree for problem centred on spot, as a stream of (nodes, values, obstacle) layers.
 
-    Arguments are checked here, before the first layer is built, down to a
-    top node that would overflow a float.  A NaN anywhere in the tree is
-    refused with RuntimeError when the root is drawn.  A layer's nodes are
-    a view of the ladder, and its values a view of a buffer the march
-    overwrites as soon as the next layer is drawn.
+    Arguments are checked here (the spot by check_state), before the first
+    layer is built, down to a top node that would overflow a float.  A NaN
+    anywhere in the tree is refused with RuntimeError when the root is
+    drawn.  A layer's nodes are a view of the ladder, and its values a view
+    of a buffer the march overwrites as soon as the next layer is drawn.
     """
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
-    if not math.isfinite(spot):
-        raise ValueError(f"spot must be finite, got {spot}")
+    check_state(spot)
     spec = problem_spec(problem)
     steps, maturity = config.steps, problem.contract.maturity
     dt = maturity / steps

@@ -30,6 +30,7 @@ from .contracts import (
     reduce_regime2,
 )
 from .lattice1d import crr_step_params
+from .problems import check_state
 
 MAX_ORACLE_STEPS = 14
 
@@ -37,10 +38,6 @@ MAX_ORACLE_STEPS = 14
 def _prepare(
     market: MarketParams, contract: LoanContract, accrued: float
 ) -> tuple[MarketParams, LoanContract]:
-    if accrued < 0.0:
-        raise ValueError(f"accrued account must be nonnegative, got {accrued}")
-    if not math.isfinite(accrued):
-        raise ValueError(f"accrued account must be finite, got {accrued}")
     if contract.regime is DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION:
         if accrued != 0.0:
             raise ValueError("regimes without a cash account require accrued == 0")
@@ -77,10 +74,7 @@ def _solve_tree(
             f"path tree steps must lie in [1, {MAX_ORACLE_STEPS}], got {steps}: "
             "the tree doubles with every step"
         )
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
-    if not math.isfinite(spot):
-        raise ValueError(f"spot must be finite, got {spot}")
+    check_state(spot, accrued)
     allowed = None if exercise_steps is None else frozenset(exercise_steps)
     if allowed is not None and not all(0 <= k <= steps for k in allowed):
         raise ValueError(f"exercise steps must lie in [0, {steps}], got {sorted(allowed)}")

@@ -25,6 +25,8 @@ the values off it, fold_boundary scans each layer for the smallest node
 tying with the obstacle, and fold_surface keeps every layer in a value
 surface, which refuses any query off its layers.  All three carry the cash
 account as an a_grid, None in one dimension, and read layers by read_layer.
+check_state, the one rule for a loan's state (S > 0, A >= 0, on the grid
+read), is applied by the stream builders, the path-tree oracle and read_layer.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # on 400 time steps is already off by about 3 %, and the error grows as the
 # square of the spacing (the measured table is in CHANGES.md).
 MAX_LOG_SPACING = 0.3
+MIN_LOG_SPACING_ULPS = 4  # narrowest, in ulps of max(1, |log x|); table in CHANGES.md
 
 _REGIME_KINDS: dict[DividendRegime, ProblemKind] = {
     DividendRegime.LENDER_KEEPS: "regime1",
@@ -80,9 +83,9 @@ def log_x_grid(
     """Stock nodes evenly spaced in log(x), read-only, and their log spacing; returns (x, dy).
 
     The log domain is log(K) +- 6 sigma sqrt(T).  A top node that would
-    overflow a float, a spacing wider than MAX_LOG_SPACING, or one whose
-    square underflows to 0 (a volatility too small for the floats) is
-    refused with ValueError.
+    overflow a float, a spacing wider than MAX_LOG_SPACING, or one too
+    small for the floats (its square underflows to 0, or it spans fewer
+    than MIN_LOG_SPACING_ULPS ulps of the nodes) is refused with ValueError.
     """
     sig_span = 6.0 * sigma * math.sqrt(maturity)
     y_min = math.log(principal) - sig_span
@@ -107,6 +110,11 @@ def log_x_grid(
             f"which divides by its square (principal={principal}, sigma={sigma}, "
             f"maturity={maturity}, nodes={nodes})"
         )
+    # the floats resolve y to ulp(|y|), and exp(y) to ulp(1) relative to it
+    if dy < MIN_LOG_SPACING_ULPS * math.ulp(max(1.0, abs(y_min), abs(y_max))):
+        raise ValueError(f"the stock grid's log spacing {dy:.3g} spans fewer than "
+                         f"{MIN_LOG_SPACING_ULPS} ulps of its nodes (principal={principal}, "
+                         f"sigma={sigma}, maturity={maturity}, nodes={nodes})")
     return frozen(np.exp(y)), dy
 
 
@@ -165,24 +173,32 @@ class LayerStream:
     layers: Iterator[Layer]
 
 
-def check_nodes(nodes: np.ndarray, x: float, tau: float) -> None:
-    """Refuse an x outside the ascending nodes of the layer at tau with ValueError."""
-    if not nodes[0] <= x <= nodes[-1]:
-        raise ValueError(f"x={x} outside the surface nodes [{nodes[0]}, {nodes[-1]}] at tau={tau}")
+def check_state(spot: float, accrued: float | None = None, x: np.ndarray | None = None,
+                a_grid: np.ndarray | None = None, tau: float | None = None) -> None:
+    """Refuse with ValueError a spot not positive and finite, or an account not >= 0 and finite.
+
+    A spot off x (the ascending stock nodes of the layer at tau) and an
+    account off a_grid are refused too, when given.  Sign precedes finiteness.
+    """
+    if spot <= 0.0:
+        raise ValueError(f"spot must be positive, got {spot}")
+    if not math.isfinite(spot):
+        raise ValueError(f"spot must be finite, got {spot}")
+    if x is not None and not x[0] <= spot <= x[-1]:
+        raise ValueError(f"x={spot} outside the surface nodes [{x[0]}, {x[-1]}] at tau={tau}")
+    if accrued is not None:
+        if accrued < 0.0:
+            raise ValueError(f"accrued account must be nonnegative, got {accrued}")
+        if not math.isfinite(accrued):
+            raise ValueError(f"accrued account must be finite, got {accrued}")
+        if a_grid is not None and not a_grid[0] <= accrued <= a_grid[-1]:
+            raise ValueError(f"account level {accrued} outside grid [0, {a_grid[-1]}]")
 
 
-def check_state(x_grid: np.ndarray, a_grid: np.ndarray, x: float, a: float) -> None:
-    """Refuse a stock or account level off the grids with ValueError."""
-    if not x_grid[0] <= x <= x_grid[-1]:
-        raise ValueError(f"stock level {x} outside grid [{x_grid[0]}, {x_grid[-1]}]")
-    if not a_grid[0] <= a <= a_grid[-1]:
-        raise ValueError(f"account level {a} outside grid [0, {a_grid[-1]}]")
-
-
-def read_layer(
-    x: np.ndarray, a_grid: np.ndarray | None, layer: np.ndarray, s: float, a: float | None
-) -> float:
-    """The layer at stock level s, and at account level a when a_grid is set: linear in each."""
+def read_layer(x: np.ndarray, a_grid: np.ndarray | None, layer: np.ndarray, s: float,
+               a: float | None, tau: float) -> float:
+    """The layer at tau at stock level s (and account a): linear in each, refused off the grids."""
+    check_state(s, a, x, a_grid, tau)
     if a_grid is None:
         return float(np.interp(s, x, layer))
     i = int(np.clip(np.searchsorted(x, s), 1, x.size - 1))
@@ -227,29 +243,22 @@ class ValueSurface:
     def value_at(self, x: float, tau: float, *, a: float | None = None) -> float:
         """Linear in x (and in the account a) within layers, linear across tau.
 
-        A tau off the surface, an x outside the nodes of a layer the lookup
-        reads, or an a off a_grid is refused with ValueError, as is an a on
-        a surface without an account grid or a missing one on a surface with it.
+        A tau off the surface, an a on a surface without an account grid or a
+        missing one on a surface with it, or a state off a layer read is refused.
         """
         if (a is None) != (self.a_grid is None):
             raise ValueError(f"a={a}: the account is given exactly when there is an a_grid")
-        if a is not None and not self.a_grid[0] <= a <= self.a_grid[-1]:
-            raise ValueError(f"account level {a} outside grid [0, {self.a_grid[-1]}]")
         taus = self.tau_grid
         if not taus[0] <= tau <= taus[-1]:
             raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
-        j_hi = int(np.searchsorted(taus, tau))
-        if j_hi == 0 or taus[j_hi] == tau:
-            return self._layer_value(j_hi, x, tau, a)
-        j_lo = j_hi - 1
-        v_lo = self._layer_value(j_lo, x, tau, a)
-        v_hi = self._layer_value(j_hi, x, tau, a)
-        w = (tau - taus[j_lo]) / (taus[j_hi] - taus[j_lo])
-        return (1.0 - w) * v_lo + w * v_hi
 
-    def _layer_value(self, j: int, x: float, tau: float, a: float | None) -> float:
-        check_nodes(self.x_nodes[j], x, tau)
-        return read_layer(self.x_nodes[j], self.a_grid, self.values[j], x, a)
+        def read(j: int) -> float:
+            return read_layer(self.x_nodes[j], self.a_grid, self.values[j], x, a, tau)
+        j = int(np.searchsorted(taus, tau))
+        if j == 0 or taus[j] == tau:
+            return read(j)
+        w = (tau - taus[j - 1]) / (taus[j] - taus[j - 1])
+        return (1.0 - w) * read(j - 1) + w * read(j)
 
 
 @dataclass(frozen=True)
@@ -276,9 +285,9 @@ class BoundaryCurve:
 
 
 def slack_tolerance(tol: float, principal: float) -> float:
-    """Slack below which a value ties with the obstacle: tol * principal, tol >= 0."""
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    """Slack below which a value ties with the obstacle: tol * principal, tol finite and >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be nonnegative and finite, got {tol}")
     return tol * principal
 
 
@@ -304,11 +313,11 @@ def fold_values(stream: LayerStream, spots: list[float], accrued: float = 0.0) -
     """The values at spots (and, in two dimensions, the account accrued) at the maturity.
 
     Keeps one layer and reads the last, linearly in x (and in the account).
-    The spots are the ones the stream's builder checked.
+    read_layer refuses a state off that layer, one its builder did not check.
     """
     for x, v, _ in stream.layers:
         pass
-    return [read_layer(x, stream.a_grid, v, s, accrued) for s in spots]
+    return [read_layer(x, stream.a_grid, v, s, accrued, stream.tau_grid[-1]) for s in spots]
 
 
 def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
@@ -319,7 +328,7 @@ def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
     redemption), inf where none does.  In two dimensions only the account
     columns strictly below the principal are scanned: at and above it every
     state redeems and there is no boundary to locate.  The curve is never
-    monotonized.  A negative tol is refused before the first layer.
+    monotonized.  A negative or non-finite tol is refused before the first layer.
     """
     slack_tol = slack_tolerance(tol, stream.principal)
     a_cols, cols = stream.a_grid, slice(None)

@@ -569,6 +569,8 @@ def smoke_argvs():
     yield ["price", "--solver", "oracle", "--sigma", "1e-200"]
     yield ["sweep", "--param", "sigma", "--values", "1e-200"]
     yield ["figure", "1", "--sigma", "1e-200"]
+    # a log spacing of about one ulp of the nodes: the FD policy iteration cycles
+    yield ["price", "--solver", "fd", "--sigma", "1e-15"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -579,6 +581,19 @@ def test_every_command_answers_or_fails_in_one_line(argv, capsys):
     if code != 0:
         assert out == ""
     assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("sigma", ["1e-15", "2e-15"])
+def test_log_spacing_of_a_few_ulps_exits_2(sigma, capsys):
+    # about 1.2 and 2.4 ulps of log K apart, the log nodes round unevenly and
+    # the policy iteration never settled (exit 3)
+    code, out, err = run(["price", "--solver", "fd", "--sigma", sigma], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the stock grid's log spacing") and err.count("\n") == 1
+    assert f"sigma={sigma}" in err
+    # a thousand times wider, the grid prices as it always did
+    code, out, _ = run(["price", "--solver", "fd", "--sigma", "1e-12"], capsys)
+    assert (code, out) == (0, "1.1768364062277102e-14\n")
 
 
 @pytest.mark.parametrize("flag, named", [("--delta", "delta=1e+300"),

@@ -249,7 +249,7 @@ def test_two_layer_consumers_equal_the_surface(market):
 
 def test_two_layer_consumers_refuse_as_the_surface_does():
     config = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
-    with pytest.raises(ValueError, match="stock level 50.0 outside grid"):
+    with pytest.raises(ValueError, match="x=50.0 outside the surface nodes"):
         fsg_stream([0.8, 50.0], 0.1, HIGH_VOL, contract(), config)
     with pytest.raises(ValueError, match="account level 2.0 outside grid"):
         fsg_stream([0.8], 2.0, MarketParams(r=0.12, delta=0.03, sigma=0.3), contract(), config)
@@ -257,7 +257,7 @@ def test_two_layer_consumers_refuse_as_the_surface_does():
     assert fsg_stream([0.55, 0.6], 0.75, HIGH_VOL, contract(), config) is None
     for s in (0.55, 0.6):
         assert price_regime4(s, 0.75, HIGH_VOL, contract()) == (s + 0.75 - K, None)
-    with pytest.raises(ValueError, match="need spot > 0"):
+    with pytest.raises(ValueError, match="spot must be positive"):
         fsg_stream([0.55, -0.6], 0.75, HIGH_VOL, contract(), config)
 
 

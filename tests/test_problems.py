@@ -1,4 +1,8 @@
-"""The grids every backend shares: the time grid ends exactly at the maturity."""
+"""What every backend shares: the time grid, and the one check of a loan's state."""
+
+import functools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +19,11 @@ from stockloan import (
     price_regime4,
     solve_vi,
 )
-from stockloan.problems import tau_grid
+from stockloan.fd1d import fd_stream
+from stockloan.fsg2d import fsg_stream
+from stockloan.lattice1d import lattice_stream
+from stockloan.oracle import oracle_price
+from stockloan.problems import fold_boundary, fold_values, tau_grid
 
 HIGH_VOL = MarketParams(r=0.06, delta=0.03, sigma=0.4)
 
@@ -50,3 +58,86 @@ def test_every_backend_surface_ends_at_maturity():
     assert lattice.value_at(0.8, maturity) == value
     assert fd.value_at(0.8, maturity) == pytest.approx(value, abs=0.01)
     assert fsg.value_at(0.8, maturity, a=0.1) == fsg_value
+
+
+# One rule for a loan's state, S > 0 and A >= 0, with one message per fault,
+# at every entry point that takes a state and at every read of a layer.
+SMALL_FD = FDConfig(space_nodes=80, time_steps=40)
+SMALL_FSG = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
+# r > gamma: no state redeems at once and the account grid runs to 2 K e^{(r - gamma) T}
+R_ABOVE = MarketParams(r=0.12, delta=0.03, sigma=0.3)
+# r < gamma and an account that covers the principal: redeeming at once is exact, no grid
+IMMEDIATE = 0.75
+
+
+def regime1():
+    return VIProblem.from_regime(HIGH_VOL, loan(1, 1.0))
+
+
+@functools.cache
+def surface(backend):
+    if backend == "lattice":
+        return price_regime1(0.8, HIGH_VOL, loan(1, 1.0), LatticeConfig(steps=40))[1]
+    if backend == "fd":
+        return solve_vi(regime1(), SMALL_FD)[0]
+    return price_regime4(0.8, 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG)[1]
+
+
+# name: (call(spot, accrued), the account a valid state has, or None where no
+# account is read, and whether the state is read against a grid)
+ENTRIES = {
+    "lattice_stream": (lambda s, a: lattice_stream(s, regime1(), LatticeConfig(40)), None, False),
+    "fd_stream": (lambda s, a: fd_stream(regime1(), SMALL_FD, [0.8, s]), None, True),
+    "fsg_stream": (lambda s, a: fsg_stream([0.8, s], a, R_ABOVE, loan(4, 1.0), SMALL_FSG),
+                   0.1, True),
+    "fsg_stream immediate": (
+        lambda s, a: fsg_stream([0.8, s], a, HIGH_VOL, loan(4, 1.0), SMALL_FSG), IMMEDIATE, False),
+    "price_regime4": (lambda s, a: price_regime4(s, a, R_ABOVE, loan(4, 1.0), SMALL_FSG), 0.1, True),
+    "price_regime4 immediate": (
+        lambda s, a: price_regime4(s, a, HIGH_VOL, loan(4, 1.0), SMALL_FSG), IMMEDIATE, False),
+    "oracle_price": (lambda s, a: oracle_price(s, HIGH_VOL, loan(4, 1.0), 6, a), 0.1, False),
+    "value_at lattice": (lambda s, a: surface("lattice").value_at(s, 1.0), None, True),
+    "value_at fd": (lambda s, a: surface("fd").value_at(s, 0.5), None, True),
+    "value_at fsg": (lambda s, a: surface("fsg").value_at(s, 1.0, a=a), 0.1, True),
+    # streams built for other states: only the read checks these
+    "fold_values lattice": (
+        lambda s, a: fold_values(lattice_stream(0.8, regime1(), LatticeConfig(40)), [s]),
+        None, True),
+    "fold_values fd": (lambda s, a: fold_values(fd_stream(regime1(), SMALL_FD), [s]), None, True),
+    "fold_values fsg": (
+        lambda s, a: fold_values(fsg_stream([], 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG), [s], a),
+        0.1, True),
+}
+SPOT_FAULTS = [(0.0, "spot must be positive, got 0.0"), (-1.0, "spot must be positive, got -1.0"),
+               (math.nan, "spot must be finite, got nan"),
+               (math.inf, "spot must be finite, got inf"),
+               (-math.inf, "spot must be positive, got -inf")]
+ACCOUNT_FAULTS = [(-0.1, "accrued account must be nonnegative, got -0.1"),
+                  (math.nan, "accrued account must be finite, got nan"),
+                  (math.inf, "accrued account must be finite, got inf")]
+
+
+def refusal_cases():
+    for name, (_, account, on_grid) in ENTRIES.items():
+        for spot, message in SPOT_FAULTS + ([(1000.0, "x=1000.0 outside the surface nodes [")]
+                                            if on_grid else []):
+            yield name, spot, account, message
+        if account is not None:
+            for accrued, message in ACCOUNT_FAULTS + ([(5.0, "account level 5.0 outside grid [0, ")]
+                                                      if on_grid else []):
+                yield name, 0.8, accrued, message
+
+
+@pytest.mark.parametrize("name, spot, accrued, message", list(refusal_cases()),
+                         ids=str)
+def test_every_state_refusal_names_its_fault(name, spot, accrued, message):
+    call, _, _ = ENTRIES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(spot, accrued)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_fold_boundary_refuses_a_tolerance_that_is_not_finite(tol):
+    # a NaN tolerance read no tie and an infinite one tied every bottom node
+    with pytest.raises(ValueError, match=f"tolerance must be nonnegative and finite, got {tol}"):
+        fold_boundary(lattice_stream(0.8, regime1(), LatticeConfig(50)), tol)

@@ -12,42 +12,24 @@ solver for the one-dimensional regimes, a forward-shooting grid for the
 two-dimensional cash-dividend regime, infinite-maturity closed forms, and
 an exhaustive-stopping path tree for cross-checking everything else.
 
-Importing the package loads only the closed forms and the contract
-definitions, which use math alone.  Every other public name is served by
-its solver module on first use, and numpy loads with the first of them.
+Importing the package loads none of its modules.  _MODULES is the one list
+of public names: each is served by the module that defines it on first use
+(PEP 562).  The closed forms and the contract definitions use math alone;
+every other module loads numpy with it.
 """
 
-import importlib
+import importlib as _importlib
 
-from .closedform import (
-    UNBOUNDED,
-    PerpetualRegime3Result,
-    PerpetualResult,
-    TerminalLimit,
-    european_call,
-    european_put,
-    parity_price_regime3,
-    perpetual_regime1,
-    perpetual_regime2,
-    perpetual_regime3,
-    terminal_limit,
-)
-from .contracts import (
-    ClosedForm,
-    DividendRegime,
-    LoanContract,
-    MarketParams,
-    RegimeClassification,
-    RegionKind,
-    accrue_dividends,
-    classify,
-    payoff,
-    reduce_regime2,
-)
-
-# The submodule of every other public name.  Those modules import numpy, so
-# each one loads on the first read of one of its names (PEP 562).
-_SUBMODULE = {name: module for module, names in {
+_MODULES = {name: module for module, names in {
+    "closedform": (
+        "UNBOUNDED", "PerpetualRegime3Result", "PerpetualResult", "european_call", "european_put",
+        "parity_price_regime3", "perpetual_regime1", "perpetual_regime2", "perpetual_regime3",
+        "terminal_limit",
+    ),
+    "contracts": (
+        "ClosedForm", "DividendRegime", "LoanContract", "MarketParams", "RegimeClassification",
+        "RegionKind", "accrue_dividends", "classify", "payoff", "reduce_regime2",
+    ),
     "fd1d": ("ComplementarityReport", "FDConfig", "fd_stream", "residual_report", "solve_vi"),
     "fsg2d": ("FSG2DConfig", "extract_boundary_surface", "fsg_stream", "price_regime4"),
     "lattice1d": (
@@ -62,68 +44,17 @@ _SUBMODULE = {name: module for module, names in {
     ),
 }.items() for name in names}
 
+__all__ = sorted(_MODULES)
+
 
 def __getattr__(name: str):
-    if name not in _SUBMODULE:
+    if name not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    return getattr(_importlib.import_module(f".{_MODULES[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:
-    return [*globals(), *_SUBMODULE]
+    return [*globals(), *_MODULES]
 
-
-__all__ = [
-    "MAX_ORACLE_STEPS",
-    "UNBOUNDED",
-    "BoundaryCurve",
-    "ClosedForm",
-    "ComplementarityReport",
-    "DividendRegime",
-    "FDConfig",
-    "FSG2DConfig",
-    "LatticeConfig",
-    "LayerStream",
-    "LoanContract",
-    "MarketParams",
-    "PerpetualRegime3Result",
-    "PerpetualResult",
-    "RegimeClassification",
-    "RegionKind",
-    "TerminalLimit",
-    "VIProblem",
-    "ValueSurface",
-    "accrue_dividends",
-    "amortized_payment_rate",
-    "classify",
-    "european_call",
-    "european_put",
-    "extract_boundary",
-    "extract_boundary_surface",
-    "fd_stream",
-    "fold_boundary",
-    "fold_surface",
-    "fold_values",
-    "fsg_stream",
-    "lattice_stream",
-    "lattice_surface",
-    "lattice_value",
-    "oracle_boundary",
-    "oracle_price",
-    "parity_price_regime3",
-    "payoff",
-    "perpetual_regime1",
-    "perpetual_regime2",
-    "perpetual_regime3",
-    "price_amortized",
-    "price_regime1",
-    "price_regime2",
-    "price_regime3",
-    "price_regime4",
-    "price_withdrawable",
-    "residual_report",
-    "solve_vi",
-    "terminal_limit",
-]
 
 __version__ = "0.1.0"

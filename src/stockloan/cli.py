@@ -6,8 +6,8 @@ overrides; every run embeds its full configuration in the output header,
 floats print with 17 significant digits, and unbounded levels print as the
 literal inf, so repeated runs are byte-identical and self-describing.
 
-Exit codes: 0 on success, 2 for configuration or parameter errors, 3 for
-solver failures.
+Exit codes: 0 on success, 2 for configuration or parameter errors and for
+a grid too large for the memory, 3 for solver failures.
 
 Parsing, validation, every refusal made before a solve, --help and the
 perpetual closed forms use math alone: the solver modules, and numpy with
@@ -250,6 +250,7 @@ def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
 def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
     """The configured solver's value at each spot, keeping no more than two layers.
 
+    Only the forward-shooting grid reads the accrued account off its layers.
     Regime-3 values from the lattice and finite differences exclude the
     dividends already delivered, so the accrued account is added here.
     """
@@ -264,7 +265,7 @@ def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
         stream = _stream(cfg, spots)
         if stream is None:
             return [s + cfg.accrued - cfg.principal for s in spots]
-        values = problems.fold_values(stream, spots, cfg.accrued)
+        values = problems.fold_values(stream, spots, cfg.accrued if cfg.solver == "fsg" else None)
     if cfg.variant is None and cfg.regime == 3:
         values = [v + cfg.accrued for v in values]
     return values
@@ -453,7 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "figure":
             fixed, defaults, _ = _FIGURES[args.number]
             unset = {k: v for k, v in defaults.items() if getattr(args, k) is None}
-            text = cmd_figure(args.number, dataclasses.replace(cfg, **fixed, **unset))
+            cfg = dataclasses.replace(cfg, **fixed, **unset)
+            text = cmd_figure(args.number, cfg)
         else:
             text = cmd_oracle_check(cfg)
     except ValueError as exc:
@@ -461,6 +463,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: a value overflows a float: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        grid = ", ".join(f"{name}={getattr(cfg, name)}" for name in _GRID_FIELDS[cfg.solver])
+        print(f"error: not enough memory for the {cfg.solver} grid ({grid})", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -91,13 +91,6 @@ class PerpetualRegime3Result:
         return spot
 
 
-@dataclass(frozen=True)
-class TerminalLimit:
-    """Limit of the redeeming boundary as time to maturity shrinks to zero."""
-
-    value: float
-
-
 def _norm_cdf(d: float) -> float:
     return 0.5 * math.erfc(-d / math.sqrt(2.0))
 
@@ -244,7 +237,7 @@ def terminal_limit(
     market: MarketParams,
     contract: LoanContract,
     a: float = 0.0,
-) -> TerminalLimit:
+) -> float:
     """Limit of the scaled redeeming boundary as tau tends to zero.
 
     Regimes 2 and 3 end at the principal K.  Regime 1 ends at K when
@@ -264,8 +257,8 @@ def terminal_limit(
     if regime is DividendRegime.CASH_RETURNED_ON_REDEMPTION:
         if a < 0.0:
             raise ValueError(f"accrued coordinate must be nonnegative, got a={a}")
-        return TerminalLimit(principal - a)
+        return principal - a
     if regime is DividendRegime.LENDER_KEEPS and r_bar >= 0.0:
         # Nonempty classification here implies delta > 0.
-        return TerminalLimit(max(principal, r_bar * principal / market.delta))
-    return TerminalLimit(principal)
+        return max(principal, r_bar * principal / market.delta)
+    return principal

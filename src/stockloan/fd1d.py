@@ -237,8 +237,7 @@ def fd_stream(
         check_state(spot, x=x, tau=maturity)
     meta = {"solver": "fd", "config": config, "linear_solves": 0,
             "constrained": spec.constrained}
-    return LayerStream(taus, None, principal, float(x[-1]), f"fd-{spec.label}", meta,
-                       _march(spec, x, dy, taus, meta))
+    return LayerStream(taus, None, principal, float(x[-1]), meta, _march(spec, x, dy, taus, meta))
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, BoundaryCurve]:

@@ -200,9 +200,8 @@ def fsg_stream(
         check_state(spot, accrued, x, a, maturity)
     meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt,
             "constrained": constrained}
-    label = "fsg-regime4" if constrained else "fsg-regime4-linear"
-    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]), label,
-                       meta, layers())
+    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]), meta,
+                       layers())
 
 
 def price_regime4(

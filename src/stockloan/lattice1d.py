@@ -151,7 +151,7 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
         yield x, v, obs
 
     principal = problem.contract.principal
-    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, spec.label, meta, layers())
+    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, meta, layers())
 
 
 def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:

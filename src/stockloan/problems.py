@@ -24,9 +24,10 @@ first, and three folds read it: fold_values keeps the last layer and reads
 the values off it, fold_boundary scans each layer for the smallest node
 tying with the obstacle, and fold_surface keeps every layer in a value
 surface, which refuses any query off its layers.  All three carry the cash
-account as an a_grid, None in one dimension, and read layers by read_layer.
-check_state, the one rule for a loan's state (S > 0, A >= 0, on the grid
-read), is applied by the stream builders, the path-tree oracle and read_layer.
+account as an a_grid, None in one dimension, and read layers by read_layer,
+which takes an account exactly when there is an a_grid.  check_state, the
+one rule for a loan's state (S > 0, A >= 0, on the grid read), is applied by
+the stream builders, the path-tree oracle and read_layer.
 """
 
 from __future__ import annotations
@@ -158,17 +159,15 @@ class LayerStream:
     it is set (None in one dimension).  A layer may be a view of a buffer
     the march reuses, so it holds until the next one is drawn; only
     fold_surface copies.  principal scales the tie tolerance, ties above
-    spatial_cap are not boundary points, label names the problem and
-    solver_meta carries diagnostics, some of them filled in as the layers
-    are drawn.  The builder of a stream checks its arguments before the
-    first layer.
+    spatial_cap are not boundary points and solver_meta carries
+    diagnostics, some of them filled in as the layers are drawn.  The
+    builder of a stream checks its arguments before the first layer.
     """
 
     tau_grid: np.ndarray
     a_grid: np.ndarray | None
     principal: float
     spatial_cap: float
-    label: str
     solver_meta: dict
     layers: Iterator[Layer]
 
@@ -198,6 +197,8 @@ def check_state(spot: float, accrued: float | None = None, x: np.ndarray | None 
 def read_layer(x: np.ndarray, a_grid: np.ndarray | None, layer: np.ndarray, s: float,
                a: float | None, tau: float) -> float:
     """The layer at tau at stock level s (and account a): linear in each, refused off the grids."""
+    if (a is None) != (a_grid is None):
+        raise ValueError(f"a={a}: the account is given exactly when there is an a_grid")
     check_state(s, a, x, a_grid, tau)
     if a_grid is None:
         return float(np.interp(s, x, layer))
@@ -219,7 +220,7 @@ class ValueSurface:
     holds the stock nodes x_nodes[j], the values and the redemption obstacle
     on them, with one column per level of a_grid when it is set (None in one
     dimension).  principal scales tolerances; spatial_cap bounds boundary
-    extraction; label names the problem and solver_meta carries diagnostics.
+    extraction; solver_meta carries diagnostics.
     """
 
     tau_grid: np.ndarray
@@ -229,15 +230,11 @@ class ValueSurface:
     obstacles: tuple[np.ndarray, ...]
     principal: float
     spatial_cap: float
-    label: str
     solver_meta: dict
-
-    def layer_count(self) -> int:
-        return len(self.tau_grid)
 
     def stream(self) -> LayerStream:
         """The stored layers as a stream again, for the folds."""
-        return LayerStream(self.tau_grid, self.a_grid, self.principal, self.spatial_cap, self.label,
+        return LayerStream(self.tau_grid, self.a_grid, self.principal, self.spatial_cap,
                            self.solver_meta, zip(self.x_nodes, self.values, self.obstacles))
 
     def value_at(self, x: float, tau: float, *, a: float | None = None) -> float:
@@ -246,8 +243,6 @@ class ValueSurface:
         A tau off the surface, an a on a surface without an account grid or a
         missing one on a surface with it, or a state off a layer read is refused.
         """
-        if (a is None) != (self.a_grid is None):
-            raise ValueError(f"a={a}: the account is given exactly when there is an a_grid")
         taus = self.tau_grid
         if not taus[0] <= tau <= taus[-1]:
             raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
@@ -280,9 +275,6 @@ class BoundaryCurve:
     def max_decrease(self) -> float:
         return max_decrease(self.x_star)
 
-    def is_monotone(self, tolerance: float = 0.0) -> bool:
-        return self.max_decrease <= tolerance
-
 
 def slack_tolerance(tol: float, principal: float) -> float:
     """Slack below which a value ties with the obstacle: tol * principal, tol finite and >= 0."""
@@ -309,11 +301,13 @@ def max_decrease(stars: np.ndarray) -> float:
     return max(0.0, float(drops.max())) if drops.size else 0.0
 
 
-def fold_values(stream: LayerStream, spots: list[float], accrued: float = 0.0) -> list[float]:
+def fold_values(stream: LayerStream, spots: list[float],
+                accrued: float | None = None) -> list[float]:
     """The values at spots (and, in two dimensions, the account accrued) at the maturity.
 
     Keeps one layer and reads the last, linearly in x (and in the account).
-    read_layer refuses a state off that layer, one its builder did not check.
+    read_layer refuses a state off that layer (one its builder did not check),
+    and an account given to a stream without an a_grid or left out with one.
     """
     for x, v, _ in stream.layers:
         pass
@@ -357,8 +351,7 @@ def fold_surface(stream: LayerStream) -> ValueSurface:
             kept.append(kept[-1] if kept and np.array_equal(arr, kept[-1]) else frozen(arr.copy()))
         values.append(frozen(v.copy()))
     return ValueSurface(stream.tau_grid, stream.a_grid, tuple(xs), tuple(values),
-                        tuple(obstacles), stream.principal, stream.spatial_cap, stream.label,
-                        stream.solver_meta)
+                        tuple(obstacles), stream.principal, stream.spatial_cap, stream.solver_meta)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,25 @@ def test_runtime_error_exits_3(monkeypatch, capsys):
     assert err.startswith("solver error:")
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (["price", "--solver", "fsg", "--regime", "4", "--x-nodes", "300", "--a-nodes", "400000"],
+     "fsg grid (x_nodes=300, a_nodes=400000, fsg_steps=200)"),
+    (["price", "--steps", "100000000"], "lattice grid (steps=100000000)"),
+    (["boundary", "--solver", "fd"], "fd grid (space_nodes=400, time_steps=400)"),
+    (["figure", "3", "--a-nodes", "400000"],
+     "fsg grid (x_nodes=200, a_nodes=400000, fsg_steps=200)"),
+])
+def test_memory_error_exits_2_naming_the_grid(argv, grid, monkeypatch, capsys):
+    # an allocation the grid needs and the host refuses printed a numpy traceback
+    def out_of_memory(cfg, spots):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_stream", out_of_memory)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: not enough memory for the {grid}\n"
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit):
         cli.main(["price", "--frobnicate", "1"])

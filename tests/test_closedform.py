@@ -191,14 +191,14 @@ def test_terminal_limits():
     constrained = MarketParams(r=0.06, delta=0.03, sigma=0.4)
     for regime in (1, 2, 3):
         tl = terminal_limit(DividendRegime(regime), constrained, contract(regime))
-        assert tl.value == pytest.approx(K, rel=1e-12)
+        assert tl == pytest.approx(K, rel=1e-12)
     tl4 = terminal_limit(DividendRegime(4), constrained, contract(4), a=0.2)
-    assert tl4.value == pytest.approx(K - 0.2, rel=1e-12)
+    assert tl4 == pytest.approx(K - 0.2, rel=1e-12)
     # with r above the loan rate the boundary ends at the larger of K and
     # the carry-to-yield ratio level
     sparse_yield = MarketParams(r=0.12, delta=0.01, sigma=0.4)
     tl1 = terminal_limit(DividendRegime(1), sparse_yield, contract(1))
-    assert tl1.value == pytest.approx((0.12 - GAMMA) * K / 0.01, rel=1e-12)
+    assert tl1 == pytest.approx((0.12 - GAMMA) * K / 0.01, rel=1e-12)
 
 
 def test_terminal_limit_requires_a_boundary():

@@ -160,7 +160,7 @@ def test_complementarity_audit_clean(kind):
 def test_boundary_monotone_and_anchored():
     surface, boundary = solve_vi(problem(1, maturity=5.0),
                                  FDConfig(space_nodes=400, time_steps=400))
-    assert boundary.is_monotone(tolerance=0.0)
+    assert boundary.max_decrease <= 0.0
     x = np.asarray(surface.x_nodes[0])
     gap = float(np.diff(x)[np.searchsorted(x, K)])
     assert abs(boundary.x_star[0] - K) <= gap

@@ -84,7 +84,7 @@ def test_deep_itm_is_immediate_redemption():
 def test_surface_dominates_obstacle_and_zero():
     for price, regime in ((price_regime1, 1), (price_regime3, 3)):
         _, surface = price(0.8, HIGH_VOL, contract(regime), LatticeConfig(steps=400))
-        for layer in range(0, surface.layer_count(), 57):
+        for layer in range(0, len(surface.tau_grid), 57):
             values = surface.values[layer]
             obstacles = surface.obstacles[layer]
             assert np.all(values >= obstacles)
@@ -126,7 +126,6 @@ def test_boundary_extraction_deep_itm_tree():
     log_u = HIGH_VOL.sigma * math.sqrt(1.0 / 500)
     one_level = float(np.max(boundary.x_star)) * math.expm1(2.0 * log_u)
     assert boundary.max_decrease <= one_level
-    assert boundary.is_monotone(tolerance=one_level)
     assert boundary.x_star[0] == pytest.approx(K, abs=one_level)
 
 

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import stockloan
@@ -106,3 +107,11 @@ public = set(stockloan.__all__)
 print(sorted(public - set(namespace)), sorted(public - set(dir(stockloan))))
 """
     assert run_probe(probe) == "[] []"
+
+
+def test_every_public_attribute_is_in_all():
+    # the package once imported reduce_regime2 without listing it in __all__,
+    # so `from stockloan import *` dropped it
+    public = {name for name in dir(stockloan) if not name.startswith("_")
+              and not isinstance(getattr(stockloan, name), types.ModuleType)}
+    assert sorted(public - set(stockloan.__all__)) == []

@@ -141,3 +141,25 @@ def test_fold_boundary_refuses_a_tolerance_that_is_not_finite(tol):
     # a NaN tolerance read no tie and an infinite one tied every bottom node
     with pytest.raises(ValueError, match=f"tolerance must be nonnegative and finite, got {tol}"):
         fold_boundary(lattice_stream(0.8, regime1(), LatticeConfig(50)), tol)
+
+
+# The account is read exactly when the layers have an account grid: an account
+# given to a one-dimensional stream was ignored, and one left out of an FSG read
+# silently read account 0.
+ACCOUNT_RULE = "the account is given exactly when there is an a_grid"
+REGIME3 = VIProblem.from_regime(HIGH_VOL, loan(3, 1.0))
+ACCOUNT_MISMATCHES = {
+    "fold_values lattice": lambda: fold_values(
+        lattice_stream(0.8, REGIME3, LatticeConfig(200)), [0.8], accrued=0.1),
+    "fold_values fd": lambda: fold_values(fd_stream(REGIME3, SMALL_FD), [0.8], accrued=5.0),
+    "fold_values fsg": lambda: fold_values(
+        fsg_stream([0.8], 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG), [0.8]),
+    "value_at lattice": lambda: surface("lattice").value_at(0.8, 1.0, a=0.1),
+    "value_at fsg": lambda: surface("fsg").value_at(0.8, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ACCOUNT_MISMATCHES)
+def test_an_account_is_read_exactly_on_layers_with_an_account_grid(name):
+    with pytest.raises(ValueError, match=ACCOUNT_RULE):
+        ACCOUNT_MISMATCHES[name]()

@@ -409,36 +409,47 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=("amortized", "withdrawable"), default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = (
+    ("price", "print the contract value at the configured state"),
+    ("boundary", "write the redeeming boundary as CSV"),
+    ("perpetual", "print the infinite-maturity closed form"),
+    ("oracle-check", "compare the configured solver against the path tree"),
+    ("sweep", "price across a list of parameter values"),
+    ("figure", "reproduce a standard boundary figure as CSV"),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand's arguments or only those argv needs.
+
+    Given argv whose first word names a subcommand, only that subcommand
+    gets its arguments, which is most of a cheap command's start-up; the
+    parse, every help text and every usage error are those of the full
+    parser.
+    """
     parser = argparse.ArgumentParser(
         prog="stockloan",
         description="Price finite-maturity stock loans and extract redeeming boundaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("price", "print the contract value at the configured state"),
-        ("boundary", "write the redeeming boundary as CSV"),
-        ("perpetual", "print the infinite-maturity closed form"),
-        ("oracle-check", "compare the configured solver against the path tree"),
-    ):
+    named = argv[0] if argv and argv[0] in dict(_SUBCOMMANDS) else None
+    for name, help_text in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
+        if named not in (None, name):
+            continue
+        if name == "figure":
+            p.add_argument("number", type=int, choices=(1, 2, 3, 4))
         _add_override_arguments(p)
-
-    p = sub.add_parser("sweep", help="price across a list of parameter values")
-    _add_override_arguments(p)
-    p.add_argument("--param", required=True, help="configuration field to sweep")
-    p.add_argument("--values", required=True, help="comma-separated list of values")
-
-    p = sub.add_parser("figure", help="reproduce a standard boundary figure as CSV")
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    _add_override_arguments(p)
+        if name == "sweep":
+            p.add_argument("--param", required=True, help="configuration field to sweep")
+            p.add_argument("--values", required=True, help="comma-separated list of values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = _load_config(args)
         _refuse_ignored_flags(args, cfg)

@@ -36,6 +36,7 @@ from .problems import (
     check_state,
     fold_boundary,
     fold_surface,
+    frozen,
     log_stencil,
     log_x_grid,
     problem_spec,
@@ -81,85 +82,128 @@ class ComplementarityReport:
     tol: float
 
 
-# Row states of the policy iteration.
-_PDE, _OBSTACLE, _CAP = 0, 1, 2
-
-
 def _floor(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
     """The obstacle at x, or -inf everywhere when it never binds."""
     if spec.constrained:
-        return np.asarray(spec.obstacle(x, tau), dtype=float)
+        return spec.obstacle(x, tau)
     return np.full(x.size, -math.inf)
 
 
-def _tridiagonal_solve(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Solve the tridiagonal system (sub, diag, sup) f = b with LAPACK's gtsv.
+def _tridiagonal_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve the factored tridiagonal system lu (LAPACK's gttrf output) for b with gttrs.
 
-    Every argument is overwritten, so callers pass arrays they no longer
-    read.  scipy is imported here, so only a finite-difference solve loads it.
+    b is overwritten with the solution, which is returned.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgttrs
 
-    *_, f, info = dgtsv(sub, diag, sup, b, overwrite_dl=True, overwrite_d=True,
-                        overwrite_du=True, overwrite_b=True)
+    f, info = dgttrs(*lu, b, overwrite_b=True)
     if info != 0:
-        raise RuntimeError(f"the step matrix is singular (LAPACK gtsv info {info})")
+        raise RuntimeError(f"LAPACK gttrs refused its arguments (info {info})")
     return f
 
 
-def _policy_step(
-    diag: float,
-    off_lo: float,
-    off_up: float,
-    b: np.ndarray,
-    init: np.ndarray,
-    lower: np.ndarray,
-    cap: float | None,
-) -> tuple[np.ndarray, int]:
-    """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration.
+class _StepSystem:
+    """The step matrix M = I - (dtau / 2) L of a march, the rows of a pinned set
+    replaced by identity rows, and the policy iteration that solves each step.
 
-    M is the tridiagonal step matrix (diag, off_lo, off_up).  Each row
-    follows the PDE, is pinned to the obstacle or is pinned to the cap; a
-    pass solves M f = b with the pinned rows replaced by identity rows, and
-    the step is done once a pass leaves the policy unchanged.  The first
-    policy is read off init, the previous layer.  With no finite lower
-    entry and no cap every row follows the PDE, so one solve suffices.
-    Returns the solution and the number of tridiagonal solves.
+    M is the same for every step of the march, the Rannacher half-steps
+    included.  LAPACK's gttrf factors it only when the pinned set differs
+    from the one factored last, and every pass solves its right-hand side
+    with gttrs: the two perform gtsv's eliminations in gtsv's order, so each
+    solve gives the bits of one gtsv call on the same system.  meta counts
+    the solves and the factorizations.  scipy is imported here, so only a
+    finite-difference solve loads it.
     """
-    n = b.size
-    if cap is None and not np.isfinite(lower).any():
-        return _tridiagonal_solve(np.full(n - 1, off_lo), np.full(n, diag),
-                                  np.full(n - 1, off_up), b.copy()), 1
-    upper = math.inf if cap is None else cap
-    # every pass reuses these; boundary contributions are already folded into b
-    padded, (residual, slack, term) = np.zeros(n + 2), np.empty((3, n))
 
-    def policy_of(f: np.ndarray) -> np.ndarray:
-        # residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b, in that order
-        padded[1:-1] = f
-        np.multiply(f, diag, out=residual)
-        np.add(residual, np.multiply(padded[:-2], off_lo, out=term), out=residual)
-        np.add(residual, np.multiply(padded[2:], off_up, out=term), out=residual)
+    def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
+        from scipy.linalg.lapack import dgttrf
+
+        self._dgttrf = dgttrf
+        self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
+        self.meta = meta
+        # every pass reuses these; boundary contributions are already folded into b
+        self.residual, self.slack, self.term, self.rhs = np.empty((4, n))
+        self.unpinned = np.zeros(n, dtype=bool)
+        self.factored: bytes | None = None  # the pinned mask of lu, as bytes
+        self.lu: tuple = ()
+
+    def solve(self, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve M f = rhs with the pinned rows as identity rows; rhs is overwritten."""
+        key = pinned.tobytes()
+        if key != self.factored:
+            pde = ~pinned
+            *lu, info = self._dgttrf(np.where(pde[1:], self.off_lo, 0.0),
+                                     np.where(pde, self.diag, 1.0),
+                                     np.where(pde[:-1], self.off_up, 0.0),
+                                     overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+            if info != 0:
+                raise RuntimeError(f"the step matrix is singular (LAPACK gttrf info {info})")
+            self.factored, self.lu = key, tuple(lu)
+            self.meta["factorizations"] += 1
+        self.meta["linear_solves"] += 1
+        return _tridiagonal_solve(self.lu, rhs)
+
+    def obstacle_rows(self, f: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """The rows where f - lower < M f - b; leaves both sides in slack and residual."""
+        residual, term = self.residual, self.term
+        # residual = diag * f + off_lo * f[i - 1] + off_up * f[i + 1] - b, in that order;
+        # a missing neighbour would add -0.0 (off_lo, off_up <= 0), which changes no sum
+        np.multiply(f, self.diag, out=residual)
+        np.add(residual[1:], np.multiply(f[:-1], self.off_lo, out=term[1:]), out=residual[1:])
+        np.add(residual[:-1], np.multiply(f[1:], self.off_up, out=term[:-1]), out=residual[:-1])
         np.subtract(residual, b, out=residual)
-        np.subtract(f, lower, out=slack)
-        policy = np.where(slack < residual, _OBSTACLE, _PDE)
-        if cap is not None:
-            policy[f - cap > np.minimum(residual, slack)] = _CAP
-        return policy
+        np.subtract(f, lower, out=self.slack)
+        return np.less(self.slack, residual)
 
-    policy = policy_of(init)
-    for solves in range(1, n + 2):
-        pde = policy == _PDE
-        rhs = np.where(pde, b, np.where(policy == _OBSTACLE, lower, upper))
-        f = _tridiagonal_solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
-                               np.where(pde[:-1], off_up, 0.0), rhs)
-        settled = policy_of(f)
-        if np.array_equal(settled, policy):
-            return f, solves
-        policy = settled
-    raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
+    def cap_rows(self, f: np.ndarray, cap: float) -> np.ndarray:
+        """The rows where f - cap > min(residual, slack), from the last obstacle_rows."""
+        return np.greater(f - cap, np.minimum(self.residual, self.slack))
+
+    def settle(self, b: np.ndarray, init: np.ndarray, lower: np.ndarray | None,
+               cap: float | None) -> np.ndarray:
+        """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration; returns f.
+
+        Each row follows the PDE, is pinned to the obstacle or is pinned to
+        the cap; a pass solves with the pinned rows replaced by identity rows.
+        With no lower and no cap every row follows the PDE and one solve,
+        over b, suffices.  The policies are read off init, the previous layer.  The
+        cap set is held fixed while the obstacle policy iterates on the
+        other rows until a pass leaves it unchanged; then the cap set is
+        read off that solution, and the step is done when it repeats
+        (Hoffman-Karp nesting: switching both policies at once can cycle).
+        Each level is bounded by n + 1 passes.
+        """
+        if lower is None and cap is None:
+            return self.solve(self.unpinned, b)
+        n, rhs = b.size, self.rhs
+        below = self.obstacle_rows(init, b, lower)
+        at_cap = None if cap is None else self.cap_rows(init, cap)
+        for _ in range(n + 1):
+            free = None if at_cap is None else ~at_cap
+            at_obstacle = below if free is None else below & free
+            for _ in range(n + 1):
+                np.copyto(rhs, b)
+                np.copyto(rhs, lower, where=at_obstacle)
+                if at_cap is None:
+                    pinned = at_obstacle
+                else:
+                    np.copyto(rhs, cap, where=at_cap)
+                    pinned = at_obstacle | at_cap
+                f = self.solve(pinned, rhs)
+                below = self.obstacle_rows(f, b, lower)
+                settled = below if free is None else below & free
+                if settled.tobytes() == at_obstacle.tobytes():
+                    break
+                at_obstacle = settled
+            else:
+                raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
+            if at_cap is None:
+                return f
+            settled = self.cap_rows(f, cap)
+            if settled.tobytes() == at_cap.tobytes():
+                return f
+            at_cap = settled
+        raise RuntimeError(f"the cap policy did not settle within {n + 1} updates")
 
 
 def _march(
@@ -167,50 +211,60 @@ def _march(
 ) -> Iterator[Layer]:
     """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
 
-    Adds the tridiagonal solves to meta["linear_solves"] and stores the
-    Rannacher half-step layer as meta["rannacher_intermediate"].  Each step
-    builds its right-hand side in buffers the march reuses, summed in the
-    order of the plain expression, so the layers are bit for bit those of a
-    march that allocates every sum.
+    Adds the tridiagonal solves to meta["linear_solves"], the
+    factorizations to meta["factorizations"], and stores the Rannacher
+    half-step layer as meta["rannacher_intermediate"].  Each step builds its
+    right-hand side in a buffer the march reuses, summed in the order of the
+    plain expression, so the layers are bit for bit those of a march that
+    allocates every sum.  An obstacle that does not depend on tau is
+    evaluated once.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
+    n = x.size - 2
+    system = _StepSystem(1.0 - half * mid, -half * lo, -half * up, n, meta)
+    # the source term of a Crank-Nicolson step and of an implicit-Euler half-step
     src = spec.source(x[1:-1]) if spec.source is not None else None
+    src_cn, src_ie = (None, None) if src is None else (src * dtau, src * half)
+    steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
     # every step rebuilds its right-hand side b in these
-    b, acc, term = np.empty((3, x.size - 2))
-    unpinned = np.full(x.size - 2, -math.inf)
+    b, term = np.empty((2, n))
+    x_bottom, x_top = float(x[0]), float(x[-1])
 
     def step(f_old: np.ndarray, tau_new: float, cn: bool) -> Layer:
         """One solve of (I - half L) f = rhs: Crank-Nicolson if cn, else implicit Euler.
 
         Returns the layer at tau_new; its obstacle is also the step's floor.
         """
-        np.copyto(b, f_old[1:-1])
+        inner = f_old[1:-1]
         if cn:
-            # b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:]), in that order
-            np.multiply(f_old[:-2], lo, out=acc)
-            np.add(acc, np.multiply(f_old[1:-1], mid, out=term), out=acc)
-            np.add(acc, np.multiply(f_old[2:], up, out=term), out=acc)
-            np.add(b, np.multiply(acc, half, out=acc), out=b)
-        if src is not None:
-            np.add(b, np.multiply(src, dtau if cn else half, out=term), out=b)
-        bottom = spec.near_field(tau_new, float(x[0]))
-        top = spec.far_field(tau_new, float(x[-1]))
+            # b = f_old + half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:]), in that order
+            np.multiply(f_old[:-2], lo, out=b)
+            np.add(b, np.multiply(inner, mid, out=term), out=b)
+            np.add(b, np.multiply(f_old[2:], up, out=term), out=b)
+            np.add(np.multiply(b, half, out=b), inner, out=b)
+            if src_cn is not None:
+                np.add(b, src_cn, out=b)
+        elif src_ie is not None:
+            np.add(inner, src_ie, out=b)
+        else:
+            np.copyto(b, inner)
+        bottom = spec.near_field(tau_new, x_bottom)
+        top = spec.far_field(tau_new, x_top)
         b[0] += half * lo * bottom
         b[-1] += half * up * top
-        obstacle = np.asarray(spec.obstacle(x, tau_new), dtype=float)
-        f_int, solves = _policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
-                                     obstacle[1:-1] if spec.constrained else unpinned, spec.cap)
-        meta["linear_solves"] += solves
+        obstacle = steady if steady is not None else spec.obstacle(x, tau_new)
+        f_int = system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap)
         f_new = np.concatenate(([bottom], f_int, [top]))
-        if np.isnan(f_new).any():
+        # a sum of squares is NaN exactly when an entry is
+        if math.isnan(f_new @ f_new):
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
         return x, f_new, obstacle
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
     f = np.asarray(spec.terminal(x), dtype=float)
-    yield x, f, np.asarray(spec.obstacle(x, 0.0), dtype=float)
+    yield x, f, steady if steady is not None else spec.obstacle(x, 0.0)
     _, meta["rannacher_intermediate"], _ = step(f, half, False)
     layer = step(meta["rannacher_intermediate"], float(taus[1]), False)
     yield layer
@@ -235,7 +289,7 @@ def fd_stream(
     x, dy = log_x_grid(principal, spec.sigma, maturity, config.space_nodes)
     for spot in spots:
         check_state(spot, x=x, tau=maturity)
-    meta = {"solver": "fd", "config": config, "linear_solves": 0,
+    meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0,
             "constrained": spec.constrained}
     return LayerStream(taus, None, principal, float(x[-1]), meta, _march(spec, x, dy, taus, meta))
 

@@ -9,9 +9,11 @@ floored at the obstacle and clamped at the cap.
 lattice_stream builds the tree layer by layer, terminal layer first and
 root last; the folds of problems.py read it.  Every layer's nodes are a
 slice of one ladder spot * exp(k log u), k = -steps..steps, built before
-the first layer, and the source is evaluated once on that ladder; values
-alternate between two buffers of steps + 1 floats.  So a march does no
-per-layer exp and allocates only each layer's obstacle.  lattice_value
+the first layer.  The source, and an obstacle that does not depend on tau
+(problems.ProblemSpec.strike), are evaluated once on that ladder, an
+obstacle that does is written into a reused buffer, and values alternate
+between two buffers of steps + 1 floats.  So a march does no per-layer exp
+and allocates nothing per layer.  lattice_value
 reads the root off it; lattice_surface, and the price_* functions that
 wrap it, keep every layer in a surface, so redemption boundaries can be
 read off afterwards (immutable once returned).
@@ -106,7 +108,7 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
             f"(spot={spot}, sigma={spec.sigma}, T={maturity}, steps={steps})"
         )
     q = 1.0 - p
-    cap, source = spec.cap, spec.source
+    cap, source, strike = spec.cap, spec.source, spec.strike
     meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
 
     def rung(ladders: tuple[np.ndarray, np.ndarray], level: int) -> np.ndarray:
@@ -120,12 +122,25 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
         # spot * exp(log_u * (2 i - level)) bit for bit
         ladder = spot * np.exp(log_u * np.arange(-steps, steps + 1, dtype=float))
         nodes = (ladder[0::2].copy(), ladder[1::2].copy())
-        # the source is elementwise in x, so it is evaluated once per node
+        # the source, and an obstacle x - strike with a fixed strike, are
+        # elementwise in x, so each is evaluated once per node; an obstacle
+        # whose strike moves with tau is written into one reused buffer
         sources = None if source is None else tuple(source(n) * dt for n in nodes)
         buffers = (np.empty(steps + 1), np.empty(steps + 1))
+        if callable(strike):
+            obs_buffer = np.empty(steps + 1)
+
+            def obstacle(x: np.ndarray, level: int, tau: float) -> np.ndarray:
+                return np.subtract(x, strike(tau), out=obs_buffer[: level + 1])
+        else:
+            obstacles = (nodes[0] - strike, nodes[1] - strike)
+
+            def obstacle(x: np.ndarray, level: int, tau: float) -> np.ndarray:
+                return rung(obstacles, level)
+
         x, v = rung(nodes, steps), buffers[0]
         v[:] = spec.terminal(x)
-        obs = np.asarray(spec.obstacle(x, 0.0), dtype=float)
+        obs = obstacle(x, steps, 0.0)
         if cap is not None:
             np.minimum(v, cap, out=v)
         for j in range(1, steps + 1):
@@ -139,7 +154,7 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
             np.multiply(disc, cont, out=cont)
             if sources is not None:
                 np.add(cont, rung(sources, level), out=cont)
-            obs = np.asarray(spec.obstacle(x, float(taus[j])), dtype=float)
+            obs = obstacle(x, level, float(taus[j]))
             v = np.maximum(cont, obs, out=cont)
             if cap is not None:
                 np.minimum(v, cap, out=v)
@@ -158,8 +173,8 @@ def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> flo
     """Value of problem at spot, read off the root without keeping the tree.
 
     Memory grows with the step count, not its square: the node ladder, the
-    source on it, two value buffers and one obstacle, each a few times
-    steps floats.  The value is the root of the surface lattice_surface
+    source and the obstacle on it (or one obstacle buffer) and two value
+    buffers, each a few times steps floats.  The value is the root of the surface lattice_surface
     returns, bit for bit.
     """
     return fold_values(lattice_stream(spot, problem, config), [spot])[0]

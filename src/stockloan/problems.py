@@ -406,19 +406,28 @@ class ProblemSpec:
     when absent).  near_field(tau, x) and far_field(tau, x) are the values
     at the bottom and top of a truncated grid.  constrained is False when
     early redemption is never optimal, so the obstacle never binds.
+
+    Every obstacle is x - strike: strike is a number when the obstacle does
+    not depend on tau (regimes 1 to 3, where it is the principal), so a
+    backend evaluates that obstacle once per march, and a function of tau
+    otherwise (the balances of the two loan variants).
     """
 
     sigma: float
     drift: float
     rate: float
     terminal: Callable[[np.ndarray], np.ndarray]
-    obstacle: Callable[[np.ndarray, float], np.ndarray]
+    strike: float | Callable[[float], float]
     source: Callable[[np.ndarray], np.ndarray] | None
     cap: float | None
     near_field: Callable[[float, float], float]
     far_field: Callable[[float, float], float]
     constrained: bool
     label: str
+
+    def obstacle(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """The redemption value x - strike at tau."""
+        return x - (self.strike(tau) if callable(self.strike) else self.strike)
 
 
 def amortized_payment_rate(contract: LoanContract) -> float:
@@ -472,7 +481,7 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
             drift=r_bar - delta,
             rate=r_bar,
             terminal=lambda x: np.maximum(x - principal, 0.0),
-            obstacle=lambda x, tau: x - principal,
+            strike=principal,
             source=source,
             cap=None,
             near_field=near,
@@ -501,7 +510,7 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
             drift=r - delta,
             rate=r,
             terminal=lambda z: z.copy(),
-            obstacle=lambda z, tau: z - outstanding(tau),
+            strike=outstanding,
             source=lambda z: np.full_like(z, -rate_c),
             cap=None,
             near_field=lambda tau, x: -annuity(tau),
@@ -516,22 +525,22 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
     maturity = contract.maturity
     terminal_balance = principal * math.exp(gamma * maturity)
 
-    def balance_obstacle(z, tau: float):
-        return z - principal * math.exp(gamma * (maturity - tau))
+    def balance(tau: float) -> float:
+        return principal * math.exp(gamma * (maturity - tau))
 
     return ProblemSpec(
         sigma=market.sigma,
         drift=r - delta,
         rate=r,
         terminal=lambda z: np.minimum(np.maximum(z - terminal_balance, 0.0), cap),
-        obstacle=balance_obstacle,
+        strike=balance,
         source=None,
         cap=cap,
         near_field=lambda tau, x: 0.0,
         far_field=lambda tau, x: min(
             cap,
             max(
-                balance_obstacle(x, tau),
+                x - balance(tau),
                 x * math.exp(-delta * tau) - terminal_balance * math.exp(-r * tau),
             ),
         ),

@@ -602,6 +602,19 @@ def test_every_command_answers_or_fails_in_one_line(argv, capsys):
     assert err.count("\n") <= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--sigma", "0.4", "--space-nodes", "800", "--time-steps", "50", "--maturity", "1"],
+    ["--sigma", "1e-5", "--space-nodes", "100", "--time-steps", "100"],
+], ids=" ".join)
+def test_fd_withdrawable_prices_where_the_joint_policy_cycled(argv, capsys):
+    # both exited 3: "policy iteration did not settle within 799 / 99 linear solves"
+    code, out, err = run(["price", "--solver", "fd", "--variant", "withdrawable",
+                          "--cap", "0.35"] + argv, capsys)
+    assert (code, err) == (0, "")
+    assert math.isfinite(float(out))
+    assert out == f"{float(out):.17g}\n"
+
+
 @pytest.mark.parametrize("sigma", ["1e-15", "2e-15"])
 def test_log_spacing_of_a_few_ulps_exits_2(sigma, capsys):
     # about 1.2 and 2.4 ulps of log K apart, the log nodes round unevenly and
@@ -697,3 +710,39 @@ def test_boundary_stdout_digest(name, capsys):
     code, out, err = run(["boundary"] + BASE + flags, capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def parse(parser, argv, capsys):
+    """What parser prints and exits with on argv, or the namespace it parses; and its output."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+SUBCOMMANDS = ["price", "boundary", "perpetual", "oracle-check", "sweep", "figure"]
+PARSER_ARGVS = (
+    [[], ["--help"], ["-h"], ["nope"], ["--solver", "fd"]]
+    + [[name, "--help"] for name in SUBCOMMANDS]
+    + [[name, "--bogus"] for name in SUBCOMMANDS]
+    + [["price", "--steps", "ten"], ["boundary", "--solver", "nope"], ["perpetual", "extra"],
+       ["oracle-check", "--variant"], ["sweep", "--param", "spot"], ["figure"], ["figure", "9"]]
+    + list(smoke_argvs())
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_for_one_subcommand_prints_and_parses_as_the_full_one(argv, capsys):
+    # build_parser(argv) adds arguments to the named subcommand only
+    assert parse(cli.build_parser(argv), argv, capsys) == parse(cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["figure", "--help"], ["sweep", "--bogus"]],
+                         ids=" ".join)
+def test_main_prints_the_full_parsers_help_and_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    printed = capsys.readouterr()
+    assert parse(cli.build_parser(), argv, capsys) == (exc.value.code, printed)
+    assert printed.out or printed.err

@@ -133,7 +133,7 @@ def test_delivered_stream_matches_parity():
 def test_policy_iteration_guard_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
-    def never_settles(sub, diag, sup, b):
+    def never_settles(lu, b):
         return rng.standard_normal(b.size)
 
     monkeypatch.setattr("stockloan.fd1d._tridiagonal_solve", never_settles)
@@ -335,3 +335,20 @@ def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
             assert a.tobytes() == b.tobytes()
     assert stream.solver_meta["rannacher_intermediate"].tobytes() == rannacher.tobytes()
     assert stream.solver_meta["linear_solves"] == solves
+
+
+# (sigma, space nodes, time steps, maturity) where switching the cap and the
+# obstacle policies of every row at once cycled with period 2
+WITHDRAWABLE_CYCLES = [(0.4, 800, 50, 1.0), (1e-5, 100, 100, 5.0)]
+
+
+@pytest.mark.parametrize("sigma, nodes, steps, maturity", WITHDRAWABLE_CYCLES,
+                         ids=lambda v: f"{v}")
+def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, steps, maturity):
+    prob = VIProblem("withdrawable", MarketParams(r=0.06, delta=0.03, sigma=sigma),
+                     contract(1, maturity), cap=0.35)
+    surface, _ = solve_vi(prob, FDConfig(space_nodes=nodes, time_steps=steps))
+    assert math.isfinite(surface.value_at(0.7, maturity))
+    report = residual_report(surface, prob)
+    assert report.max_violation < 1e-6 * K
+    assert report.violation_fraction == 0.0

@@ -4,9 +4,14 @@ Crank-Nicolson time stepping on a uniform grid in y = log(x), with a
 Rannacher startup (the first step is split into two implicit-Euler halves to
 damp the payoff kink) and a policy-iteration solve of the per-step linear
 complementarity problem: every pass is one tridiagonal solve with the rows held
-at the obstacle, or at the cap, pinned.  The drift term falls back to
-one-sided differencing whenever central weights would go negative, which
-keeps every per-step matrix an M-matrix.
+at the obstacle, or at the cap, pinned.  Every step of a march has the same
+matrix, so LAPACK's gttrf factors it once per distinct pinned set and each
+pass is one gttrs solve of its right-hand side, bit for bit what gtsv gives.
+With a cap, the cap set is held fixed while the obstacle policy settles on
+the other rows, then read off that solution until it repeats (Hoffman-Karp
+nesting; switching both policies at once cycled on some grids).  The drift
+term falls back to one-sided differencing whenever central weights would go
+negative, which keeps every per-step matrix an M-matrix.
 
 Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
@@ -122,7 +127,9 @@ class _StepSystem:
         self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
-        self.residual, self.slack, self.term, self.rhs = np.empty((4, n))
+        self.residual, self.slack, term, self.rhs = np.empty((4, n))
+        # the residual and a scratch term without their first row, and without their last
+        self.views = ((self.residual[1:], term[1:]), (self.residual[:-1], term[:-1]))
         self.unpinned = np.zeros(n, dtype=bool)
         self.factored: bytes | None = None  # the pinned mask of lu, as bytes
         self.lu: tuple = ()
@@ -145,12 +152,13 @@ class _StepSystem:
 
     def obstacle_rows(self, f: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The rows where f - lower < M f - b; leaves both sides in slack and residual."""
-        residual, term = self.residual, self.term
+        residual = self.residual
+        (res_tail, term_tail), (res_head, term_head) = self.views
         # residual = diag * f + off_lo * f[i - 1] + off_up * f[i + 1] - b, in that order;
         # a missing neighbour would add -0.0 (off_lo, off_up <= 0), which changes no sum
         np.multiply(f, self.diag, out=residual)
-        np.add(residual[1:], np.multiply(f[:-1], self.off_lo, out=term[1:]), out=residual[1:])
-        np.add(residual[:-1], np.multiply(f[1:], self.off_up, out=term[:-1]), out=residual[:-1])
+        np.add(res_tail, np.multiply(f[:-1], self.off_lo, out=term_tail), out=res_tail)
+        np.add(res_head, np.multiply(f[1:], self.off_up, out=term_head), out=res_head)
         np.subtract(residual, b, out=residual)
         np.subtract(f, lower, out=self.slack)
         return np.less(self.slack, residual)
@@ -166,21 +174,22 @@ class _StepSystem:
         Each row follows the PDE, is pinned to the obstacle or is pinned to
         the cap; a pass solves with the pinned rows replaced by identity rows.
         With no lower and no cap every row follows the PDE and one solve,
-        over b, suffices.  The policies are read off init, the previous layer.  The
-        cap set is held fixed while the obstacle policy iterates on the
-        other rows until a pass leaves it unchanged; then the cap set is
-        read off that solution, and the step is done when it repeats
-        (Hoffman-Karp nesting: switching both policies at once can cycle).
-        Each level is bounded by n + 1 passes.
+        over b, suffices.  The policies are first read off init, the previous
+        layer.  The cap set is held fixed while the obstacle policy iterates
+        on the other rows until a pass leaves it unchanged; then the cap set
+        is read off that solution, and the step is done when it repeats.
+        Each level is bounded by n + 1 passes.  Where the cap set never
+        changes within a step, these are the passes of switching both
+        policies at once.
         """
         if lower is None and cap is None:
             return self.solve(self.unpinned, b)
         n, rhs = b.size, self.rhs
-        below = self.obstacle_rows(init, b, lower)
+        prefers_obstacle = self.obstacle_rows(init, b, lower)
         at_cap = None if cap is None else self.cap_rows(init, cap)
         for _ in range(n + 1):
             free = None if at_cap is None else ~at_cap
-            at_obstacle = below if free is None else below & free
+            at_obstacle = prefers_obstacle if free is None else prefers_obstacle & free
             for _ in range(n + 1):
                 np.copyto(rhs, b)
                 np.copyto(rhs, lower, where=at_obstacle)
@@ -190,8 +199,8 @@ class _StepSystem:
                     np.copyto(rhs, cap, where=at_cap)
                     pinned = at_obstacle | at_cap
                 f = self.solve(pinned, rhs)
-                below = self.obstacle_rows(f, b, lower)
-                settled = below if free is None else below & free
+                prefers_obstacle = self.obstacle_rows(f, b, lower)
+                settled = prefers_obstacle if free is None else prefers_obstacle & free
                 if settled.tobytes() == at_obstacle.tobytes():
                     break
                 at_obstacle = settled
@@ -239,7 +248,7 @@ def _march(
         """
         inner = f_old[1:-1]
         if cn:
-            # b = f_old + half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:]), in that order
+            # b = inner + half * (lo * f_old[:-2] + mid * inner + up * f_old[2:]), in that order
             np.multiply(f_old[:-2], lo, out=b)
             np.add(b, np.multiply(inner, mid, out=term), out=b)
             np.add(b, np.multiply(f_old[2:], up, out=term), out=b)
@@ -256,7 +265,8 @@ def _march(
         b[-1] += half * up * top
         obstacle = steady if steady is not None else spec.obstacle(x, tau_new)
         f_int = system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap)
-        f_new = np.concatenate(([bottom], f_int, [top]))
+        f_new = np.empty(n + 2)
+        f_new[0], f_new[1:-1], f_new[-1] = bottom, f_int, top
         # a sum of squares is NaN exactly when an entry is
         if math.isnan(f_new @ f_new):
             raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")

@@ -285,7 +285,10 @@ def slack_tolerance(tol: float, principal: float) -> float:
 
 def first_tie(x: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """Smallest node of the ascending x where ties holds, along axis 0; inf where none does."""
-    return np.where(ties.any(axis=0), x[ties.argmax(axis=0)], math.inf)
+    first = ties.argmax(axis=0)
+    if ties.ndim == 1:
+        return x[first] if ties[first] else math.inf
+    return np.where(ties.any(axis=0), x[first], math.inf)
 
 
 def max_decrease(stars: np.ndarray) -> float:

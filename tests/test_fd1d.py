@@ -352,3 +352,29 @@ def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, s
     report = residual_report(surface, prob)
     assert report.max_violation < 1e-6 * K
     assert report.violation_fraction == 0.0
+
+
+@pytest.mark.parametrize("market", FD_MARKETS + [MarketParams(r=0.12, delta=0.0, sigma=0.3)],
+                         ids=lambda m: f"r{m.r}-d{m.delta}")
+@pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
+def test_factorizations_never_exceed_solves(kind, market):
+    regime = int(kind[-1]) if kind.startswith("regime") else 1
+    prob = VIProblem(kind, market, contract(regime, maturity=3.0),
+                     cap=0.5 if kind == "withdrawable" else None)
+    stream = fd_stream(prob, FDConfig(space_nodes=200, time_steps=120))
+    for _ in stream.layers:
+        pass
+    meta = stream.solver_meta
+    assert 1 <= meta["factorizations"] <= meta["linear_solves"]
+    if not meta["constrained"]:
+        # nothing is ever pinned, so the one step matrix is factored once
+        assert meta["factorizations"] == 1
+
+
+def test_default_grid_march_factors_a_few_pinned_sets():
+    stream = fd_stream(problem(1), FDConfig())
+    for _ in stream.layers:
+        pass
+    meta = stream.solver_meta
+    # the pinned set changes on few of the passes: 42 factorizations for 429 solves
+    assert 4 * meta["factorizations"] < meta["linear_solves"]

@@ -94,19 +94,6 @@ def _floor(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
     return np.full(x.size, -math.inf)
 
 
-def _tridiagonal_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve the factored tridiagonal system lu (LAPACK's gttrf output) for b with gttrs.
-
-    b is overwritten with the solution, which is returned.
-    """
-    from scipy.linalg.lapack import dgttrs
-
-    f, info = dgttrs(*lu, b, overwrite_b=True)
-    if info != 0:
-        raise RuntimeError(f"LAPACK gttrs refused its arguments (info {info})")
-    return f
-
-
 class _StepSystem:
     """The step matrix M = I - (dtau / 2) L of a march, the rows of a pinned set
     replaced by identity rows, and the policy iteration that solves each step.
@@ -121,9 +108,9 @@ class _StepSystem:
     """
 
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
-        from scipy.linalg.lapack import dgttrf
+        from scipy.linalg.lapack import dgttrf, dgttrs
 
-        self._dgttrf = dgttrf
+        self._dgttrf, self._dgttrs = dgttrf, dgttrs
         self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
@@ -135,7 +122,7 @@ class _StepSystem:
         self.lu: tuple = ()
 
     def solve(self, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve M f = rhs with the pinned rows as identity rows; rhs is overwritten."""
+        """Solve M f = rhs with the pinned rows as identity rows; rhs is overwritten, f returned."""
         key = pinned.tobytes()
         if key != self.factored:
             pde = ~pinned
@@ -148,7 +135,10 @@ class _StepSystem:
             self.factored, self.lu = key, tuple(lu)
             self.meta["factorizations"] += 1
         self.meta["linear_solves"] += 1
-        return _tridiagonal_solve(self.lu, rhs)
+        f, info = self._dgttrs(*self.lu, rhs, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"LAPACK gttrs refused its arguments (info {info})")
+        return f
 
     def obstacle_rows(self, f: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The rows where f - lower < M f - b; leaves both sides in slack and residual."""
@@ -237,6 +227,10 @@ def _march(
     src = spec.source(x[1:-1]) if spec.source is not None else None
     src_cn, src_ie = (None, None) if src is None else (src * dtau, src * half)
     steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
+
+    def obstacle_at(tau: float) -> np.ndarray:
+        return steady if steady is not None else spec.obstacle(x, tau)
+
     # every step rebuilds its right-hand side b in these
     b, term = np.empty((2, n))
     x_bottom, x_top = float(x[0]), float(x[-1])
@@ -263,7 +257,7 @@ def _march(
         top = spec.far_field(tau_new, x_top)
         b[0] += half * lo * bottom
         b[-1] += half * up * top
-        obstacle = steady if steady is not None else spec.obstacle(x, tau_new)
+        obstacle = obstacle_at(tau_new)
         f_int = system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap)
         f_new = np.empty(n + 2)
         f_new[0], f_new[1:-1], f_new[-1] = bottom, f_int, top
@@ -274,7 +268,7 @@ def _march(
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
     f = np.asarray(spec.terminal(x), dtype=float)
-    yield x, f, steady if steady is not None else spec.obstacle(x, 0.0)
+    yield x, f, obstacle_at(0.0)
     _, meta["rannacher_intermediate"], _ = step(f, half, False)
     layer = step(meta["rannacher_intermediate"], float(taus[1]), False)
     yield layer

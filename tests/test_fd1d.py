@@ -133,10 +133,10 @@ def test_delivered_stream_matches_parity():
 def test_policy_iteration_guard_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
-    def never_settles(lu, b):
-        return rng.standard_normal(b.size)
+    def never_settles(system, pinned, rhs):
+        return rng.standard_normal(rhs.size)
 
-    monkeypatch.setattr("stockloan.fd1d._tridiagonal_solve", never_settles)
+    monkeypatch.setattr("stockloan.fd1d._StepSystem.solve", never_settles)
     with pytest.raises(RuntimeError, match="did not settle"):
         solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 
@@ -378,3 +378,15 @@ def test_default_grid_march_factors_a_few_pinned_sets():
     meta = stream.solver_meta
     # the pinned set changes on few of the passes: 42 factorizations for 429 solves
     assert 4 * meta["factorizations"] < meta["linear_solves"]
+
+
+def test_cap_policy_guard_raises(monkeypatch):
+    rng = np.random.default_rng(5)
+
+    def flickers(system, f, cap):
+        return rng.random(f.size) < 0.5
+
+    monkeypatch.setattr("stockloan.fd1d._StepSystem.cap_rows", flickers)
+    prob = VIProblem("withdrawable", HIGH_VOL, contract(1), cap=0.5)
+    with pytest.raises(RuntimeError, match="the cap policy did not settle within 31 updates"):
+        solve_vi(prob, FDConfig(space_nodes=32, time_steps=4))

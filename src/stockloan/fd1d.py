@@ -122,7 +122,7 @@ class _StepSystem:
         self.lu: tuple = ()
 
     def solve(self, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve M f = rhs with the pinned rows as identity rows; rhs is overwritten, f returned."""
+        """Solve M f = rhs, the pinned rows as identity rows; returns f, written over rhs."""
         key = pinned.tobytes()
         if key != self.factored:
             pde = ~pinned

@@ -13,10 +13,10 @@ the first layer.  The source, and an obstacle that does not depend on tau
 (problems.ProblemSpec.strike), are evaluated once on that ladder, an
 obstacle that does is written into a reused buffer, and values alternate
 between two buffers of steps + 1 floats.  So a march does no per-layer exp
-and allocates nothing per layer.  lattice_value
-reads the root off it; lattice_surface, and the price_* functions that
-wrap it, keep every layer in a surface, so redemption boundaries can be
-read off afterwards (immutable once returned).
+and allocates nothing per layer.  lattice_value reads the root off it;
+lattice_surface, and the price_* functions that wrap it, keep every layer
+in a surface, so redemption boundaries can be read off afterwards
+(immutable once returned).
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> flo
 
     Memory grows with the step count, not its square: the node ladder, the
     source and the obstacle on it (or one obstacle buffer) and two value
-    buffers, each a few times steps floats.  The value is the root of the surface lattice_surface
-    returns, bit for bit.
+    buffers, each a few times steps floats.  The value is the root of the
+    surface lattice_surface returns, bit for bit.
     """
     return fold_values(lattice_stream(spot, problem, config), [spot])[0]
 

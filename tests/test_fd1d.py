@@ -342,8 +342,7 @@ def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
 WITHDRAWABLE_CYCLES = [(0.4, 800, 50, 1.0), (1e-5, 100, 100, 5.0)]
 
 
-@pytest.mark.parametrize("sigma, nodes, steps, maturity", WITHDRAWABLE_CYCLES,
-                         ids=lambda v: f"{v}")
+@pytest.mark.parametrize("sigma, nodes, steps, maturity", WITHDRAWABLE_CYCLES)
 def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, steps, maturity):
     prob = VIProblem("withdrawable", MarketParams(r=0.06, delta=0.03, sigma=sigma),
                      contract(1, maturity), cap=0.35)

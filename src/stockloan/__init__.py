@@ -33,9 +33,8 @@ _MODULES = {name: module for module, names in {
     "fd1d": ("ComplementarityReport", "FDConfig", "fd_stream", "residual_report", "solve_vi"),
     "fsg2d": ("FSG2DConfig", "extract_boundary_surface", "fsg_stream", "price_regime4"),
     "lattice1d": (
-        "LatticeConfig", "extract_boundary", "lattice_stream", "lattice_surface",
-        "lattice_value", "price_amortized", "price_regime1", "price_regime2", "price_regime3",
-        "price_withdrawable",
+        "LatticeConfig", "extract_boundary", "lattice_stream", "price_amortized", "price_regime1",
+        "price_regime2", "price_regime3", "price_withdrawable",
     ),
     "oracle": ("MAX_ORACLE_STEPS", "oracle_boundary", "oracle_price"),
     "problems": (

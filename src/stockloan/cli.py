@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -29,7 +30,7 @@ from . import closedform
 from .contracts import DividendRegime, LoanContract, MarketParams
 
 if TYPE_CHECKING:
-    from .problems import BoundaryCurve, LayerStream, VIProblem
+    from .problems import BoundaryCurve, LayerStream
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
@@ -163,6 +164,11 @@ def _fmt(x: float) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The file's configuration (or the defaults) with the flags, and a figure's settings, applied.
+
+    An ignored flag, and a figure of a variant, are refused before the one
+    validation of the result, so the line names that fault whatever else is set.
+    """
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -173,10 +179,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"configuration file is not valid JSON: {exc}") from exc
     else:
         cfg = RunConfig()
-    overrides = _flags_given(args)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    changes = _flags_given(args)
+    variant = changes.get("variant", cfg.variant)
+    _refuse_ignored_flags(args, variant, changes.get("solver", cfg.solver))
+    if args.command == "figure":
+        if variant is not None:
+            raise ValueError("figures cover the dividend regimes, not variants")
+        fixed, defaults, _ = _FIGURES[args.number]
+        changes = {**defaults, **changes, **fixed}
+    return dataclasses.replace(cfg, **changes)
 
 
 def _flags_given(args: argparse.Namespace) -> dict:
@@ -185,23 +196,24 @@ def _flags_given(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
-    """Refuse a flag that the command, with its solver, would not read.
+def _refuse_ignored_flags(args: argparse.Namespace, variant: str | None, solver: str) -> None:
+    """Refuse a flag that the command, with its solver and variant, would not read.
 
     Market, contract and spot flags always count as read; figure sets its
     own solver and regime.  Only flags are checked: a configuration file may
     set every field, so the header of any run can be fed back as its config.
     """
     optional = {*_ALL_GRID_FIELDS, "tol", "solver"}
-    if cfg.variant is not None:
+    if variant is not None:
         optional.add("regime")  # the loan variants have no dividend regime
-    solver, read = None, set()
+    read = set()
     if args.command == "figure":
         optional |= {"regime", "accrued"}
         solver = _FIGURES[args.number][0]["solver"]
         read = {*_GRID_FIELDS[solver], "tol"}
-    elif args.command != "perpetual":
-        solver = cfg.solver
+    elif args.command == "perpetual":
+        solver = None
+    else:
         read = {*_GRID_FIELDS[solver], "solver"}
         if args.command == "boundary":
             read.add("tol")
@@ -211,8 +223,8 @@ def _refuse_ignored_flags(args: argparse.Namespace, cfg: RunConfig) -> None:
     if ignored:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in ignored)
         on = f" on the {solver} solver" if solver else ""
-        if cfg.variant is not None:
-            on += f" for the {cfg.variant} variant"
+        if variant is not None:
+            on += f" for the {variant} variant"
         raise ValueError(f"{args.command}{on} does not read {flags}")
 
 
@@ -235,16 +247,20 @@ def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
     spot, so one march serves every spot; the lattice tree is centred on
     its one spot.  None when the forward-shooting state redeems at once.
     """
-    fd1d, fsg2d, lattice1d, *_ = _solvers()
+    fd1d, fsg2d, lattice1d, _, problems = _solvers()
+    # of two faults, a bad fd or fsg grid is named before a bad loan, a bad step count after it
     if cfg.solver == "fsg":
         config = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
                                    time_steps=cfg.fsg_steps)
-        return fsg2d.fsg_stream(spots, cfg.accrued, cfg.market(), cfg.contract(), config)
-    if cfg.solver == "lattice":
-        (spot,) = spots
-        return lattice1d.lattice_stream(spot, _problem(cfg), lattice1d.LatticeConfig(cfg.steps))
-    config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
-    return fd1d.fd_stream(_problem(cfg), config, spots)
+    elif cfg.solver == "fd":
+        config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
+    problem = problems.VIProblem(cfg.market(), cfg.contract(), cfg.variant, cfg.cap)
+    if cfg.solver == "fsg":
+        return fsg2d.fsg_stream(problem, config, spots, cfg.accrued)
+    if cfg.solver == "fd":
+        return fd1d.fd_stream(problem, config, spots)
+    (spot,) = spots
+    return lattice1d.lattice_stream(problem, lattice1d.LatticeConfig(cfg.steps), spot)
 
 
 def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
@@ -284,12 +300,6 @@ def _boundary(cfg: RunConfig) -> BoundaryCurve:
         )
     *_, problems = _solvers()
     return problems.fold_boundary(stream, cfg.tol)
-
-
-def _problem(cfg: RunConfig) -> VIProblem:
-    *_, problems = _solvers()
-    return problems.VIProblem(cfg.variant or f"regime{cfg.regime}", cfg.market(), cfg.contract(),
-                              cfg.cap)
 
 
 def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
@@ -365,8 +375,6 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     are account-level snapshots of the cash-dividend boundary surface at
     one and three years to go on a three-year contract.
     """
-    if cfg.variant is not None:
-        raise ValueError("figures cover the dividend regimes, not variants")
     if which in (1, 2):
         curves = [_boundary(dataclasses.replace(cfg, regime=regime)) for regime in (1, 2, 3)]
         rows = []
@@ -446,13 +454,31 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with a token such as -1e-3 or -0.01,0.02 joined to the flag before it by "=".
+
+    argparse reads a token that starts with "-" as a value only in the forms
+    -1 and -1.5.  No option starts with "-" and a digit or point, and every
+    flag but --help takes a value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        takes_value = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+        if takes_value and re.match(r"-[\d.]", token):
+            joined[-1] = f"{prev}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    argv = _join_negative_values(argv)
     args = build_parser(argv).parse_args(argv)
     try:
         cfg = _load_config(args)
-        _refuse_ignored_flags(args, cfg)
         if args.command == "price":
             text = cmd_price(cfg)
         elif args.command == "boundary":
@@ -463,9 +489,6 @@ def main(argv: list[str] | None = None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             text = cmd_sweep(cfg, args.param, values)
         elif args.command == "figure":
-            fixed, defaults, _ = _FIGURES[args.number]
-            unset = {k: v for k, v in defaults.items() if getattr(args, k) is None}
-            cfg = dataclasses.replace(cfg, **fixed, **unset)
             text = cmd_figure(args.number, cfg)
         else:
             text = cmd_oracle_check(cfg)

@@ -206,17 +206,17 @@ class _StepSystem:
 
 
 def _march(
-    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray, meta: dict
+    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray, meta: dict, kind: str
 ) -> Iterator[Layer]:
     """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
 
     Adds the tridiagonal solves to meta["linear_solves"], the
     factorizations to meta["factorizations"], and stores the Rannacher
-    half-step layer as meta["rannacher_intermediate"].  Each step builds its
-    right-hand side in a buffer the march reuses, summed in the order of the
-    plain expression, so the layers are bit for bit those of a march that
-    allocates every sum.  An obstacle that does not depend on tau is
-    evaluated once.
+    half-step layer as meta["rannacher_intermediate"]; kind names the
+    problem when a layer turns NaN.  Each step builds its right-hand side in
+    a buffer the march reuses, summed in the order of the plain expression,
+    so the layers are bit for bit those of a march that allocates every sum.
+    An obstacle that does not depend on tau is evaluated once.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
@@ -263,7 +263,7 @@ def _march(
         f_new[0], f_new[1:-1], f_new[-1] = bottom, f_int, top
         # a sum of squares is NaN exactly when an entry is
         if math.isnan(f_new @ f_new):
-            raise RuntimeError(f"finite-difference solve produced NaN for {spec.label!r}")
+            raise RuntimeError(f"finite-difference solve produced NaN for {kind!r}")
         return x, f_new, obstacle
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
@@ -282,10 +282,11 @@ def fd_stream(
 ) -> LayerStream:
     """The march for problem on config's grid, as a stream of (x, values, obstacle) layers.
 
-    The grid, and every spot (by check_state, against the stock nodes), are
-    checked before the first layer.  solver_meta counts the tridiagonal
-    solves as the layers are drawn.  Parameters whose redeeming region is
-    empty have no row to pin, so each step is a single tridiagonal solve.
+    The problem (a regime-4 one by problem_spec), the grid and every spot
+    (by check_state, against the stock nodes) are checked before the first
+    layer.  solver_meta counts the tridiagonal solves as the layers are
+    drawn.  Parameters whose redeeming region is empty have no row to pin,
+    so each step is a single tridiagonal solve.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
@@ -295,7 +296,8 @@ def fd_stream(
         check_state(spot, x=x, tau=maturity)
     meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0,
             "constrained": spec.constrained}
-    return LayerStream(taus, None, principal, float(x[-1]), meta, _march(spec, x, dy, taus, meta))
+    layers = _march(spec, x, dy, taus, meta, problem.kind)
+    return LayerStream(taus, None, principal, float(x[-1]), meta, layers)
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, BoundaryCurve]:

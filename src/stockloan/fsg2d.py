@@ -12,8 +12,9 @@ requested layers are yielded.  The shift and the stencil are fixed by the
 grids, so every substep applies one map built before the march: fixed
 gathers and fixed weights.
 
-fsg_stream hands the march over one layer at a time, for the folds of
-problems.py; price_regime4 keeps every layer in a surface.
+fsg_stream hands the march of a regime-4 problems.VIProblem over one
+layer at a time, for the folds of problems.py; price_regime4 keeps every
+layer in a surface.
 
 A query past the last account node extrapolates linearly from the last
 two nodes.  When redeeming early is never strictly better (r >= gamma) the
@@ -28,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .contracts import DividendRegime, LoanContract, MarketParams, accrue_dividends, classify
+from .contracts import LoanContract, MarketParams, accrue_dividends, classify
 from .problems import (
     BoundaryCurve,
     Layer,
     LayerStream,
     ValueSurface,
+    VIProblem,
     check_state,
     fold_boundary,
     fold_surface,
@@ -81,22 +83,18 @@ class FSG2DConfig:
 
 
 def fsg_stream(
-    spots: list[float],
-    accrued: float,
-    market: MarketParams,
-    contract: LoanContract,
-    config: FSG2DConfig | None = None,
+    problem: VIProblem, config: FSG2DConfig, spots: Sequence[float], accrued: float
 ) -> LayerStream | None:
-    """The march from the state (spot, accrued) of every spot, as a stream of layers.
+    """The march for problem from the state (spot, accrued) of every spot, as a stream of layers.
 
-    Returns None when r < gamma and the account already covers the
-    principal: redeeming at once is then exactly optimal.  Otherwise every
-    layer is (x grid, values, obstacle) with one column per account level,
-    terminal layer first and the layer at the maturity last; the values are
-    a read-only view of the one buffer the march writes in place, so they
-    hold until the next layer is drawn.  Arguments, the grids and every
-    state (by check_state, also before the immediate answer) are checked
-    here, before the first layer.
+    A problem of any kind but regime4 is refused.  Returns None when r <
+    gamma and the account already covers the principal: redeeming at once
+    is then exactly optimal.  Otherwise every layer is (x grid, values,
+    obstacle) with one column per account level, terminal layer first and
+    the layer at the maturity last; the values are a read-only view of the
+    one buffer the march writes in place, so they hold until the next layer
+    is drawn.  Arguments, the grids and every state (by check_state, also
+    before the immediate answer) are checked here, before the first layer.
 
     Every substep applies one linear map, built here: each of the three
     stencil rows of a parent row is interpolated in the account at the
@@ -105,14 +103,14 @@ def fsg_stream(
     account positions depend only on the parent row, so interpolating once
     after the stencil would be the same map, but rounded differently.
     """
-    if contract.regime is not DividendRegime.CASH_RETURNED_ON_REDEMPTION:
-        raise ValueError(f"forward-shooting grid prices regime 4 only, got {contract.regime!r}")
+    if problem.kind != "regime4":
+        raise ValueError(f"forward-shooting grid prices regime 4 only, got {problem.kind}")
+    market, contract = problem.market, problem.contract
     for spot in spots:
         check_state(spot, accrued)
     constrained = classify(market, contract).has_boundary
     if constrained and accrued >= contract.principal:
         return None
-    config = config or FSG2DConfig()
     r_bar = market.r - contract.loan_rate
     delta = market.delta
     principal = contract.principal
@@ -222,7 +220,7 @@ def price_regime4(
     solver_meta["constrained"] False.  check_state refuses, on either path,
     a state no loan is in, and one outside the solved grid.
     """
-    stream = fsg_stream([spot], accrued, market, contract, config)
+    stream = fsg_stream(VIProblem(market, contract), config or FSG2DConfig(), [spot], accrued)
     if stream is None:
         return spot + accrued - contract.principal, None
     surface = fold_surface(stream)

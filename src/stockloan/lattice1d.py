@@ -13,10 +13,11 @@ the first layer.  The source, and an obstacle that does not depend on tau
 (problems.ProblemSpec.strike), are evaluated once on that ladder, an
 obstacle that does is written into a reused buffer, and values alternate
 between two buffers of steps + 1 floats.  So a march does no per-layer exp
-and allocates nothing per layer.  lattice_value reads the root off it;
-lattice_surface, and the price_* functions that wrap it, keep every layer
-in a surface, so redemption boundaries can be read off afterwards
-(immutable once returned).
+and allocates nothing per layer.  fold_values(lattice_stream(problem,
+config, spot), [spot]) reads the root off it, keeping two layers; the
+price_* functions keep every layer in a surface, so redemption boundaries
+can be read off afterwards (immutable once returned).  Each takes its
+market and contract and refuses a contract of another kind.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .problems import (
     check_state,
     fold_boundary,
     fold_surface,
-    fold_values,
     problem_spec,
     tau_grid,
 )
@@ -86,14 +86,17 @@ def crr_step_params(
     return u, d, p, math.exp(-rate * dt)
 
 
-def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> LayerStream:
+def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> LayerStream:
     """The tree for problem centred on spot, as a stream of (nodes, values, obstacle) layers.
 
-    Arguments are checked here (the spot by check_state), before the first
-    layer is built, down to a top node that would overflow a float.  A NaN
-    anywhere in the tree is refused with RuntimeError when the root is
-    drawn.  A layer's nodes are a view of the ladder, and its values a view
-    of a buffer the march overwrites as soon as the next layer is drawn.
+    Arguments are checked here (the spot by check_state, a regime-4 problem
+    by problem_spec), before the first layer is built, down to a top node
+    that would overflow a float.  A NaN anywhere in the tree is refused with
+    RuntimeError when the root is drawn.  A layer's nodes are a view of the
+    ladder, and its values a view of a buffer the march overwrites as soon
+    as the next layer is drawn.  Memory grows with the step count, not its
+    square: the node ladder, the source and the obstacle on it (or one
+    obstacle buffer) and two value buffers, each a few times steps floats.
     """
     check_state(spot)
     spec = problem_spec(problem)
@@ -162,32 +165,23 @@ def lattice_stream(spot: float, problem: VIProblem, config: LatticeConfig) -> La
         # expectation, np.maximum and np.minimum all carry a NaN forward, so
         # a NaN anywhere in the tree shows up here.
         if np.isnan(v[0]):
-            raise RuntimeError(f"lattice produced NaN values for problem {spec.label!r}")
+            raise RuntimeError(f"lattice produced NaN values for problem {problem.kind!r}")
         yield x, v, obs
 
     principal = problem.contract.principal
     return LayerStream(taus, None, principal, _X_MAX_MULT * principal, meta, layers())
 
 
-def lattice_value(spot: float, problem: VIProblem, config: LatticeConfig) -> float:
-    """Value of problem at spot, read off the root without keeping the tree.
-
-    Memory grows with the step count, not its square: the node ladder, the
-    source and the obstacle on it (or one obstacle buffer) and two value
-    buffers, each a few times steps floats.  The value is the root of the
-    surface lattice_surface returns, bit for bit.
-    """
-    return fold_values(lattice_stream(spot, problem, config), [spot])[0]
-
-
-def lattice_surface(
-    spot: float, problem: VIProblem, config: LatticeConfig
-) -> tuple[float, ValueSurface]:
+def _surface(kind: str, problem: VIProblem, config: LatticeConfig,
+             spot: float) -> tuple[float, ValueSurface]:
     """Value of problem at spot and the whole tree it was read off; returns (value, surface).
 
-    Memory grows with the square of the step count.
+    A problem not of the wrapper's kind is refused first.  Memory grows with
+    the square of the step count.
     """
-    surface = fold_surface(lattice_stream(spot, problem, config))
+    if problem.kind != kind:
+        raise ValueError(f"price_{kind} prices a {kind} loan, got {problem.kind}")
+    surface = fold_surface(lattice_stream(problem, config, spot))
     return float(surface.values[-1][0]), surface
 
 
@@ -199,7 +193,7 @@ def price_regime1(
     The surface lives in similarity coordinates; at t = 0 those coincide
     with cash coordinates, so the returned value is the loan value at spot.
     """
-    return lattice_surface(spot, VIProblem("regime1", market, contract), config)
+    return _surface("regime1", VIProblem(market, contract), config, spot)
 
 
 def price_regime2(
@@ -210,7 +204,7 @@ def price_regime2(
     The surface is indexed by the scaled reinvested position; at t = 0 the
     position equals the stock, so the value is again read off at spot.
     """
-    return lattice_surface(spot, VIProblem("regime2", market, contract), config)
+    return _surface("regime2", VIProblem(market, contract), config, spot)
 
 
 def price_regime3(
@@ -223,7 +217,7 @@ def price_regime3(
     loan price is this value plus the dividends already delivered, which the
     caller adds at the API boundary.
     """
-    return lattice_surface(spot, VIProblem("regime3", market, contract), config)
+    return _surface("regime3", VIProblem(market, contract), config, spot)
 
 
 def price_amortized(
@@ -238,7 +232,7 @@ def price_amortized(
     coordinates throughout; values may go negative near S = 0, where the
     remaining payment stream dominates.
     """
-    return lattice_surface(spot, VIProblem("amortized", market, contract), config)
+    return _surface("amortized", VIProblem(market, contract, "amortized"), config, spot)
 
 
 def price_withdrawable(
@@ -255,7 +249,7 @@ def price_withdrawable(
     intrinsic value exceeds L the lender settles at L, so the upper clamp
     wins over the redemption obstacle.  Cash coordinates.
     """
-    return lattice_surface(spot, VIProblem("withdrawable", market, contract, cap), config)
+    return _surface("withdrawable", VIProblem(market, contract, "withdrawable", cap), config, spot)
 
 
 def extract_boundary(surface: ValueSurface, tol: float = 1e-7) -> BoundaryCurve:

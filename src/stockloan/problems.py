@@ -1,4 +1,4 @@
-"""The one-dimensional stock-loan obstacle problems, defined once, and the folds over a march.
+"""The record of a loan to price, its one-dimensional obstacle problem, and the folds over a march.
 
 Every one-dimensional contract is the same optimal-redemption problem: a
 value that dominates a redemption obstacle, grows under a lognormal state
@@ -6,8 +6,12 @@ with a given drift and discount rate, collects an optional running source
 and starts from a terminal payoff.  The dividend regimes and the two loan
 variants differ only in those ingredients, in an optional cap from above
 and in the values the problem takes at the ends of a truncated grid.
-problem_spec writes them out per problem kind; the lattice and the
-finite-difference backends both march the spec they get from it.
+VIProblem is the one record of a loan to price, for every backend: the
+market, the contract and, for the loan variants, which one; its kind is
+derived from them.  problem_spec writes the ingredients out per kind; the
+lattice and the finite-difference backends both march the spec they get
+from it, and the forward-shooting grid takes the regime-4 loan, which has
+no one-dimensional problem.
 
 Regimes 1 to 3 live in similarity coordinates, where the obstacle x - K is
 time independent, the drift is r - gamma - delta and the discount rate is
@@ -39,15 +43,9 @@ from typing import Callable, Iterator, Literal
 
 import numpy as np
 
-from .contracts import (
-    DividendRegime,
-    LoanContract,
-    MarketParams,
-    classify,
-    reduce_regime2,
-)
+from .contracts import LoanContract, MarketParams, classify, reduce_regime2
 
-ProblemKind = Literal["regime1", "regime2", "regime3", "amortized", "withdrawable"]
+ProblemKind = Literal["regime1", "regime2", "regime3", "regime4", "amortized", "withdrawable"]
 
 # exp() of anything above this overflows a float.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -56,12 +54,6 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # square of the spacing (the measured table is in CHANGES.md).
 MAX_LOG_SPACING = 0.3
 MIN_LOG_SPACING_ULPS = 4  # narrowest, in ulps of max(1, |log x|); table in CHANGES.md
-
-_REGIME_KINDS: dict[DividendRegime, ProblemKind] = {
-    DividendRegime.LENDER_KEEPS: "regime1",
-    DividendRegime.REINVESTED_RETURNED_ON_REDEMPTION: "regime2",
-    DividendRegime.DELIVERED_IMMEDIATELY: "regime3",
-}
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -359,43 +351,35 @@ def fold_surface(stream: LayerStream) -> ValueSurface:
 
 @dataclass(frozen=True)
 class VIProblem:
-    """A one-dimensional variational-inequality pricing problem.
+    """A loan to price: the market, the contract and, for the loan variants, which one.
 
-    kind selects among the three similarity regimes and the two cash-basis
-    loan variants.  cap is the withdrawal cap L and is required exactly for
-    the withdrawable kind.
+    variant is None for a dividend regime (the contract's) or names one of
+    the two cash-basis loan variants, which have no dividend regime.  cap
+    is the withdrawal cap L and is required exactly for the withdrawable
+    variant.  Every backend takes this one record; kind says which problem
+    it is.
     """
 
-    kind: ProblemKind
     market: MarketParams
     contract: LoanContract
+    variant: Literal["amortized", "withdrawable"] | None = None
     cap: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regime1", "regime2", "regime3", "amortized", "withdrawable"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "withdrawable":
+        if self.variant not in (None, "amortized", "withdrawable"):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant == "withdrawable":
             if self.cap is None or not 0.0 < self.cap < self.contract.principal:
                 raise ValueError(
                     f"withdrawable problems need a cap in (0, principal), got {self.cap}"
                 )
         elif self.cap is not None:
             raise ValueError(f"cap only applies to withdrawable problems, got kind {self.kind!r}")
-        if self.kind in _REGIME_KINDS.values():
-            expected = {v: k for k, v in _REGIME_KINDS.items()}[self.kind]
-            if self.contract.regime is not expected:
-                raise ValueError(
-                    f"problem kind {self.kind!r} requires contract regime {expected!r}, "
-                    f"got {self.contract.regime!r}"
-                )
 
-    @staticmethod
-    def from_regime(
-        market: MarketParams, contract: LoanContract, cap: float | None = None
-    ) -> "VIProblem":
-        if contract.regime not in _REGIME_KINDS:
-            raise ValueError(f"no one-dimensional problem for regime {contract.regime!r}")
-        return VIProblem(_REGIME_KINDS[contract.regime], market, contract, cap)
+    @property
+    def kind(self) -> ProblemKind:
+        """The variant if there is one, else regime<n> for the contract's dividend regime n."""
+        return self.variant or f"regime{self.contract.regime.value}"
 
 
 @dataclass(frozen=True)
@@ -426,7 +410,6 @@ class ProblemSpec:
     near_field: Callable[[float, float], float]
     far_field: Callable[[float, float], float]
     constrained: bool
-    label: str
 
     def obstacle(self, x: np.ndarray, tau: float) -> np.ndarray:
         """The redemption value x - strike at tau."""
@@ -453,11 +436,14 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
     and the asymptote in empty ones.  The near field is the value at x = 0:
     zero for regimes 1 and 2 and the withdrawable variant, the accumulated
     dividend stream for regime 3, the annuity of remaining payments for the
-    amortizing variant.
+    amortizing variant.  A regime-4 problem, which has no one-dimensional
+    form, is refused with ValueError.
     """
     market, contract = problem.market, problem.contract
     principal = contract.principal
     kind = problem.kind
+    if kind == "regime4":
+        raise ValueError("no one-dimensional problem for regime 4")
 
     if kind in ("regime1", "regime2", "regime3"):
         if kind == "regime2":
@@ -490,7 +476,6 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
             near_field=near,
             far_field=far,
             constrained=constrained,
-            label=kind,
         )
 
     r, delta = market.r, market.delta
@@ -521,7 +506,6 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
                 x - outstanding(tau), x * math.exp(-delta * tau) - annuity(tau)
             ),
             constrained=True,
-            label=kind,
         )
 
     cap = problem.cap
@@ -548,5 +532,4 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
             ),
         ),
         constrained=True,
-        label=kind,
     )

@@ -98,7 +98,7 @@ def test_criterion_3_terminal_boundary_limits():
     worst_fd_nodes = 0.0
     fd_cfg = FDConfig(space_nodes=400, time_steps=400)
     for regime in (1, 2, 3):
-        surface, boundary = solve_vi(VIProblem.from_regime(HIGH_VOL, loan(regime, 5.0)),
+        surface, boundary = solve_vi(VIProblem(HIGH_VOL, loan(regime, 5.0)),
                                      fd_cfg)
         x = np.asarray(surface.x_nodes[0])
         node_gap = float(np.diff(x)[max(np.searchsorted(x, K) - 1, 0)])
@@ -127,7 +127,7 @@ def test_criterion_4_closed_form_equivalences():
     spots = np.linspace(0.35, 1.6, 10)
     market_a = MarketParams(r=0.12, delta=0.0, sigma=0.3)
     similarity_a = MarketParams(r=market_a.r - GAMMA, delta=0.0, sigma=0.3)
-    fd_a, _ = solve_vi(VIProblem.from_regime(market_a, loan(1)),
+    fd_a, _ = solve_vi(VIProblem(market_a, loan(1)),
                        FDConfig(space_nodes=400, time_steps=400))
     worst_a = 0.0
     for spot in spots:
@@ -137,7 +137,7 @@ def test_criterion_4_closed_form_equivalences():
         worst_a = max(worst_a, abs(lattice_value - reference),
                       abs(fd_a.value_at(float(spot), 1.0) - reference))
     market_b = MarketParams(r=0.12, delta=0.03, sigma=0.3)
-    fd_b, _ = solve_vi(VIProblem.from_regime(market_b, loan(3)),
+    fd_b, _ = solve_vi(VIProblem(market_b, loan(3)),
                        FDConfig(space_nodes=400, time_steps=400))
     worst_b = 0.0
     for spot in spots:
@@ -160,7 +160,7 @@ def test_criterion_5_boundary_orderings():
     curves = {}
     taus_fd = None
     for regime in (1, 2, 3):
-        surface, boundary = solve_vi(VIProblem.from_regime(HIGH_VOL, loan(regime, 5.0)),
+        surface, boundary = solve_vi(VIProblem(HIGH_VOL, loan(regime, 5.0)),
                                      fd_cfg)
         curves[regime] = np.asarray(boundary.x_star)
         taus_fd = np.asarray(surface.tau_grid)
@@ -202,7 +202,7 @@ def test_criterion_6_cross_backend_agreement():
     for sigma in (0.4, 0.15):
         market = MarketParams(r=0.06, delta=0.03, sigma=sigma)
         for regime in (1, 2, 3):
-            fd_surface, _ = solve_vi(VIProblem.from_regime(market, loan(regime, 5.0)),
+            fd_surface, _ = solve_vi(VIProblem(market, loan(regime, 5.0)),
                                      FDConfig(space_nodes=400, time_steps=400))
             for _ in range(20):
                 x = float(rng.uniform(0.3, 2.2))
@@ -227,7 +227,7 @@ def test_criterion_7_oracle_equivalence():
             recombined, _ = pricer(spot, HIGH_VOL, loan(regime), LatticeConfig(steps=10))
             worst_exact = max(worst_exact, abs(enumerated - recombined))
     diffs = []
-    fd3, _ = solve_vi(VIProblem.from_regime(HIGH_VOL, loan(3)),
+    fd3, _ = solve_vi(VIProblem(HIGH_VOL, loan(3)),
                       FDConfig(space_nodes=600, time_steps=600))
     for spot in (0.85, 1.15):
         diffs.append(abs(fd3.value_at(spot, 1.0)
@@ -263,7 +263,7 @@ def test_criterion_8_property_suites():
     for _ in range(50):
         market = draw_market(rng)
         regime = int(rng.integers(1, 4))
-        surface, _ = solve_vi(VIProblem.from_regime(market, loan(regime)),
+        surface, _ = solve_vi(VIProblem(market, loan(regime)),
                               FDConfig(space_nodes=200, time_steps=200))
         values = np.asarray(surface.values)
         obstacles = np.asarray(surface.obstacles)
@@ -289,8 +289,8 @@ def test_criterion_8_property_suites():
     for _ in range(50):
         market = draw_market(rng)
         cfg = FDConfig(space_nodes=200, time_steps=200)
-        s2, _ = solve_vi(VIProblem.from_regime(market, loan(2)), cfg)
-        s3, _ = solve_vi(VIProblem.from_regime(market, loan(3)), cfg)
+        s2, _ = solve_vi(VIProblem(market, loan(2)), cfg)
+        s3, _ = solve_vi(VIProblem(market, loan(3)), cfg)
         worst_dominance = max(worst_dominance,
                               float(np.max(np.asarray(s2.values) - np.asarray(s3.values))))
     if worst_dominance > 2e-4:
@@ -303,7 +303,7 @@ def test_criterion_8_property_suites():
         market = draw_market(rng)
         _, s4 = price_regime4(0.8, 0.0, market, loan(4),
                               FSG2DConfig(x_nodes=200, a_nodes=120, time_steps=100))
-        s2, _ = solve_vi(VIProblem.from_regime(market, loan(2)),
+        s2, _ = solve_vi(VIProblem(market, loan(2)),
                          FDConfig(space_nodes=300, time_steps=200))
         x_grid = np.asarray(s4.x_nodes[0])
         account = np.asarray(s4.a_grid)
@@ -337,8 +337,8 @@ def test_criterion_8_property_suites():
         _, s4 = price_regime4(0.8, 0.0, market, loan(4),
                               FSG2DConfig(x_nodes=150, a_nodes=30, time_steps=100))
         cfg = FDConfig(space_nodes=300, time_steps=200)
-        s2, b2 = solve_vi(VIProblem.from_regime(market, loan(2)), cfg)
-        _, b3 = solve_vi(VIProblem.from_regime(market, loan(3)), cfg)
+        s2, b2 = solve_vi(VIProblem(market, loan(2)), cfg)
+        _, b3 = solve_vi(VIProblem(market, loan(3)), cfg)
         x_grid = np.asarray(s4.x_nodes[0])
         account = np.asarray(s4.a_grid)
         values = np.asarray(s4.values)
@@ -394,7 +394,7 @@ def test_criterion_8_property_suites():
     for _ in range(50):
         market = draw_market(rng)
         regime = int(rng.integers(1, 4))
-        problem = VIProblem.from_regime(market, loan(regime))
+        problem = VIProblem(market, loan(regime))
         surface, _ = solve_vi(problem, FDConfig(space_nodes=200, time_steps=200))
         report = residual_report(surface, problem)
         worst_residual = max(worst_residual, report.max_violation)

@@ -408,9 +408,18 @@ def test_price_at_maturity_where_step_multiples_fall_short(argv, capsys):
      "--accrued, --regime, --solver"),
     (["price", "--variant", "amortized", "--regime", "3", "--steps", "200", "--spot", "0.9"],
      "--regime"),
+    # refused for the flag, not for the config the other flags happen to leave
+    (["figure", "3", "--regime", "4"], "error: figure on the fsg solver does not read --regime\n"),
+    (["figure", "1", "--solver", "fsg"], "error: figure on the fd solver does not read --solver\n"),
+    (["figure", "2", "--accrued", "0.1"],
+     "error: figure on the fd solver does not read --accrued\n"),
+    (["figure", "3", "--variant", "amortized"],
+     "error: figures cover the dividend regimes, not variants\n"),
 ], ids=["price-fd-steps", "price-lattice-space-nodes", "oracle-check-fd-grids", "price-tol",
         "perpetual-grid-tol", "perpetual-solver", "perpetual-variant", "sweep-tol",
-        "figure-solver", "figure-regime", "figure-regime-accrued-solver", "price-variant-regime"])
+        "figure-solver", "figure-regime", "figure-regime-accrued-solver", "price-variant-regime",
+        "figure-regime-of-its-solver", "figure-solver-for-another-regime",
+        "figure-accrued-of-another-regime", "figure-variant-of-another-solver"])
 def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys):
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran")
@@ -423,6 +432,19 @@ def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["price", "--loan-rate", "-1e-3", "--steps", "50"],
+     ["price", "--loan-rate=-1e-3", "--steps", "50"]),
+    (["sweep", "--param", "loan_rate", "--values", "-0.01,0.02", "--steps", "50"],
+     ["sweep", "--param", "loan_rate", "--values=-0.01,0.02", "--steps", "50"]),
+], ids=["price", "sweep"])
+def test_negative_value_in_exponent_form_is_a_value(argv, joined, capsys):
+    # argparse reads only -1 and -1.5 as negative numbers, so these were taken for flags
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(joined, capsys)
 
 
 def test_config_header_reruns_with_every_field(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from stockloan import (
     DividendRegime,
     FDConfig,
+    FSG2DConfig,
     LatticeConfig,
     LoanContract,
     MarketParams,
@@ -16,6 +17,8 @@ from stockloan import (
     classify,
     european_call,
     fd_stream,
+    fsg_stream,
+    lattice_stream,
     parity_price_regime3,
     price_amortized,
     price_regime1,
@@ -36,7 +39,14 @@ def contract(regime, maturity=1.0):
 
 
 def problem(regime, market=HIGH_VOL, maturity=1.0):
-    return VIProblem.from_regime(market, contract(regime, maturity))
+    return VIProblem(market, contract(regime, maturity))
+
+
+def kind_problem(kind, market=HIGH_VOL, maturity=1.0):
+    """A regime's problem, or a variant's on a regime-1 contract (cap 0.5 when withdrawable)."""
+    if kind.startswith("regime"):
+        return problem(int(kind[-1]), market, maturity)
+    return VIProblem(market, contract(1, maturity), kind, 0.5 if kind == "withdrawable" else None)
 
 
 def test_config_validation():
@@ -47,14 +57,27 @@ def test_config_validation():
 
 
 def test_problem_validation():
+    # the kind is the variant, else read off the contract's regime
+    for regime in (1, 2, 3, 4):
+        assert problem(regime).kind == f"regime{regime}"
+    assert VIProblem(HIGH_VOL, contract(4), "amortized").kind == "amortized"
+    assert VIProblem(HIGH_VOL, contract(2), "withdrawable", cap=0.5).kind == "withdrawable"
+    with pytest.raises(ValueError, match="unknown variant"):
+        VIProblem(HIGH_VOL, contract(1), "regime1")
     with pytest.raises(ValueError):
-        VIProblem.from_regime(HIGH_VOL, contract(4))
+        VIProblem(HIGH_VOL, contract(1), "withdrawable")
     with pytest.raises(ValueError):
-        VIProblem("regime1", HIGH_VOL, contract(2))
+        VIProblem(HIGH_VOL, contract(1), cap=0.5)
     with pytest.raises(ValueError):
-        VIProblem("withdrawable", HIGH_VOL, contract(1))
-    with pytest.raises(ValueError):
-        VIProblem("regime1", HIGH_VOL, contract(1), cap=0.5)
+        VIProblem(HIGH_VOL, contract(1), "amortized", cap=0.5)
+    # each builder refuses a kind it does not march, before any layer is drawn
+    with pytest.raises(ValueError, match="^no one-dimensional problem for regime 4$"):
+        lattice_stream(problem(4), LatticeConfig(steps=10), 0.8)
+    with pytest.raises(ValueError, match="^no one-dimensional problem for regime 4$"):
+        fd_stream(problem(4), FDConfig(space_nodes=40, time_steps=4), [0.8])
+    for kind in ("regime1", "regime2", "regime3", "amortized", "withdrawable"):
+        with pytest.raises(ValueError, match=f"prices regime 4 only, got {kind}$"):
+            fsg_stream(kind_problem(kind), FSG2DConfig(), [0.8], 0.0)
 
 
 def test_log_stencil_rows_sum_to_minus_rate():
@@ -104,7 +127,7 @@ def test_unconstrained_path_one_solve_per_step():
     market = MarketParams(r=0.12, delta=0.0, sigma=0.3)
     assert classify(market, contract(1)).redemption_region_kind is RegionKind.EMPTY
     config = FDConfig(space_nodes=200, time_steps=100)
-    surface, boundary = solve_vi(VIProblem.from_regime(market, contract(1)), config)
+    surface, boundary = solve_vi(VIProblem(market, contract(1)), config)
     assert surface.solver_meta["constrained"] is False
     # one banded solve per implicit step, the Rannacher half-step included
     assert surface.solver_meta["linear_solves"] == config.time_steps + 1
@@ -113,7 +136,7 @@ def test_unconstrained_path_one_solve_per_step():
 
 def test_unconstrained_matches_european_call():
     market = MarketParams(r=0.12, delta=0.0, sigma=0.3)
-    surface, _ = solve_vi(VIProblem.from_regime(market, contract(1)),
+    surface, _ = solve_vi(VIProblem(market, contract(1)),
                           FDConfig(space_nodes=400, time_steps=400))
     similarity = MarketParams(r=market.r - GAMMA, delta=0.0, sigma=market.sigma)
     for spot in np.linspace(0.35, 1.6, 10):
@@ -123,7 +146,7 @@ def test_unconstrained_matches_european_call():
 
 def test_delivered_stream_matches_parity():
     market = MarketParams(r=0.12, delta=0.03, sigma=0.3)
-    surface, _ = solve_vi(VIProblem.from_regime(market, contract(3)),
+    surface, _ = solve_vi(VIProblem(market, contract(3)),
                           FDConfig(space_nodes=400, time_steps=400))
     for spot in np.linspace(0.35, 1.6, 10):
         reference = parity_price_regime3(float(spot), 1.0, market, contract(3))
@@ -143,10 +166,7 @@ def test_policy_iteration_guard_raises(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
 def test_complementarity_audit_clean(kind):
-    if kind.startswith("regime"):
-        prob = problem(int(kind[-1]))
-    else:
-        prob = VIProblem(kind, HIGH_VOL, contract(1), cap=0.5 if kind == "withdrawable" else None)
+    prob = kind_problem(kind)
     surface, _ = solve_vi(prob, FDConfig(space_nodes=200, time_steps=200))
     report = residual_report(surface, prob)
     assert report.max_violation < 1e-6 * K
@@ -172,7 +192,7 @@ def test_boundary_approaches_perpetual_level():
 
     loan = contract(1, maturity=25.0)
     level = perpetual_regime1(HIGH_VOL, loan).x_star_inf
-    _, boundary = solve_vi(VIProblem.from_regime(HIGH_VOL, loan),
+    _, boundary = solve_vi(VIProblem(HIGH_VOL, loan),
                            FDConfig(space_nodes=600, time_steps=600))
     finite = boundary.x_star[np.isfinite(boundary.x_star)]
     assert np.max(finite) <= level * 1.001
@@ -181,7 +201,7 @@ def test_boundary_approaches_perpetual_level():
 
 def test_amortized_matches_lattice():
     loan = contract(1, maturity=5.0)
-    surface, _ = solve_vi(VIProblem("amortized", HIGH_VOL, loan),
+    surface, _ = solve_vi(VIProblem(HIGH_VOL, loan, "amortized"),
                           FDConfig(space_nodes=400, time_steps=400))
     for spot in (0.6, 0.8, 1.1):
         lattice_value, _ = price_amortized(spot, HIGH_VOL, loan, LatticeConfig(steps=2000))
@@ -191,7 +211,7 @@ def test_amortized_matches_lattice():
 def test_withdrawable_matches_lattice_and_respects_cap():
     loan = contract(1, maturity=5.0)
     cap = 0.5
-    surface, _ = solve_vi(VIProblem("withdrawable", HIGH_VOL, loan, cap=cap),
+    surface, _ = solve_vi(VIProblem(HIGH_VOL, loan, "withdrawable", cap=cap),
                           FDConfig(space_nodes=400, time_steps=400))
     lattice_value, _ = price_withdrawable(0.8, HIGH_VOL, loan, LatticeConfig(steps=2000), cap)
     assert abs(surface.value_at(0.8, 5.0) - lattice_value) < 1e-3 * K
@@ -322,9 +342,7 @@ FD_MARKETS = [HIGH_VOL, MarketParams(r=0.14, delta=0.03, sigma=0.25)]
 @pytest.mark.parametrize("market", FD_MARKETS, ids=lambda m: f"r{m.r}")
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
 def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
-    regime = int(kind[-1]) if kind.startswith("regime") else 1
-    prob = VIProblem(kind, market, contract(regime, maturity=3.0),
-                     cap=0.5 if kind == "withdrawable" else None)
+    prob = kind_problem(kind, market, maturity=3.0)
     config = FDConfig(space_nodes=grid[0], time_steps=grid[1])
     stream = fd_stream(prob, config)
     drawn = list(stream.layers)
@@ -344,8 +362,8 @@ WITHDRAWABLE_CYCLES = [(0.4, 800, 50, 1.0), (1e-5, 100, 100, 5.0)]
 
 @pytest.mark.parametrize("sigma, nodes, steps, maturity", WITHDRAWABLE_CYCLES)
 def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, steps, maturity):
-    prob = VIProblem("withdrawable", MarketParams(r=0.06, delta=0.03, sigma=sigma),
-                     contract(1, maturity), cap=0.35)
+    prob = VIProblem(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(1, maturity),
+                     "withdrawable", cap=0.35)
     surface, _ = solve_vi(prob, FDConfig(space_nodes=nodes, time_steps=steps))
     assert math.isfinite(surface.value_at(0.7, maturity))
     report = residual_report(surface, prob)
@@ -357,9 +375,7 @@ def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, s
                          ids=lambda m: f"r{m.r}-d{m.delta}")
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
 def test_factorizations_never_exceed_solves(kind, market):
-    regime = int(kind[-1]) if kind.startswith("regime") else 1
-    prob = VIProblem(kind, market, contract(regime, maturity=3.0),
-                     cap=0.5 if kind == "withdrawable" else None)
+    prob = kind_problem(kind, market, maturity=3.0)
     stream = fd_stream(prob, FDConfig(space_nodes=200, time_steps=120))
     for _ in stream.layers:
         pass
@@ -386,6 +402,6 @@ def test_cap_policy_guard_raises(monkeypatch):
         return rng.random(f.size) < 0.5
 
     monkeypatch.setattr("stockloan.fd1d._StepSystem.cap_rows", flickers)
-    prob = VIProblem("withdrawable", HIGH_VOL, contract(1), cap=0.5)
+    prob = VIProblem(HIGH_VOL, contract(1), "withdrawable", cap=0.5)
     with pytest.raises(RuntimeError, match="the cap policy did not settle within 31 updates"):
         solve_vi(prob, FDConfig(space_nodes=32, time_steps=4))

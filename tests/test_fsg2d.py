@@ -12,6 +12,7 @@ from stockloan import (
     LatticeConfig,
     LoanContract,
     MarketParams,
+    VIProblem,
     accrue_dividends,
     extract_boundary_surface,
     fold_boundary,
@@ -232,14 +233,15 @@ def test_march_matches_per_offset_reference(market, a_max, constrained):
 def test_two_layer_consumers_equal_the_surface(market):
     config = FSG2DConfig(x_nodes=80, a_nodes=16, time_steps=40)
     loan = contract()
+    problem = VIProblem(market, loan)
     for accrued in (0.0, 0.1, 0.35):
         spots = [0.3, 0.8, 1.7]
-        values = fold_values(fsg_stream(spots, accrued, market, loan, config), spots, accrued)
+        values = fold_values(fsg_stream(problem, config, spots, accrued), spots, accrued)
         for spot, value in zip(spots, values):
             assert value == price_regime4(spot, accrued, market, loan, config)[0]
         _, surface = price_regime4(0.8, accrued, market, loan, config)
         for tol in (0.0, 1e-7, 1e-3):
-            ours = fold_boundary(fsg_stream([0.8], accrued, market, loan, config), tol)
+            ours = fold_boundary(fsg_stream(problem, config, [0.8], accrued), tol)
             theirs = extract_boundary_surface(surface, tol)
             assert np.array_equal(ours.tau_grid, theirs.tau_grid)
             assert np.array_equal(ours.a_grid, theirs.a_grid)
@@ -249,22 +251,23 @@ def test_two_layer_consumers_equal_the_surface(market):
 def test_two_layer_consumers_refuse_as_the_surface_does():
     config = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
     with pytest.raises(ValueError, match="x=50.0 outside the surface nodes"):
-        fsg_stream([0.8, 50.0], 0.1, HIGH_VOL, contract(), config)
+        fsg_stream(VIProblem(HIGH_VOL, contract()), config, [0.8, 50.0], 0.1)
     with pytest.raises(ValueError, match="account level 2.0 outside grid"):
-        fsg_stream([0.8], 2.0, MarketParams(r=0.12, delta=0.03, sigma=0.3), contract(), config)
+        fsg_stream(VIProblem(MarketParams(r=0.12, delta=0.03, sigma=0.3), contract()), config,
+                   [0.8], 2.0)
     # an account that covers the principal redeems at once: no march, no surface
-    assert fsg_stream([0.55, 0.6], 0.75, HIGH_VOL, contract(), config) is None
+    assert fsg_stream(VIProblem(HIGH_VOL, contract()), config, [0.55, 0.6], 0.75) is None
     for s in (0.55, 0.6):
         assert price_regime4(s, 0.75, HIGH_VOL, contract()) == (s + 0.75 - K, None)
     with pytest.raises(ValueError, match="spot must be positive"):
-        fsg_stream([0.55, -0.6], 0.75, HIGH_VOL, contract(), config)
+        fsg_stream(VIProblem(HIGH_VOL, contract()), config, [0.55, -0.6], 0.75)
 
 
 def test_boundary_path_memory_at_the_default_grid():
     # the full default surface holds 201 layers of 200 x 50 values (16 MB)
     tracemalloc.start()
     try:
-        fold_boundary(fsg_stream([0.8], 0.1, HIGH_VOL, contract(), FSG2DConfig()))
+        fold_boundary(fsg_stream(VIProblem(HIGH_VOL, contract()), FSG2DConfig(), [0.8], 0.1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,7 +16,9 @@ from stockloan import (
     VIProblem,
     amortized_payment_rate,
     extract_boundary,
-    lattice_value,
+    fold_surface,
+    fold_values,
+    lattice_stream,
     price_amortized,
     price_regime1,
     price_regime2,
@@ -213,11 +215,11 @@ def test_max_decrease_matches_pairwise_scan():
 
 
 PROBLEMS = [
-    VIProblem("regime1", HIGH_VOL, contract(1)),
-    VIProblem("regime2", HIGH_VOL, contract(2)),
-    VIProblem("regime3", HIGH_VOL, contract(3)),
-    VIProblem("amortized", HIGH_VOL, contract(1, maturity=2.0)),
-    VIProblem("withdrawable", HIGH_VOL, contract(1), cap=0.5),
+    VIProblem(HIGH_VOL, contract(1)),
+    VIProblem(HIGH_VOL, contract(2)),
+    VIProblem(HIGH_VOL, contract(3)),
+    VIProblem(HIGH_VOL, contract(1, maturity=2.0), "amortized"),
+    VIProblem(HIGH_VOL, contract(1), "withdrawable", cap=0.5),
 ]
 
 
@@ -226,15 +228,16 @@ PROBLEMS = [
 def test_lattice_value_is_surface_root_bitwise(problem, steps):
     config = LatticeConfig(steps=steps)
     for spot in (0.55, 0.8, 1.3):
-        root, surface = lattice1d.lattice_surface(spot, problem, config)
-        assert lattice_value(spot, problem, config) == root == surface.values[-1][0]
+        surface = fold_surface(lattice_stream(problem, config, spot))
+        value = fold_values(lattice_stream(problem, config, spot), [spot])[0]
+        assert value == surface.values[-1][0]
 
 
 def test_lattice_value_memory_is_linear_in_steps():
     # the full 8000-step tree holds about 760 MB; two layers hold 128 KB each
     tracemalloc.start()
     try:
-        lattice_value(0.8, PROBLEMS[2], LatticeConfig(steps=8000))
+        fold_values(lattice_stream(PROBLEMS[2], LatticeConfig(steps=8000), 0.8), [0.8])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,9 +265,9 @@ def poison_terminal(monkeypatch):
 def test_nan_anywhere_reaches_the_root_guard(problem, monkeypatch):
     poison_terminal(monkeypatch)
     with pytest.raises(RuntimeError, match="NaN"):
-        lattice_value(0.8, problem, LatticeConfig(steps=50))
+        fold_values(lattice_stream(problem, LatticeConfig(steps=50), 0.8), [0.8])
     with pytest.raises(RuntimeError, match="NaN"):
-        lattice1d.lattice_surface(0.8, problem, LatticeConfig(steps=50))
+        fold_surface(lattice_stream(problem, LatticeConfig(steps=50), 0.8))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -272,9 +275,7 @@ def test_non_finite_spot_refused_before_the_march(bad):
     # a NaN spot used to march the whole tree and fail at the root guard
     for problem in PROBLEMS:
         with pytest.raises(ValueError, match="spot must be finite"):
-            lattice1d.lattice_stream(bad, problem, LatticeConfig(steps=50))
-        with pytest.raises(ValueError, match="spot must be finite"):
-            lattice_value(bad, problem, LatticeConfig(steps=50))
+            lattice_stream(problem, LatticeConfig(steps=50), bad)
 
 
 def reference_layers(spot, problem, steps):
@@ -320,7 +321,7 @@ HIGH_RATE = MarketParams(r=0.14, delta=0.03, sigma=0.4)
 )
 def test_every_layer_matches_the_reference_march_bitwise(problem, steps):
     for spot in (0.5, 0.8, 1.4):
-        stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+        stream = lattice_stream(problem, LatticeConfig(steps=steps), spot)
         # a layer holds only until the next is drawn, so copy each one as it comes
         drawn = [tuple(arr.copy() for arr in layer) for layer in stream.layers]
         expected = reference_layers(spot, problem, steps)
@@ -335,7 +336,7 @@ def test_ladder_nodes_equal_the_oracle_path_nodes():
     # ups up moves; its distinct values must be the lattice layer exactly
     steps, spot = 12, 0.8
     problem = PROBLEMS[0]
-    stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+    stream = lattice_stream(problem, LatticeConfig(steps=steps), spot)
     log_u = math.log(stream.solver_meta["up_factor"])
     layers = [x.copy() for x, _, _ in stream.layers]
     ups = [np.zeros(1, dtype=np.int64)]
@@ -357,8 +358,8 @@ def test_ladder_nodes_equal_per_layer_exp_on_random_trees():
         dt = float(rng.uniform(1e-4, 0.05))
         steps = int(rng.integers(1, 400))
         market = MarketParams(r=0.06, delta=0.03, sigma=sigma)
-        problem = VIProblem("regime1", market, contract(1, maturity=dt * steps))
-        stream = lattice1d.lattice_stream(spot, problem, LatticeConfig(steps=steps))
+        problem = VIProblem(market, contract(1, maturity=dt * steps))
+        stream = lattice_stream(problem, LatticeConfig(steps=steps), spot)
         log_u = math.log(stream.solver_meta["up_factor"])
         for j, (x, _, _) in enumerate(stream.layers):
             level = steps - j

@@ -49,7 +49,7 @@ def test_every_backend_surface_ends_at_maturity():
     maturity = 0.23
     assert 40 * (maturity / 40) != maturity
     value, lattice = price_regime1(0.8, HIGH_VOL, loan(1, maturity), LatticeConfig(steps=40))
-    fd, _ = solve_vi(VIProblem.from_regime(HIGH_VOL, loan(1, maturity)),
+    fd, _ = solve_vi(VIProblem(HIGH_VOL, loan(1, maturity)),
                      FDConfig(space_nodes=80, time_steps=40))
     fsg_value, fsg = price_regime4(0.8, 0.1, HIGH_VOL, loan(4, maturity),
                                    FSG2DConfig(x_nodes=60, a_nodes=10, time_steps=40))
@@ -68,10 +68,11 @@ SMALL_FSG = FSG2DConfig(x_nodes=40, a_nodes=8, time_steps=10)
 R_ABOVE = MarketParams(r=0.12, delta=0.03, sigma=0.3)
 # r < gamma and an account that covers the principal: redeeming at once is exact, no grid
 IMMEDIATE = 0.75
+REGIME4 = VIProblem(HIGH_VOL, loan(4, 1.0))
 
 
 def regime1():
-    return VIProblem.from_regime(HIGH_VOL, loan(1, 1.0))
+    return VIProblem(HIGH_VOL, loan(1, 1.0))
 
 
 @functools.cache
@@ -86,12 +87,12 @@ def surface(backend):
 # name: (call(spot, accrued), the account a valid state has, or None where no
 # account is read, and whether the state is read against a grid)
 ENTRIES = {
-    "lattice_stream": (lambda s, a: lattice_stream(s, regime1(), LatticeConfig(40)), None, False),
+    "lattice_stream": (lambda s, a: lattice_stream(regime1(), LatticeConfig(40), s), None, False),
     "fd_stream": (lambda s, a: fd_stream(regime1(), SMALL_FD, [0.8, s]), None, True),
-    "fsg_stream": (lambda s, a: fsg_stream([0.8, s], a, R_ABOVE, loan(4, 1.0), SMALL_FSG),
-                   0.1, True),
+    "fsg_stream": (
+        lambda s, a: fsg_stream(VIProblem(R_ABOVE, loan(4, 1.0)), SMALL_FSG, [0.8, s], a), 0.1, True),
     "fsg_stream immediate": (
-        lambda s, a: fsg_stream([0.8, s], a, HIGH_VOL, loan(4, 1.0), SMALL_FSG), IMMEDIATE, False),
+        lambda s, a: fsg_stream(REGIME4, SMALL_FSG, [0.8, s], a), IMMEDIATE, False),
     "price_regime4": (lambda s, a: price_regime4(s, a, R_ABOVE, loan(4, 1.0), SMALL_FSG), 0.1, True),
     "price_regime4 immediate": (
         lambda s, a: price_regime4(s, a, HIGH_VOL, loan(4, 1.0), SMALL_FSG), IMMEDIATE, False),
@@ -101,11 +102,11 @@ ENTRIES = {
     "value_at fsg": (lambda s, a: surface("fsg").value_at(s, 1.0, a=a), 0.1, True),
     # streams built for other states: only the read checks these
     "fold_values lattice": (
-        lambda s, a: fold_values(lattice_stream(0.8, regime1(), LatticeConfig(40)), [s]),
+        lambda s, a: fold_values(lattice_stream(regime1(), LatticeConfig(40), 0.8), [s]),
         None, True),
     "fold_values fd": (lambda s, a: fold_values(fd_stream(regime1(), SMALL_FD), [s]), None, True),
     "fold_values fsg": (
-        lambda s, a: fold_values(fsg_stream([], 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG), [s], a),
+        lambda s, a: fold_values(fsg_stream(REGIME4, SMALL_FSG, [], 0.1), [s], a),
         0.1, True),
 }
 SPOT_FAULTS = [(0.0, "spot must be positive, got 0.0"), (-1.0, "spot must be positive, got -1.0"),
@@ -140,20 +141,20 @@ def test_every_state_refusal_names_its_fault(name, spot, accrued, message):
 def test_fold_boundary_refuses_a_tolerance_that_is_not_finite(tol):
     # a NaN tolerance read no tie and an infinite one tied every bottom node
     with pytest.raises(ValueError, match=f"tolerance must be nonnegative and finite, got {tol}"):
-        fold_boundary(lattice_stream(0.8, regime1(), LatticeConfig(50)), tol)
+        fold_boundary(lattice_stream(regime1(), LatticeConfig(50), 0.8), tol)
 
 
 # The account is read exactly when the layers have an account grid: an account
 # given to a one-dimensional stream was ignored, and one left out of an FSG read
 # silently read account 0.
 ACCOUNT_RULE = "the account is given exactly when there is an a_grid"
-REGIME3 = VIProblem.from_regime(HIGH_VOL, loan(3, 1.0))
+REGIME3 = VIProblem(HIGH_VOL, loan(3, 1.0))
 ACCOUNT_MISMATCHES = {
     "fold_values lattice": lambda: fold_values(
-        lattice_stream(0.8, REGIME3, LatticeConfig(200)), [0.8], accrued=0.1),
+        lattice_stream(REGIME3, LatticeConfig(200), 0.8), [0.8], accrued=0.1),
     "fold_values fd": lambda: fold_values(fd_stream(REGIME3, SMALL_FD), [0.8], accrued=5.0),
     "fold_values fsg": lambda: fold_values(
-        fsg_stream([0.8], 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG), [0.8]),
+        fsg_stream(REGIME4, SMALL_FSG, [0.8], 0.1), [0.8]),
     "value_at lattice": lambda: surface("lattice").value_at(0.8, 1.0, a=0.1),
     "value_at fsg": lambda: surface("fsg").value_at(0.8, 1.0),
 }

@@ -1,10 +1,13 @@
 """Command-line interface for pricing and boundary extraction.
 
 Subcommands: price, boundary, perpetual, sweep, figure, oracle-check.
-Parameters come from an optional JSON configuration file plus command-line
-overrides; every run embeds its full configuration in the output header,
-floats print with 17 significant digits, and unbounded levels print as the
-literal inf, so repeated runs are byte-identical and self-describing.
+Parameters come from an optional JSON configuration file, a figure's
+defaults, the command-line flags and a figure's fixed settings, each
+overriding the ones before it; the rules across fields apply once, to the
+merged configuration, so a file that the flags complete runs.  Every run
+embeds its full configuration in the output header, floats print with 17
+significant digits, and unbounded levels print as the literal inf, so
+repeated runs are byte-identical and self-describing.
 
 Exit codes: 0 on success, 2 for configuration or parameter errors and for
 a grid too large for the memory, 3 for solver failures.
@@ -30,26 +33,19 @@ from . import closedform
 from .contracts import DividendRegime, LoanContract, MarketParams
 
 if TYPE_CHECKING:
-    from .problems import BoundaryCurve, LayerStream
+    from .problems import BoundaryCurve, LayerStream, VIProblem
 
 SCHEMA_VERSION = "stockloan-csv-v1"
 
-# Which dividend regimes and contract variants each solver can price.
-SOLVER_CAPABILITIES: dict[str, dict[str, tuple]] = {
-    "lattice": {"regimes": (1, 2, 3), "variants": ("amortized", "withdrawable")},
-    "fd": {"regimes": (1, 2, 3), "variants": ("amortized", "withdrawable")},
-    "fsg": {"regimes": (4,), "variants": ()},
-    "oracle": {"regimes": (1, 2, 3, 4), "variants": ()},
+_VARIANTS = ("amortized", "withdrawable")
+# Per solver: the dividend regimes and contract variants it prices, and the grid fields it reads.
+_SOLVERS: dict[str, dict[str, tuple]] = {
+    "lattice": {"regimes": (1, 2, 3), "variants": _VARIANTS, "grid": ("steps",)},
+    "fd": {"regimes": (1, 2, 3), "variants": _VARIANTS, "grid": ("space_nodes", "time_steps")},
+    "fsg": {"regimes": (4,), "variants": (), "grid": ("x_nodes", "a_nodes", "fsg_steps")},
+    "oracle": {"regimes": (1, 2, 3, 4), "variants": (), "grid": ("oracle_steps",)},
 }
-
-# The grid fields each solver reads.
-_GRID_FIELDS = {
-    "lattice": ("steps",),
-    "fd": ("space_nodes", "time_steps"),
-    "fsg": ("x_nodes", "a_nodes", "fsg_steps"),
-    "oracle": ("oracle_steps",),
-}
-_ALL_GRID_FIELDS = tuple(name for fields in _GRID_FIELDS.values() for name in fields)
+_ALL_GRID_FIELDS = tuple(name for solver in _SOLVERS.values() for name in solver["grid"])
 
 _FLOAT_FIELDS = (
     "r", "delta", "sigma", "principal", "loan_rate", "maturity", "spot", "accrued", "cap", "tol",
@@ -57,10 +53,11 @@ _FLOAT_FIELDS = (
 _INT_FIELDS = ("regime",) + _ALL_GRID_FIELDS
 _STR_FIELDS = ("solver", "variant")
 # The JSON type each field takes (a bool is neither a number nor an integer).
-_FIELD_TYPES = (
-    (_FLOAT_FIELDS, (int, float), "a number"), (_INT_FIELDS, int, "an integer"),
-    (_STR_FIELDS, str, "a string"),
-)
+_FIELD_TYPES = {
+    **{name: ((int, float), "a number") for name in _FLOAT_FIELDS},
+    **{name: (int, "an integer") for name in _INT_FIELDS},
+    **{name: (str, "a string") for name in _STR_FIELDS},
+}
 # Per figure: the settings it always runs with, the defaults a command-line
 # flag overrides, and the tau of its account-level snapshot (figures 3 and 4).
 _FIGURES = {
@@ -97,41 +94,17 @@ class RunConfig:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        for names, types, kind in _FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if value is None and name in ("cap", "variant"):
-                    continue
-                if isinstance(value, bool) or not isinstance(value, types):
-                    raise ValueError(f"{name} must be {kind}, got {value!r}")
-                if names is _FLOAT_FIELDS:
-                    # a JSON integer is stored as the float a flag would give
-                    try:
-                        as_float = float(value)
-                    except OverflowError:
-                        as_float = math.inf
-                    if not math.isfinite(as_float):
-                        raise ValueError(f"{name} must be finite, got {value}")
-                    object.__setattr__(self, name, as_float)
-        if self.tol < 0.0:
-            raise ValueError(f"tolerance must be nonnegative, got {self.tol}")
-        if self.accrued < 0.0:
-            raise ValueError(f"accrued account must be nonnegative, got {self.accrued}")
+        for name in _FIELD_TYPES:
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         if self.accrued != 0.0 and (self.variant is not None or self.regime in (1, 2)):
             raise ValueError("only regimes 3 and 4 carry an accrued dividend account")
         if (self.cap is None) == (self.variant == "withdrawable"):
             raise ValueError("the withdrawable variant, and only that variant, takes a cap")
-        if self.solver not in SOLVER_CAPABILITIES:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; choose from {sorted(SOLVER_CAPABILITIES)}"
-            )
-        if self.variant is not None and self.variant not in ("amortized", "withdrawable"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        caps = SOLVER_CAPABILITIES[self.solver]
+        solver = _SOLVERS[self.solver]
         if self.variant is not None:
-            if self.variant not in caps["variants"]:
+            if self.variant not in solver["variants"]:
                 raise ValueError(f"solver {self.solver!r} does not price the {self.variant} variant")
-        elif self.regime not in caps["regimes"]:
+        elif self.regime not in solver["regimes"]:
             raise ValueError(f"solver {self.solver!r} does not price regime {self.regime}")
 
     def market(self) -> MarketParams:
@@ -148,15 +121,39 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("configuration JSON must be an object")
-        unknown = set(data) - {f.name for f in dataclasses.fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        return RunConfig(**data)
+    def problem(self) -> VIProblem:
+        *_, problems = _solvers()
+        return problems.VIProblem(self.market(), self.contract(), self.variant, self.cap)
+
+
+def _checked(name: str, value):
+    """value as the field name stores it, or a ValueError naming the field's fault.
+
+    Refused are a value of the wrong type, an unknown solver or variant, a
+    float that is not finite and a negative tolerance or accrued account.  A
+    JSON integer in a float field becomes the float a flag would give.
+    """
+    if value is None and name in ("cap", "variant"):
+        return value
+    types, kind = _FIELD_TYPES[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if name == "solver" and value not in _SOLVERS:
+        raise ValueError(f"unknown solver {value!r}; choose from {sorted(_SOLVERS)}")
+    if name == "variant" and value not in _VARIANTS:
+        raise ValueError(f"unknown variant {value!r}")
+    if name not in _FLOAT_FIELDS:
+        return value
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = math.inf
+    if not math.isfinite(as_float):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if as_float < 0.0 and name in ("accrued", "tol"):
+        what = "accrued account" if name == "accrued" else "tolerance"
+        raise ValueError(f"{what} must be nonnegative, got {as_float}")
+    return as_float
 
 
 def _fmt(x: float) -> str:
@@ -164,36 +161,41 @@ def _fmt(x: float) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The file's configuration (or the defaults) with the flags, and a figure's settings, applied.
+    """The file's fields, a figure's defaults, the flags and a figure's settings, in one record.
 
-    An ignored flag, and a figure of a variant, are refused before the one
-    validation of the result, so the line names that fault whatever else is set.
+    Each source overrides the ones before it.  Every value the file sets is
+    checked as it is read, even one a flag overrides; an ignored flag and a
+    figure of a variant are refused next, whatever else is set, and the rules
+    across fields then apply once, to the merged record, so a file that the
+    flags complete runs.
     """
-    if getattr(args, "config", None):
+    fields = {}
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
-                cfg = RunConfig.from_json(handle.read())
+                fields = json.load(handle)
         except OSError as exc:
             raise ValueError(f"cannot read configuration file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"configuration file is not valid JSON: {exc}") from exc
-    else:
-        cfg = RunConfig()
-    changes = _flags_given(args)
-    variant = changes.get("variant", cfg.variant)
-    _refuse_ignored_flags(args, variant, changes.get("solver", cfg.solver))
-    if args.command == "figure":
-        if variant is not None:
-            raise ValueError("figures cover the dividend regimes, not variants")
-        fixed, defaults, _ = _FIGURES[args.number]
-        changes = {**defaults, **changes, **fixed}
-    return dataclasses.replace(cfg, **changes)
+        if not isinstance(fields, dict):
+            raise ValueError("configuration JSON must be an object")
+        unknown = fields.keys() - _FIELD_TYPES.keys()
+        if unknown:
+            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        fields = {name: _checked(name, value) for name, value in fields.items()}
+    fixed, defaults = _FIGURES[args.number][:2] if args.command == "figure" else ({}, {})
+    merged = {**fields, **defaults, **_flags_given(args), **fixed}
+    _refuse_ignored_flags(args, merged.get("variant"), merged.get("solver", RunConfig.solver))
+    if args.command == "figure" and merged.get("variant") is not None:
+        raise ValueError("figures cover the dividend regimes, not variants")
+    return RunConfig(**merged)
 
 
 def _flags_given(args: argparse.Namespace) -> dict:
     """The configuration fields set on the command line, with their values."""
-    names = _FLOAT_FIELDS + _INT_FIELDS + _STR_FIELDS
-    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    return {name: getattr(args, name) for name in _FIELD_TYPES
+            if getattr(args, name, None) is not None}
 
 
 def _refuse_ignored_flags(args: argparse.Namespace, variant: str | None, solver: str) -> None:
@@ -209,12 +211,11 @@ def _refuse_ignored_flags(args: argparse.Namespace, variant: str | None, solver:
     read = set()
     if args.command == "figure":
         optional |= {"regime", "accrued"}
-        solver = _FIGURES[args.number][0]["solver"]
-        read = {*_GRID_FIELDS[solver], "tol"}
+        read = {*_SOLVERS[solver]["grid"], "tol"}
     elif args.command == "perpetual":
         solver = None
     else:
-        read = {*_GRID_FIELDS[solver], "solver"}
+        read = {*_SOLVERS[solver]["grid"], "solver"}
         if args.command == "boundary":
             read.add("tol")
         elif args.command == "oracle-check":
@@ -247,20 +248,17 @@ def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
     spot, so one march serves every spot; the lattice tree is centred on
     its one spot.  None when the forward-shooting state redeems at once.
     """
-    fd1d, fsg2d, lattice1d, _, problems = _solvers()
+    fd1d, fsg2d, lattice1d, _, _ = _solvers()
     # of two faults, a bad fd or fsg grid is named before a bad loan, a bad step count after it
     if cfg.solver == "fsg":
         config = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
                                    time_steps=cfg.fsg_steps)
-    elif cfg.solver == "fd":
-        config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
-    problem = problems.VIProblem(cfg.market(), cfg.contract(), cfg.variant, cfg.cap)
-    if cfg.solver == "fsg":
-        return fsg2d.fsg_stream(problem, config, spots, cfg.accrued)
+        return fsg2d.fsg_stream(cfg.problem(), config, spots, cfg.accrued)
     if cfg.solver == "fd":
-        return fd1d.fd_stream(problem, config, spots)
+        config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
+        return fd1d.fd_stream(cfg.problem(), config, spots)
     (spot,) = spots
-    return lattice1d.lattice_stream(problem, lattice1d.LatticeConfig(cfg.steps), spot)
+    return lattice1d.lattice_stream(cfg.problem(), lattice1d.LatticeConfig(cfg.steps), spot)
 
 
 def _values(cfg: RunConfig, spots: list[float]) -> list[float]:
@@ -413,8 +411,8 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
     for name in _INT_FIELDS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=None, dest=name)
-    parser.add_argument("--solver", choices=sorted(SOLVER_CAPABILITIES), default=None)
-    parser.add_argument("--variant", choices=("amortized", "withdrawable"), default=None)
+    parser.add_argument("--solver", choices=sorted(_SOLVERS), default=None)
+    parser.add_argument("--variant", choices=_VARIANTS, default=None)
 
 
 _SUBCOMMANDS = (
@@ -499,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: a value overflows a float: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        grid = ", ".join(f"{name}={getattr(cfg, name)}" for name in _GRID_FIELDS[cfg.solver])
+        grid = ", ".join(f"{name}={getattr(cfg, name)}" for name in _SOLVERS[cfg.solver]["grid"])
         print(f"error: not enough memory for the {cfg.solver} grid ({grid})", file=sys.stderr)
         return 2
     except RuntimeError as exc:

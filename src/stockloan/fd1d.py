@@ -261,8 +261,8 @@ def _march(
         f_int = system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap)
         f_new = np.empty(n + 2)
         f_new[0], f_new[1:-1], f_new[-1] = bottom, f_int, top
-        # a sum of squares is NaN exactly when an entry is
-        if math.isnan(f_new @ f_new):
+        # the max is NaN exactly when an entry is, and unlike a sum of squares cannot overflow
+        if math.isnan(f_new.max()):
             raise RuntimeError(f"finite-difference solve produced NaN for {kind!r}")
         return x, f_new, obstacle
 

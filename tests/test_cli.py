@@ -553,29 +553,56 @@ def test_fsg_account_grid_refusal_names_no_knob(capsys):
 
 
 @pytest.mark.parametrize("command, config, field", [
-    ("perpetual", None, "output"),
-    ("price", {"steps": 2.5}, "steps"),
-    ("price", {"solver": "fd", "space_nodes": "40"}, "space_nodes"),
-    ("price", {"steps": True}, "steps"),
-    ("boundary", {"spot": True, "steps": 50}, "spot"),
-], ids=["unwritable-output", "float-steps", "string-nodes", "bool-steps", "bool-spot"])
+    (["perpetual"], None, "output"),
+    (["price"], {"steps": 2.5}, "steps"),
+    (["price"], {"solver": "fd", "space_nodes": "40"}, "space_nodes"),
+    (["price"], {"steps": True}, "steps"),
+    (["boundary"], {"spot": True, "steps": 50}, "spot"),
+    # a file value is checked before it can index the solver table
+    (["price"], {"solver": []}, "solver must be a string, got []"),
+    (["price", "--steps", "50"], {"solver": "foo"}, "unknown solver 'foo'"),
+    (["price"], {"variant": 5}, "variant must be a string, got 5"),
+    # a file value is checked even where a flag overrides it
+    (["price", "--sigma", "0.3"], {"sigma": "abc"}, "sigma must be a number, got 'abc'"),
+], ids=["unwritable-output", "float-steps", "string-nodes", "bool-steps", "bool-spot",
+        "list-solver", "unknown-solver", "integer-variant", "overridden-string-sigma"])
 def test_bad_config_type_or_output_exits_2(command, config, field, tmp_path, capsys):
     if config is None:
-        argv = [command, "--output", str(tmp_path / "missing" / "out.txt")]
+        argv = command + ["--output", str(tmp_path / "missing" / "out.txt")]
     else:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
-        argv = [command, "--config", str(path)]
+        argv = command + ["--config", str(path)]
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert field in err
 
 
+FSG_GRID = ["--x-nodes", "40", "--a-nodes", "6", "--fsg-steps", "20"]
+
+
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"solver": "fsg"}, ["price", "--regime", "4"] + FSG_GRID, ["--solver", "fsg"]),
+    ({"variant": "withdrawable"}, ["price", "--cap", "0.3", "--steps", "50"],
+     ["--variant", "withdrawable"]),
+    ({"accrued": 0.1}, ["price", "--regime", "3", "--steps", "50"], ["--accrued", "0.1"]),
+    # the figure's own empty account replaces the file's
+    ({"accrued": 0.1}, ["figure", "3"] + FSG_GRID, []),
+], ids=["fsg-regime", "withdrawable-cap", "accrued-regime3", "accrued-figure"])
+def test_config_file_completed_by_flags_runs(config, argv, flags, tmp_path, capsys):
+    # the file alone breaks a rule across fields, and was refused before the flags applied
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    from_file = run(argv + ["--config", str(path)], capsys)
+    assert from_file[0] == 0
+    assert from_file == run(argv + flags, capsys)
+
+
 SMOKE_GRIDS = {
     "lattice": ["--steps", "12"],
     "fd": ["--space-nodes", "40", "--time-steps", "20"],
-    "fsg": ["--x-nodes", "40", "--a-nodes", "6", "--fsg-steps", "20"],
+    "fsg": FSG_GRID,
     "oracle": ["--oracle-steps", "8"],
 }
 SMOKE_CONTRACTS = [["--regime", regime] for regime in "1234"] + [
@@ -612,6 +639,8 @@ def smoke_argvs():
     yield ["figure", "1", "--sigma", "1e-200"]
     # a log spacing of about one ulp of the nodes: the FD policy iteration cycles
     yield ["price", "--solver", "fd", "--sigma", "1e-15"]
+    # values whose sum of squares overflows, though each value is a float
+    yield ["price", "--solver", "fd", "--principal", "1e160", "--spot", "1e160"]
 
 
 @pytest.mark.filterwarnings("error")

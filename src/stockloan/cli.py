@@ -1,6 +1,6 @@
 """Command-line interface for pricing and boundary extraction.
 
-Subcommands: price, boundary, perpetual, sweep, figure, oracle-check.
+Subcommands, with what each reads and covers: _COMMANDS.
 Parameters come from an optional JSON configuration file, a figure's
 defaults, the command-line flags and a figure's fixed settings, each
 overriding the ones before it; the rules across fields apply once, to the
@@ -100,12 +100,6 @@ class RunConfig:
             raise ValueError("only regimes 3 and 4 carry an accrued dividend account")
         if (self.cap is None) == (self.variant == "withdrawable"):
             raise ValueError("the withdrawable variant, and only that variant, takes a cap")
-        solver = _SOLVERS[self.solver]
-        if self.variant is not None:
-            if self.variant not in solver["variants"]:
-                raise ValueError(f"solver {self.solver!r} does not price the {self.variant} variant")
-        elif self.regime not in solver["regimes"]:
-            raise ValueError(f"solver {self.solver!r} does not price regime {self.regime}")
 
     def market(self) -> MarketParams:
         return MarketParams(r=self.r, delta=self.delta, sigma=self.sigma)
@@ -163,11 +157,12 @@ def _fmt(x: float) -> str:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The file's fields, a figure's defaults, the flags and a figure's settings, in one record.
 
-    Each source overrides the ones before it.  Every value the file sets is
-    checked as it is read, even one a flag overrides; an ignored flag and a
-    figure of a variant are refused next, whatever else is set, and the rules
-    across fields then apply once, to the merged record, so a file that the
-    flags complete runs.
+    Each source overrides the ones before it.  Every refusal made before a
+    solve is made here, in this order: each file value as it is read, even
+    one a flag overrides; a flag the command would not read; the merged
+    values and the rules across them, so a file that the flags complete
+    runs; what the command does not cover; and last the sweep's points,
+    which are left checked on args.points, and a figure's snapshot time.
     """
     fields = {}
     if args.config:
@@ -176,7 +171,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 fields = json.load(handle)
         except OSError as exc:
             raise ValueError(f"cannot read configuration file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"configuration file is not valid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise ValueError("configuration JSON must be an object")
@@ -184,12 +179,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         fields = {name: _checked(name, value) for name, value in fields.items()}
-    fixed, defaults = _FIGURES[args.number][:2] if args.command == "figure" else ({}, {})
+    fixed, defaults, snapshot = _FIGURES.get(getattr(args, "number", None), ({}, {}, None))
     merged = {**fields, **defaults, **_flags_given(args), **fixed}
-    _refuse_ignored_flags(args, merged.get("variant"), merged.get("solver", RunConfig.solver))
-    if args.command == "figure" and merged.get("variant") is not None:
-        raise ValueError("figures cover the dividend regimes, not variants")
-    return RunConfig(**merged)
+    _refuse_ignored_flags(args, merged, fixed)
+    cfg = RunConfig(**merged)
+    _refuse_uncovered(_COMMANDS[args.command], cfg)
+    if args.command == "sweep":
+        args.points = _sweep_points(cfg, args.param, args.values)
+    if snapshot is not None and snapshot > cfg.maturity:
+        raise ValueError(f"snapshot at tau={snapshot} needs maturity >= {snapshot}")
+    return cfg
 
 
 def _flags_given(args: argparse.Namespace) -> dict:
@@ -198,35 +197,56 @@ def _flags_given(args: argparse.Namespace) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _refuse_ignored_flags(args: argparse.Namespace, variant: str | None, solver: str) -> None:
+def _refuse_ignored_flags(args: argparse.Namespace, merged: dict, fixed: dict) -> None:
     """Refuse a flag that the command, with its solver and variant, would not read.
 
-    Market, contract and spot flags always count as read; figure sets its
-    own solver and regime.  Only flags are checked: a configuration file may
-    set every field, so the header of any run can be fed back as its config.
+    Market, contract and spot flags always count as read, the other fields
+    only where the command's _COMMANDS entry reads them, and a figure's own
+    settings override their flags.  Only flags are checked: a configuration
+    file may set every field, so any run's header can be fed back as its config.
     """
-    optional = {*_ALL_GRID_FIELDS, "tol", "solver"}
+    command, variant = _COMMANDS[args.command], merged.get("variant")
+    solver = merged.get("solver", RunConfig.solver) if "grid" in command["reads"] else None
+    optional = {*_ALL_GRID_FIELDS, "tol", "solver", *fixed}
     if variant is not None:
         optional.add("regime")  # the loan variants have no dividend regime
-    read = set()
-    if args.command == "figure":
-        optional |= {"regime", "accrued"}
-        read = {*_SOLVERS[solver]["grid"], "tol"}
-    elif args.command == "perpetual":
-        solver = None
-    else:
-        read = {*_SOLVERS[solver]["grid"], "solver"}
-        if args.command == "boundary":
-            read.add("tol")
-        elif args.command == "oracle-check":
-            read.add("oracle_steps")
+    read = {*command["reads"], *(_SOLVERS[solver]["grid"] if solver else ())}
     ignored = sorted((_flags_given(args).keys() & optional) - read)
     if ignored:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in ignored)
-        on = f" on the {solver} solver" if solver else ""
-        if variant is not None:
-            on += f" for the {variant} variant"
+        on = (f" on the {solver} solver" if solver else "") + (
+            f" for the {variant} variant" if variant else "")
         raise ValueError(f"{args.command}{on} does not read {flags}")
+
+
+def _refuse_uncovered(command: dict, cfg: RunConfig) -> None:
+    """Refuse a solver, variant or regime outside the command's cover, then outside its solver's.
+
+    A loan variant has no dividend regime, so only its variant is checked.
+    """
+    key, value = ("regimes", cfg.regime) if cfg.variant is None else ("variants", cfg.variant)
+    for cover, tested in ((command.get("solvers"), cfg.solver), (command.get(key), value)):
+        if cover and tested not in cover[0]:
+            raise ValueError(cover[1].format(solver=cfg.solver, regime=cfg.regime))
+    if "grid" in command["reads"] and value not in _SOLVERS[cfg.solver][key]:
+        priced = f"regime {value}" if cfg.variant is None else f"the {value} variant"
+        raise ValueError(f"solver {cfg.solver!r} does not price {priced}")
+
+
+def _sweep_points(cfg: RunConfig, param: str, values: str) -> list[RunConfig]:
+    """One record per comma-separated value of param, each checked as its own run would be."""
+    allowed = set(_FLOAT_FIELDS) - {"tol"}  # no swept command reads tol
+    if param not in allowed:
+        raise ValueError(f"sweep parameter must be one of {sorted(allowed)}, got {param!r}")
+    numbers = []
+    for token in filter(str.strip, values.split(",")):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            raise ValueError(f"--values takes comma-separated numbers, got {token!r}") from None
+    if not numbers:
+        raise ValueError("sweep needs at least one value")
+    return [dataclasses.replace(cfg, **{param: v}) for v in numbers]
 
 
 def _solvers():
@@ -306,13 +326,11 @@ def _csv(cfg: RunConfig, header: str, rows: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_price(cfg: RunConfig) -> str:
+def cmd_price(cfg: RunConfig, args: argparse.Namespace) -> str:
     return _fmt(_values(cfg, [cfg.spot])[0]) + "\n"
 
 
-def cmd_boundary(cfg: RunConfig) -> str:
-    if cfg.solver == "oracle":
-        raise ValueError(f"solver {cfg.solver!r} does not produce boundary output")
+def cmd_boundary(cfg: RunConfig, args: argparse.Namespace) -> str:
     curve = _boundary(cfg)
     taus = [_fmt(tau) for tau in curve.tau_grid]
     # Boundary levels are grid nodes or inf, so each distinct one is formatted once.
@@ -327,45 +345,31 @@ def cmd_boundary(cfg: RunConfig) -> str:
     return _csv(cfg, "tau,a,x_star", rows)
 
 
-def cmd_perpetual(cfg: RunConfig) -> str:
-    if cfg.variant is not None:
-        raise ValueError("the perpetual closed forms cover the regimes, not variants")
+def cmd_perpetual(cfg: RunConfig, args: argparse.Namespace) -> str:
     market, contract = cfg.market(), cfg.contract()
-    if cfg.regime == 1:
-        res = closedform.perpetual_regime1(market, contract)
-    elif cfg.regime == 2:
-        res = closedform.perpetual_regime2(market, contract)
-    elif cfg.regime == 3:
-        res3 = closedform.perpetual_regime3(market, contract)
-        return f"x_star_inf={_fmt(float(res3.boundary))}\n"
-    else:
-        raise ValueError("no perpetual closed form exists for regime 4")
-    lines = [
-        f"alpha_plus={_fmt(res.alpha_plus)}",
-        f"alpha_minus={_fmt(res.alpha_minus)}",
-        f"x_star_inf={_fmt(float(res.x_star_inf))}",
-    ]
+    if cfg.regime == 3:
+        boundary = closedform.perpetual_regime3(market, contract).boundary
+        return f"x_star_inf={_fmt(float(boundary))}\n"
+    perpetual = closedform.perpetual_regime1 if cfg.regime == 1 else closedform.perpetual_regime2
+    res = perpetual(market, contract)
+    lines = [f"alpha_plus={_fmt(res.alpha_plus)}", f"alpha_minus={_fmt(res.alpha_minus)}",
+             f"x_star_inf={_fmt(float(res.x_star_inf))}"]
     if res.c1 is not None:
         lines.append(f"c1={_fmt(res.c1)}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: RunConfig, param: str, values: list[float]) -> str:
-    allowed = set(_FLOAT_FIELDS) - {"tol"}  # no swept command reads tol
-    if param not in allowed:
-        raise ValueError(f"sweep parameter must be one of {sorted(allowed)}, got {param!r}")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    configs = [dataclasses.replace(cfg, **{param: v}) for v in values]
-    if param == "spot":
-        prices = _values(cfg, [c.spot for c in configs])
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
+    if args.param == "spot":
+        prices = _values(cfg, [point.spot for point in args.points])
     else:
-        prices = [_values(c, [c.spot])[0] for c in configs]
-    rows = [f"{_fmt(v)},{_fmt(p)}" for v, p in zip(values, prices)]
-    return _csv(cfg, f"{param},value", rows)
+        prices = [_values(point, [point.spot])[0] for point in args.points]
+    rows = [f"{_fmt(getattr(point, args.param))},{_fmt(price)}"
+            for point, price in zip(args.points, prices)]
+    return _csv(cfg, f"{args.param},value", rows)
 
 
-def cmd_figure(which: int, cfg: RunConfig) -> str:
+def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> str:
     """Reproduce a standard boundary plot as CSV.
 
     Figures 1 and 2 are the three one-dimensional redeeming boundaries over
@@ -373,16 +377,14 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     are account-level snapshots of the cash-dividend boundary surface at
     one and three years to go on a three-year contract.
     """
-    if which in (1, 2):
+    _, _, target = _FIGURES[args.number]
+    if target is None:
         curves = [_boundary(dataclasses.replace(cfg, regime=regime)) for regime in (1, 2, 3)]
         rows = []
         for m, tau in enumerate(curves[0].tau_grid):
             stars = ",".join(_fmt(c.x_star[m]) for c in curves)
             rows.append(f"{_fmt(tau)},{stars}")
         return _csv(cfg, "tau,x1_star,x2_star,x3_star", rows)
-    _, _, target = _FIGURES[which]
-    if target > cfg.maturity:
-        raise ValueError(f"snapshot at tau={target} needs maturity >= {target}")
     curve = _boundary(cfg)
     taus = curve.tau_grid.tolist()
     layer = min(range(len(taus)), key=lambda m: abs(taus[m] - target))  # the first nearest
@@ -390,18 +392,37 @@ def cmd_figure(which: int, cfg: RunConfig) -> str:
     return _csv(cfg, "a,x_star", rows)
 
 
-def cmd_oracle_check(cfg: RunConfig) -> str:
-    market, contract = cfg.market(), cfg.contract()
-    if cfg.variant is not None:
-        raise ValueError("the path-tree check covers the four regimes, not variants")
+def cmd_oracle_check(cfg: RunConfig, args: argparse.Namespace) -> str:
     solver_value = _values(cfg, [cfg.spot])[0]
     *_, oracle, _ = _solvers()
-    oracle_value = oracle.oracle_price(cfg.spot, market, contract, cfg.oracle_steps, cfg.accrued)
-    return (
-        f"solver_value={_fmt(solver_value)}\n"
-        f"oracle_value={_fmt(oracle_value)}\n"
-        f"abs_diff={_fmt(abs(solver_value - oracle_value))}\n"
-    )
+    oracle_value = oracle.oracle_price(cfg.spot, cfg.market(), cfg.contract(), cfg.oracle_steps,
+                                       cfg.accrued)
+    return (f"solver_value={_fmt(solver_value)}\noracle_value={_fmt(oracle_value)}\n"
+            f"abs_diff={_fmt(abs(solver_value - oracle_value))}\n")
+
+
+# Per subcommand: its help, its handler, the optional fields it reads ("grid": its solver's
+# grid fields; a command without them has no solver) and, where narrower than its solver's,
+# the solvers, regimes and variants it covers, each with the refusal of one outside them.
+_GRID_SOLVERS = (("lattice", "fd", "fsg"), "solver {solver!r} does not produce boundary output")
+_COMMANDS: dict[str, dict] = {
+    "price": dict(help="print the contract value at the configured state", run=cmd_price,
+                  reads=("solver", "grid")),
+    "boundary": dict(help="write the redeeming boundary as CSV", run=cmd_boundary,
+                     reads=("solver", "grid", "tol"), solvers=_GRID_SOLVERS),
+    "perpetual": dict(help="print the infinite-maturity closed form", run=cmd_perpetual, reads=(),
+                      regimes=((1, 2, 3), "no perpetual closed form exists for regime {regime}"),
+                      variants=((), "the perpetual closed forms cover the regimes, not variants")),
+    "oracle-check": dict(
+        help="compare the configured solver against the path tree", run=cmd_oracle_check,
+        reads=("solver", "grid", "oracle_steps"),
+        variants=((), "the path-tree check covers the four regimes, not variants")),
+    "sweep": dict(help="price across a list of parameter values", run=cmd_sweep,
+                  reads=("solver", "grid")),
+    "figure": dict(help="reproduce a standard boundary figure as CSV", run=cmd_figure,
+                   reads=("grid", "tol"), solvers=_GRID_SOLVERS,
+                   variants=((), "figures cover the dividend regimes, not variants")),
+}
 
 
 def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
@@ -413,16 +434,6 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=None, dest=name)
     parser.add_argument("--solver", choices=sorted(_SOLVERS), default=None)
     parser.add_argument("--variant", choices=_VARIANTS, default=None)
-
-
-_SUBCOMMANDS = (
-    ("price", "print the contract value at the configured state"),
-    ("boundary", "write the redeeming boundary as CSV"),
-    ("perpetual", "print the infinite-maturity closed form"),
-    ("oracle-check", "compare the configured solver against the path tree"),
-    ("sweep", "price across a list of parameter values"),
-    ("figure", "reproduce a standard boundary figure as CSV"),
-)
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -438,9 +449,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         description="Price finite-maturity stock loans and extract redeeming boundaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in dict(_SUBCOMMANDS) else None
-    for name, help_text in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command["help"])
         if named not in (None, name):
             continue
         if name == "figure":
@@ -477,19 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "price":
-            text = cmd_price(cfg)
-        elif args.command == "boundary":
-            text = cmd_boundary(cfg)
-        elif args.command == "perpetual":
-            text = cmd_perpetual(cfg)
-        elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            text = cmd_sweep(cfg, args.param, values)
-        elif args.command == "figure":
-            text = cmd_figure(args.number, cfg)
-        else:
-            text = cmd_oracle_check(cfg)
+        text = _COMMANDS[args.command]["run"](cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,10 +58,10 @@ def test_value_error_exits_2(capsys):
 
 
 def test_runtime_error_exits_3(monkeypatch, capsys):
-    def boom(cfg):
+    def boom(cfg, spots):
         raise RuntimeError("iteration stalled")
 
-    monkeypatch.setattr(cli, "cmd_price", boom)
+    monkeypatch.setattr(cli, "_values", boom)
     code, _, err = run(PRICE, capsys)
     assert code == 3
     assert err.startswith("solver error:")
@@ -415,11 +415,20 @@ def test_price_at_maturity_where_step_multiples_fall_short(argv, capsys):
      "error: figure on the fd solver does not read --accrued\n"),
     (["figure", "3", "--variant", "amortized"],
      "error: figures cover the dividend regimes, not variants\n"),
+    # what a command does not cover is refused before a solve too
+    (["boundary", "--solver", "oracle"], "error: solver 'oracle' does not produce boundary output\n"),
+    (["perpetual", "--regime", "4"], "error: no perpetual closed form exists for regime 4\n"),
+    (["oracle-check", "--variant", "amortized"],
+     "error: the path-tree check covers the four regimes, not variants\n"),
+    (["sweep", "--param", "spot", "--values", ","], "error: sweep needs at least one value\n"),
+    (["sweep", "--param", "spot", "--values", "abc"], "--values"),
 ], ids=["price-fd-steps", "price-lattice-space-nodes", "oracle-check-fd-grids", "price-tol",
         "perpetual-grid-tol", "perpetual-solver", "perpetual-variant", "sweep-tol",
         "figure-solver", "figure-regime", "figure-regime-accrued-solver", "price-variant-regime",
         "figure-regime-of-its-solver", "figure-solver-for-another-regime",
-        "figure-accrued-of-another-regime", "figure-variant-of-another-solver"])
+        "figure-accrued-of-another-regime", "figure-variant-of-another-solver",
+        "boundary-oracle", "perpetual-regime4", "oracle-check-variant", "sweep-no-values",
+        "sweep-value-not-a-number"])
 def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys):
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran")
@@ -599,6 +608,46 @@ def test_config_file_completed_by_flags_runs(config, argv, flags, tmp_path, caps
     assert from_file == run(argv + flags, capsys)
 
 
+def test_perpetual_reads_no_solver_from_the_file(tmp_path, capsys):
+    # the solver rule ran for perpetual too: exit 2, "solver 'fsg' does not price regime 1"
+    path = tmp_path / "fsg.json"
+    path.write_text(json.dumps({"solver": "fsg"}))
+    from_file = run(["perpetual", "--regime", "1", "--config", str(path)], capsys)
+    assert from_file[0] == 0
+    assert from_file == run(["perpetual", "--regime", "1"], capsys)
+
+
+@pytest.mark.parametrize("config", [None, {"solver": "fsg"}], ids=["no-file", "fsg-file"])
+def test_perpetual_regime4_refused_for_the_closed_forms(config, tmp_path, capsys):
+    # without a file the refusal named the lattice: "solver 'lattice' does not price regime 4"
+    argv = ["perpetual", "--regime", "4"]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no perpetual closed form exists for regime 4\n"
+
+
+@pytest.mark.parametrize("values", ["abc", "0.6,abc", "0.6,,abc,0.9"])
+def test_sweep_value_not_a_number_names_the_flag(values, capsys):
+    # the refusal was "could not convert string to float: 'abc'", naming neither flag nor sweep
+    code, out, err = run(["sweep", "--param", "spot", "--values", values, "--steps", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --values takes comma-separated numbers, got 'abc'\n"
+
+
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    # the decode error printed alone: "error: 'utf-8' codec can't decode byte 0xff ..."
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["price", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: configuration file is not valid JSON: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
 SMOKE_GRIDS = {
     "lattice": ["--steps", "12"],
     "fd": ["--space-nodes", "40", "--time-steps", "20"],
@@ -610,8 +659,9 @@ SMOKE_CONTRACTS = [["--regime", regime] for regime in "1234"] + [
 
 
 def smoke_argvs():
+    # every subcommand meets every --solver flag and every contract
     for command in (["price"], ["boundary"], ["sweep", "--param", "spot", "--values", "0.6,0.9"],
-                    ["oracle-check"]):
+                    ["oracle-check"], ["perpetual"]):
         for solver, grid in SMOKE_GRIDS.items():
             if command == ["oracle-check"] and solver != "oracle":
                 grid = grid + SMOKE_GRIDS["oracle"]
@@ -620,7 +670,8 @@ def smoke_argvs():
     for contract in SMOKE_CONTRACTS:
         yield ["perpetual"] + contract
     for number, solver in (("1", "fd"), ("2", "fd"), ("3", "fsg"), ("4", "fsg")):
-        yield ["figure", number] + SMOKE_GRIDS[solver]
+        for flags in [[]] + [["--solver", other] for other in SMOKE_GRIDS] + SMOKE_CONTRACTS:
+            yield ["figure", number] + flags + SMOKE_GRIDS[solver]
     # inputs whose numbers leave the floats
     yield ["perpetual", "--regime", "1", "--sigma", "0.001"]
     yield ["perpetual", "--regime", "2", "--sigma", "0.001"]

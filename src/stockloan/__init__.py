@@ -30,7 +30,7 @@ _MODULES = {name: module for module, names in {
         "ClosedForm", "DividendRegime", "LoanContract", "MarketParams", "RegimeClassification",
         "RegionKind", "accrue_dividends", "classify", "payoff", "reduce_regime2",
     ),
-    "fd1d": ("ComplementarityReport", "FDConfig", "fd_stream", "residual_report", "solve_vi"),
+    "fd1d": ("FDConfig", "fd_stream", "solve_vi"),
     "fsg2d": ("FSG2DConfig", "extract_boundary_surface", "fsg_stream", "price_regime4"),
     "lattice1d": (
         "LatticeConfig", "extract_boundary", "lattice_stream", "price_amortized", "price_regime1",

@@ -12,9 +12,10 @@ repeated runs are byte-identical and self-describing.
 Exit codes: 0 on success, 2 for configuration or parameter errors and for
 a grid too large for the memory, 3 for solver failures.
 
-Parsing, validation, every refusal made before a solve, --help and the
-perpetual closed forms use math alone: the solver modules, and numpy with
-them, load when a command first solves (_solvers).
+Parsing, validation, --help, the perpetual closed forms and every refusal
+made before a solve but the grid's use math alone.  The backends hold the
+grid minimums, so the solver modules, and numpy with them, load when a
+command's grid is checked, just before it first solves (_solvers).
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "stockloan-csv-v1"
 
 _VARIANTS = ("amortized", "withdrawable")
-# Per solver: the dividend regimes and contract variants it prices, and the grid fields it reads.
-_SOLVERS: dict[str, dict[str, tuple]] = {
-    "lattice": {"regimes": (1, 2, 3), "variants": _VARIANTS, "grid": ("steps",)},
-    "fd": {"regimes": (1, 2, 3), "variants": _VARIANTS, "grid": ("space_nodes", "time_steps")},
-    "fsg": {"regimes": (4,), "variants": (), "grid": ("x_nodes", "a_nodes", "fsg_steps")},
-    "oracle": {"regimes": (1, 2, 3, 4), "variants": (), "grid": ("oracle_steps",)},
+# Per solver: the dividend regimes and contract variants it prices, and the grid fields it
+# reads, each with the keyword of the backend's grid record that takes it (_grid).
+_SOLVERS: dict[str, dict] = {
+    "lattice": {"regimes": (1, 2, 3), "variants": _VARIANTS, "grid": {"steps": "steps"}},
+    "fd": {"regimes": (1, 2, 3), "variants": _VARIANTS,
+           "grid": {"space_nodes": "space_nodes", "time_steps": "time_steps"}},
+    "fsg": {"regimes": (4,), "variants": (),
+            "grid": {"x_nodes": "x_nodes", "a_nodes": "a_nodes", "fsg_steps": "time_steps"}},
+    "oracle": {"regimes": (1, 2, 3, 4), "variants": (), "grid": {"oracle_steps": "steps"}},
 }
 _ALL_GRID_FIELDS = tuple(name for solver in _SOLVERS.values() for name in solver["grid"])
 
@@ -161,8 +165,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     solve is made here, in this order: each file value as it is read, even
     one a flag overrides; a flag the command would not read; the merged
     values and the rules across them, so a file that the flags complete
-    runs; what the command does not cover; and last the sweep's points,
-    which are left checked on args.points, and a figure's snapshot time.
+    runs; what the command does not cover; the sweep's points, which are
+    left checked on args.points, and a figure's snapshot time; and last the
+    grid fields the command reads.
     """
     fields = {}
     if args.config:
@@ -183,11 +188,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     merged = {**fields, **defaults, **_flags_given(args), **fixed}
     _refuse_ignored_flags(args, merged, fixed)
     cfg = RunConfig(**merged)
-    _refuse_uncovered(_COMMANDS[args.command], cfg)
+    command = _COMMANDS[args.command]
+    _refuse_uncovered(command, cfg)
     if args.command == "sweep":
         args.points = _sweep_points(cfg, args.param, args.values)
     if snapshot is not None and snapshot > cfg.maturity:
         raise ValueError(f"snapshot at tau={snapshot} needs maturity >= {snapshot}")
+    if "grid" in command["reads"]:
+        _grid(cfg, cfg.solver)
+    if "oracle_steps" in command["reads"]:
+        _grid(cfg, "oracle")
     return cfg
 
 
@@ -252,13 +262,34 @@ def _sweep_points(cfg: RunConfig, param: str, values: str) -> list[RunConfig]:
 def _solvers():
     """The modules fd1d, fsg2d, lattice1d, oracle and problems, imported together.
 
-    They load, and numpy with them, when a command first solves.  All of
-    them load at once, whichever solver the command uses, so that code
-    wrapping every backend's functions finds each module imported.
+    They load, and numpy with them, when a command's grid is checked, just
+    before it first solves.  All of them load at once, whichever solver the
+    command uses, so that code wrapping every backend's functions finds each
+    module imported.
     """
     from . import fd1d, fsg2d, lattice1d, oracle, problems
 
     return fd1d, fsg2d, lattice1d, oracle, problems
+
+
+def _grid(cfg: RunConfig, solver: str):
+    """The grid record of solver built from cfg (the oracle's is its step count).
+
+    The records hold the bounds.  Each field is first taken alone, the
+    record's other fields at their defaults, so that a refusal names the
+    flag at fault.
+    """
+    fd1d, fsg2d, lattice1d, oracle, _ = _solvers()
+    record = {"lattice": lattice1d.LatticeConfig, "fd": fd1d.FDConfig,
+              "fsg": fsg2d.FSG2DConfig, "oracle": oracle.tree_steps}[solver]
+    fields = {}
+    for name, keyword in _SOLVERS[solver]["grid"].items():
+        fields[keyword] = getattr(cfg, name)
+        try:
+            record(**{keyword: fields[keyword]})
+        except ValueError as exc:
+            raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
+    return record(**fields)
 
 
 def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
@@ -269,16 +300,13 @@ def _stream(cfg: RunConfig, spots: list[float]) -> LayerStream | None:
     its one spot.  None when the forward-shooting state redeems at once.
     """
     fd1d, fsg2d, lattice1d, _, _ = _solvers()
-    # of two faults, a bad fd or fsg grid is named before a bad loan, a bad step count after it
+    config = _grid(cfg, cfg.solver)
     if cfg.solver == "fsg":
-        config = fsg2d.FSG2DConfig(x_nodes=cfg.x_nodes, a_nodes=cfg.a_nodes,
-                                   time_steps=cfg.fsg_steps)
         return fsg2d.fsg_stream(cfg.problem(), config, spots, cfg.accrued)
     if cfg.solver == "fd":
-        config = fd1d.FDConfig(space_nodes=cfg.space_nodes, time_steps=cfg.time_steps)
         return fd1d.fd_stream(cfg.problem(), config, spots)
     (spot,) = spots
-    return lattice1d.lattice_stream(cfg.problem(), lattice1d.LatticeConfig(cfg.steps), spot)
+    return lattice1d.lattice_stream(cfg.problem(), config, spot)
 
 
 def _values(cfg: RunConfig, spots: list[float]) -> list[float]:

@@ -9,7 +9,9 @@ matrix, so LAPACK's gttrf factors it once per distinct pinned set and each
 pass is one gttrs solve of its right-hand side, bit for bit what gtsv gives.
 With a cap, the cap set is held fixed while the obstacle policy settles on
 the other rows, then read off that solution until it repeats (Hoffman-Karp
-nesting; switching both policies at once cycled on some grids).  The drift
+nesting; switching both policies at once cycled on some grids).  The last
+pass of a step leaves M f - b and f - obstacle of its solution in buffers,
+from which the step's complementarity residual is audited.  The drift
 term falls back to one-sided differencing whenever central weights would go
 negative, which keeps every per-step matrix an M-matrix.
 
@@ -68,32 +70,6 @@ class FDConfig:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
 
 
-@dataclass(frozen=True)
-class ComplementarityReport:
-    """Discrete complementarity diagnostics for a solved surface.
-
-    max_violation is the largest magnitude of the pointwise complementarity
-    residual max(min(system residual, f - lower), f - cap) across all
-    solved layers; violation_fraction counts nodes beyond tol * principal.
-    The signed extremes split by region: the system residual should be
-    nonnegative where the obstacle binds and near zero where neither the
-    obstacle nor the cap holds the value.
-    """
-
-    max_violation: float
-    violation_fraction: float
-    min_obstacle_residual: float
-    max_continuation_residual: float
-    tol: float
-
-
-def _floor(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
-    """The obstacle at x, or -inf everywhere when it never binds."""
-    if spec.constrained:
-        return spec.obstacle(x, tau)
-    return np.full(x.size, -math.inf)
-
-
 class _StepSystem:
     """The step matrix M = I - (dtau / 2) L of a march, the rows of a pinned set
     replaced by identity rows, and the policy iteration that solves each step.
@@ -103,8 +79,9 @@ class _StepSystem:
     from the one factored last, and every pass solves its right-hand side
     with gttrs: the two perform gtsv's eliminations in gtsv's order, so each
     solve gives the bits of one gtsv call on the same system.  meta counts
-    the solves and the factorizations.  scipy is imported here, so only a
-    finite-difference solve loads it.
+    the solves and the factorizations.  worst holds, row by row, the largest
+    complementarity residual of any step settled so far.  scipy is imported
+    here, so only a finite-difference solve loads it.
     """
 
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
@@ -118,6 +95,8 @@ class _StepSystem:
         # the residual and a scratch term without their first row, and without their last
         self.views = ((self.residual[1:], term[1:]), (self.residual[:-1], term[:-1]))
         self.unpinned = np.zeros(n, dtype=bool)
+        self.no_floor = np.full(n, -math.inf)
+        self.worst = np.zeros(n)
         self.factored: bytes | None = None  # the pinned mask of lu, as bytes
         self.lu: tuple = ()
 
@@ -161,20 +140,25 @@ class _StepSystem:
                cap: float | None) -> np.ndarray:
         """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration; returns f.
 
+        The residual of the returned f is folded into worst (_audited).
+
         Each row follows the PDE, is pinned to the obstacle or is pinned to
         the cap; a pass solves with the pinned rows replaced by identity rows.
-        With no lower and no cap every row follows the PDE and one solve,
-        over b, suffices.  The policies are first read off init, the previous
-        layer.  The cap set is held fixed while the obstacle policy iterates
-        on the other rows until a pass leaves it unchanged; then the cap set
-        is read off that solution, and the step is done when it repeats.
-        Each level is bounded by n + 1 passes.  Where the cap set never
-        changes within a step, these are the passes of switching both
+        With no lower and no cap every row follows the PDE and one solve, of
+        a copy of b, suffices.  The policies are first read off init, the
+        previous layer.  The cap set is held fixed while the obstacle policy
+        iterates on the other rows until a pass leaves it unchanged; then the
+        cap set is read off that solution, and the step is done when it
+        repeats.  Each level is bounded by n + 1 passes.  Where the cap set
+        never changes within a step, these are the passes of switching both
         policies at once.
         """
-        if lower is None and cap is None:
-            return self.solve(self.unpinned, b)
         n, rhs = b.size, self.rhs
+        if lower is None and cap is None:
+            np.copyto(rhs, b)
+            f = self.solve(self.unpinned, rhs)
+            self.obstacle_rows(f, b, self.no_floor)
+            return self._audited(f, cap)
         prefers_obstacle = self.obstacle_rows(init, b, lower)
         at_cap = None if cap is None else self.cap_rows(init, cap)
         for _ in range(n + 1):
@@ -197,12 +181,23 @@ class _StepSystem:
             else:
                 raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
             if at_cap is None:
-                return f
+                return self._audited(f, cap)
             settled = self.cap_rows(f, cap)
             if settled.tobytes() == at_cap.tobytes():
-                return f
+                return self._audited(f, cap)
             at_cap = settled
         raise RuntimeError(f"the cap policy did not settle within {n + 1} updates")
+
+    def _audited(self, f: np.ndarray, cap: float | None) -> np.ndarray:
+        """f, once abs(max(min(M f - b, f - lower), f - cap)) is in worst, row by row.
+
+        Reads both sides from the obstacle_rows pass over f itself.
+        """
+        comp = np.minimum(self.residual, self.slack, out=self.slack)
+        if cap is not None:
+            np.maximum(comp, np.subtract(f, cap, out=self.residual), out=comp)
+        np.maximum(self.worst, np.abs(comp, out=comp), out=self.worst)
+        return f
 
 
 def _march(
@@ -210,13 +205,15 @@ def _march(
 ) -> Iterator[Layer]:
     """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
 
-    Adds the tridiagonal solves to meta["linear_solves"], the
-    factorizations to meta["factorizations"], and stores the Rannacher
-    half-step layer as meta["rannacher_intermediate"]; kind names the
-    problem when a layer turns NaN.  Each step builds its right-hand side in
-    a buffer the march reuses, summed in the order of the plain expression,
-    so the layers are bit for bit those of a march that allocates every sum.
-    An obstacle that does not depend on tau is evaluated once.
+    Adds the tridiagonal solves to meta["linear_solves"] and the
+    factorizations to meta["factorizations"]; before the last layer is
+    yielded, stores the largest complementarity residual of every step, the
+    Rannacher half-steps included, as meta["complementarity_residual"].
+    kind names the problem when a layer turns NaN.  Each step builds its
+    right-hand side in a buffer the march reuses, summed in the order of the
+    plain expression, so the layers are bit for bit those of a march that
+    allocates every sum.  An obstacle that does not depend on tau is
+    evaluated once.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
@@ -269,12 +266,13 @@ def _march(
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
     f = np.asarray(spec.terminal(x), dtype=float)
     yield x, f, obstacle_at(0.0)
-    _, meta["rannacher_intermediate"], _ = step(f, half, False)
-    layer = step(meta["rannacher_intermediate"], float(taus[1]), False)
-    yield layer
+    _, f, _ = step(f, half, False)
+    layer = step(f, float(taus[1]), False)
     for tau in taus[2:]:
-        layer = step(layer[1], float(tau), True)
         yield layer
+        layer = step(layer[1], float(tau), True)
+    meta["complementarity_residual"] = float(system.worst.max())
+    yield layer
 
 
 def fd_stream(
@@ -285,8 +283,11 @@ def fd_stream(
     The problem (a regime-4 one by problem_spec), the grid and every spot
     (by check_state, against the stock nodes) are checked before the first
     layer.  solver_meta counts the tridiagonal solves as the layers are
-    drawn.  Parameters whose redeeming region is empty have no row to pin,
-    so each step is a single tridiagonal solve.
+    drawn, and once the last layer is drawn holds the largest discrete
+    complementarity residual abs(max(min(M f - b, f - obstacle), f - cap))
+    of any row of any step as "complementarity_residual".  Parameters whose
+    redeeming region is empty have no row to pin, so each step is a single
+    tridiagonal solve, audited against the PDE alone.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
@@ -309,79 +310,3 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, Bounda
     surface = fold_surface(fd_stream(problem, config))
     return surface, fold_boundary(surface.stream())
 
-
-def residual_report(
-    surface: ValueSurface, problem: VIProblem, tol: float = 1e-6
-) -> ComplementarityReport:
-    """Audit a solved surface against its per-step complementarity systems.
-
-    Rebuilds each time step's matrix and right-hand side from the stored
-    layers (including the Rannacher half-step) and evaluates the pointwise
-    complementarity residual in the step's own units.  tol is relative to
-    the principal and only affects the violation count.
-    """
-    meta = surface.solver_meta
-    if meta.get("solver") != "fd":
-        raise ValueError("residual reports require a finite-difference surface")
-    spec = problem_spec(problem)
-    principal = problem.contract.principal
-    x = surface.x_nodes[0]
-    dy = math.log(x[1]) - math.log(x[0])
-    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
-    src = spec.source(x[1:-1]) if spec.source is not None else None
-    dtau = float(surface.tau_grid[1] - surface.tau_grid[0])
-    half = 0.5 * dtau
-    tol_abs = tol * principal
-    upper = math.inf if spec.cap is None else spec.cap
-
-    worst = 0.0
-    violations = 0
-    total = 0
-    min_obstacle_res = math.inf
-    max_cont_res = 0.0
-
-    def audit(f_old: np.ndarray, f_new: np.ndarray, tau_new: float, cn: bool) -> None:
-        nonlocal worst, violations, total, min_obstacle_res, max_cont_res
-        rhs = f_old[1:-1].copy()
-        if cn:
-            rhs += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
-            if src is not None:
-                rhs += dtau * src
-        elif src is not None:
-            rhs += half * src
-        fi = f_new[1:-1]
-        # M f folds boundary neighbors through the stored Dirichlet rows.
-        m_f = (1.0 - half * mid) * fi - half * (lo * f_new[:-2] + up * f_new[2:])
-        residual = m_f - rhs
-        slack = fi - _floor(spec, x[1:-1], tau_new)
-        comp = np.maximum(np.minimum(slack, residual), fi - upper)
-        at_cap = fi >= upper - tol_abs
-        at_obstacle = (slack <= tol_abs) & ~at_cap
-        if at_obstacle.any():
-            min_obstacle_res = min(min_obstacle_res, float(residual[at_obstacle].min()))
-        in_continuation = ~at_obstacle & ~at_cap
-        if in_continuation.any():
-            max_cont_res = max(max_cont_res, float(np.abs(residual[in_continuation]).max()))
-        worst = max(worst, float(np.abs(comp).max()))
-        violations += int((np.abs(comp) > tol_abs).sum())
-        total += comp.size
-
-    layers = surface.values
-    startup = meta.get("rannacher_intermediate")
-    if startup is not None:
-        audit(layers[0], startup, half, cn=False)
-        audit(startup, layers[1], dtau, cn=False)
-    else:
-        audit(layers[0], layers[1], dtau, cn=False)
-    for m in range(1, len(layers) - 1):
-        audit(layers[m], layers[m + 1], float(surface.tau_grid[m + 1]), cn=True)
-
-    if min_obstacle_res is math.inf:
-        min_obstacle_res = 0.0
-    return ComplementarityReport(
-        max_violation=worst,
-        violation_fraction=violations / max(total, 1),
-        min_obstacle_residual=min_obstacle_res,
-        max_continuation_residual=max_cont_res,
-        tol=tol_abs,
-    )

@@ -35,6 +35,16 @@ from .problems import check_state
 MAX_ORACLE_STEPS = 14
 
 
+def tree_steps(steps: int) -> int:
+    """steps, refused with ValueError outside [1, MAX_ORACLE_STEPS]."""
+    if not 1 <= steps <= MAX_ORACLE_STEPS:
+        raise ValueError(
+            f"path tree steps must lie in [1, {MAX_ORACLE_STEPS}], got {steps}: "
+            "the tree doubles with every step"
+        )
+    return steps
+
+
 def _prepare(
     market: MarketParams, contract: LoanContract, accrued: float
 ) -> tuple[MarketParams, LoanContract]:
@@ -69,11 +79,7 @@ def _solve_tree(
     Both numbers are for the root state; payoff is what immediate
     redemption pays there.
     """
-    if not 1 <= steps <= MAX_ORACLE_STEPS:
-        raise ValueError(
-            f"path tree steps must lie in [1, {MAX_ORACLE_STEPS}], got {steps}: "
-            "the tree doubles with every step"
-        )
+    tree_steps(steps)
     check_state(spot, accrued)
     allowed = None if exercise_steps is None else frozenset(exercise_steps)
     if allowed is not None and not all(0 <= k <= steps for k in allowed):

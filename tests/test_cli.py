@@ -422,13 +422,23 @@ def test_price_at_maturity_where_step_multiples_fall_short(argv, capsys):
      "error: the path-tree check covers the four regimes, not variants\n"),
     (["sweep", "--param", "spot", "--values", ","], "error: sweep needs at least one value\n"),
     (["sweep", "--param", "spot", "--values", "abc"], "--values"),
+    # a grid refusal names its flag, and the path tree's steps are checked before the solver runs
+    (["figure", "3", "--fsg-steps", "0"], "error: --fsg-steps: need at least 2 time steps, got 0\n"),
+    (["figure", "1", "--time-steps", "0"],
+     "error: --time-steps: need at least 2 time steps, got 0\n"),
+    (["oracle-check", "--solver", "fd", "--oracle-steps", "0"],
+     "error: --oracle-steps: path tree steps must lie in [1, 14], got 0: "
+     "the tree doubles with every step\n"),
+    (["oracle-check", "--steps", "0", "--oracle-steps", "20"],
+     "error: --steps: need at least one step, got 0\n"),
 ], ids=["price-fd-steps", "price-lattice-space-nodes", "oracle-check-fd-grids", "price-tol",
         "perpetual-grid-tol", "perpetual-solver", "perpetual-variant", "sweep-tol",
         "figure-solver", "figure-regime", "figure-regime-accrued-solver", "price-variant-regime",
         "figure-regime-of-its-solver", "figure-solver-for-another-regime",
         "figure-accrued-of-another-regime", "figure-variant-of-another-solver",
         "boundary-oracle", "perpetual-regime4", "oracle-check-variant", "sweep-no-values",
-        "sweep-value-not-a-number"])
+        "sweep-value-not-a-number", "figure-fsg-steps", "figure-time-steps",
+        "oracle-check-fd-oracle-steps", "oracle-check-steps-first"])
 def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys):
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran")
@@ -441,6 +451,23 @@ def test_ignored_flag_refused_before_solving(argv, message, monkeypatch, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("solver, name", [(solver, name) for solver, entry in cli._SOLVERS.items()
+                                           for name in entry["grid"]])
+def test_grid_refusal_names_its_flag(solver, name, monkeypatch, capsys):
+    # the fd and fsg grids both refused "need at least 2 time steps, got 0"
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, stream in ((lattice1d, "lattice_stream"), (fd1d, "fd_stream"),
+                           (fsg2d, "fsg_stream"), (oracle, "oracle_price")):
+        monkeypatch.setattr(module, stream, solved)
+    flag = "--" + name.replace("_", "-")
+    argv = ["price", "--solver", solver, "--regime", "4" if solver == "fsg" else "1", flag, "0"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, joined", [

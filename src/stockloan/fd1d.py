@@ -6,12 +6,14 @@ damp the payoff kink) and a policy-iteration solve of the per-step linear
 complementarity problem: every pass is one tridiagonal solve with the rows held
 at the obstacle, or at the cap, pinned.  Every step of a march has the same
 matrix, so LAPACK's gttrf factors it once per distinct pinned set and each
-pass is one gttrs solve of its right-hand side, bit for bit what gtsv gives.
-With a cap, the cap set is held fixed while the obstacle policy settles on
-the other rows, then read off that solution until it repeats (Hoffman-Karp
-nesting; switching both policies at once cycled on some grids).  The last
-pass of a step leaves M f - b and f - obstacle of its solution in buffers,
-from which the step's complementarity residual is audited.  The drift
+pass is one gttrs solve of its right-hand side, bit for bit what gtsv gives,
+written straight into the new layer.  With a cap, the cap set is held fixed
+while the obstacle policy settles on the other rows, then read off that
+solution until it repeats (Hoffman-Karp nesting; switching both policies at
+once cycled on some grids).  Each pass forms M f once; the last pass of a
+step leaves M f, M f - b and f - obstacle in buffers, which audit the step's
+complementarity residual and give the next step's first policy its M f.
+A NaN anywhere reaches that audit, which the march checks once.  The drift
 term falls back to one-sided differencing whenever central weights would go
 negative, which keeps every per-step matrix an M-matrix.
 
@@ -79,9 +81,10 @@ class _StepSystem:
     from the one factored last, and every pass solves its right-hand side
     with gttrs: the two perform gtsv's eliminations in gtsv's order, so each
     solve gives the bits of one gtsv call on the same system.  meta counts
-    the solves and the factorizations.  worst holds, row by row, the largest
-    complementarity residual of any step settled so far.  scipy is imported
-    here, so only a finite-difference solve loads it.
+    the solves and the factorizations.  applied holds M f of the last f
+    passed to apply, after a step its solution's.  worst holds, row by row,
+    the largest complementarity residual of any step settled so far.  scipy
+    is imported here, so only a finite-difference solve loads it.
     """
 
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
@@ -91,11 +94,10 @@ class _StepSystem:
         self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
-        self.residual, self.slack, term, self.rhs = np.empty((4, n))
-        # the residual and a scratch term without their first row, and without their last
-        self.views = ((self.residual[1:], term[1:]), (self.residual[:-1], term[:-1]))
+        self.applied, self.residual, self.slack, term = np.empty((4, n))
+        # the product and a scratch term without their first row, and without their last
+        self.views = ((self.applied[1:], term[1:]), (self.applied[:-1], term[:-1]))
         self.unpinned = np.zeros(n, dtype=bool)
-        self.no_floor = np.full(n, -math.inf)
         self.worst = np.zeros(n)
         self.factored: bytes | None = None  # the pinned mask of lu, as bytes
         self.lu: tuple = ()
@@ -119,60 +121,62 @@ class _StepSystem:
             raise RuntimeError(f"LAPACK gttrs refused its arguments (info {info})")
         return f
 
-    def obstacle_rows(self, f: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        """The rows where f - lower < M f - b; leaves both sides in slack and residual."""
-        residual = self.residual
-        (res_tail, term_tail), (res_head, term_head) = self.views
-        # residual = diag * f + off_lo * f[i - 1] + off_up * f[i + 1] - b, in that order;
+    def apply(self, f: np.ndarray) -> None:
+        """Put M f, summed diag * f + off_lo * f[i - 1] + off_up * f[i + 1], in applied."""
+        (tail, term_tail), (head, term_head) = self.views
         # a missing neighbour would add -0.0 (off_lo, off_up <= 0), which changes no sum
-        np.multiply(f, self.diag, out=residual)
-        np.add(res_tail, np.multiply(f[:-1], self.off_lo, out=term_tail), out=res_tail)
-        np.add(res_head, np.multiply(f[1:], self.off_up, out=term_head), out=res_head)
-        np.subtract(residual, b, out=residual)
+        np.multiply(f, self.diag, out=self.applied)
+        np.add(tail, np.multiply(f[:-1], self.off_lo, out=term_tail), out=tail)
+        np.add(head, np.multiply(f[1:], self.off_up, out=term_head), out=head)
+
+    def obstacle_rows(self, f: np.ndarray, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """The rows where f - lower < applied - b; leaves both sides in slack and residual."""
+        np.subtract(self.applied, b, out=self.residual)
         np.subtract(f, lower, out=self.slack)
-        return np.less(self.slack, residual)
+        return np.less(self.slack, self.residual)
 
     def cap_rows(self, f: np.ndarray, cap: float) -> np.ndarray:
         """The rows where f - cap > min(residual, slack), from the last obstacle_rows."""
         return np.greater(f - cap, np.minimum(self.residual, self.slack))
 
     def settle(self, b: np.ndarray, init: np.ndarray, lower: np.ndarray | None,
-               cap: float | None) -> np.ndarray:
-        """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration; returns f.
+               cap: float | None, out: np.ndarray) -> None:
+        """Solve max(min(M f - b, f - lower), f - cap) = 0 by policy iteration into out.
 
-        The residual of the returned f is folded into worst (_audited).
-
-        Each row follows the PDE, is pinned to the obstacle or is pinned to
-        the cap; a pass solves with the pinned rows replaced by identity rows.
-        With no lower and no cap every row follows the PDE and one solve, of
-        a copy of b, suffices.  The policies are first read off init, the
-        previous layer.  The cap set is held fixed while the obstacle policy
-        iterates on the other rows until a pass leaves it unchanged; then the
-        cap set is read off that solution, and the step is done when it
-        repeats.  Each level is bounded by n + 1 passes.  Where the cap set
-        never changes within a step, these are the passes of switching both
-        policies at once.
+        applied must hold M init, and is left holding M f; the residual of f
+        is folded into worst.  Each row follows the PDE, is pinned to the
+        obstacle or is pinned to the cap; a pass builds its right-hand side
+        in out and solves over it, the pinned rows replaced by identity rows.
+        With no lower and no cap one solve suffices, and the residual is
+        abs(M f - b).  The policies are first read off init, the previous
+        layer.  The cap set is held fixed while the obstacle policy iterates
+        on the other rows until a pass leaves it unchanged; then the cap set
+        is read off that solution, and the step is done when it repeats.
+        Each level is bounded by n + 1 passes; where the cap set never
+        changes within a step, these are the passes of the joint switch.
         """
-        n, rhs = b.size, self.rhs
+        n = b.size
         if lower is None and cap is None:
-            np.copyto(rhs, b)
-            f = self.solve(self.unpinned, rhs)
-            self.obstacle_rows(f, b, self.no_floor)
-            return self._audited(f, cap)
+            np.copyto(out, b)
+            self.apply(self.solve(self.unpinned, out))
+            comp = np.subtract(self.applied, b, out=self.residual)
+            np.maximum(self.worst, np.abs(comp, out=comp), out=self.worst)
+            return
         prefers_obstacle = self.obstacle_rows(init, b, lower)
         at_cap = None if cap is None else self.cap_rows(init, cap)
         for _ in range(n + 1):
             free = None if at_cap is None else ~at_cap
             at_obstacle = prefers_obstacle if free is None else prefers_obstacle & free
             for _ in range(n + 1):
-                np.copyto(rhs, b)
-                np.copyto(rhs, lower, where=at_obstacle)
+                np.copyto(out, b)
+                np.copyto(out, lower, where=at_obstacle)
                 if at_cap is None:
                     pinned = at_obstacle
                 else:
-                    np.copyto(rhs, cap, where=at_cap)
+                    np.copyto(out, cap, where=at_cap)
                     pinned = at_obstacle | at_cap
-                f = self.solve(pinned, rhs)
+                f = self.solve(pinned, out)
+                self.apply(f)
                 prefers_obstacle = self.obstacle_rows(f, b, lower)
                 settled = prefers_obstacle if free is None else prefers_obstacle & free
                 if settled.tobytes() == at_obstacle.tobytes():
@@ -180,24 +184,16 @@ class _StepSystem:
                 at_obstacle = settled
             else:
                 raise RuntimeError(f"policy iteration did not settle within {n + 1} linear solves")
-            if at_cap is None:
-                return self._audited(f, cap)
-            settled = self.cap_rows(f, cap)
-            if settled.tobytes() == at_cap.tobytes():
-                return self._audited(f, cap)
+            settled = None if at_cap is None else self.cap_rows(f, cap)
+            if settled is None or settled.tobytes() == at_cap.tobytes():
+                break
             at_cap = settled
-        raise RuntimeError(f"the cap policy did not settle within {n + 1} updates")
-
-    def _audited(self, f: np.ndarray, cap: float | None) -> np.ndarray:
-        """f, once abs(max(min(M f - b, f - lower), f - cap)) is in worst, row by row.
-
-        Reads both sides from the obstacle_rows pass over f itself.
-        """
+        else:
+            raise RuntimeError(f"the cap policy did not settle within {n + 1} updates")
         comp = np.minimum(self.residual, self.slack, out=self.slack)
         if cap is not None:
             np.maximum(comp, np.subtract(f, cap, out=self.residual), out=comp)
         np.maximum(self.worst, np.abs(comp, out=comp), out=self.worst)
-        return f
 
 
 def _march(
@@ -208,12 +204,15 @@ def _march(
     Adds the tridiagonal solves to meta["linear_solves"] and the
     factorizations to meta["factorizations"]; before the last layer is
     yielded, stores the largest complementarity residual of every step, the
-    Rannacher half-steps included, as meta["complementarity_residual"].
-    kind names the problem when a layer turns NaN.  Each step builds its
-    right-hand side in a buffer the march reuses, summed in the order of the
-    plain expression, so the layers are bit for bit those of a march that
-    allocates every sum.  An obstacle that does not depend on tau is
-    evaluated once.
+    Rannacher half-steps included, as meta["complementarity_residual"], or
+    raises, naming kind, if it is NaN: np.minimum, np.maximum and abs carry
+    a NaN in any layer, right-hand side or floor into it.  Each step builds
+    its right-hand side in a buffer the march reuses, summed in the order of
+    the plain expression, and solves into its new layer, so the layers are
+    bit for bit those of a march that allocates every sum.  Only the first
+    step forms M f of its previous layer; later ones reuse the product of
+    the step before.  An obstacle that does not depend on tau is evaluated
+    once.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
@@ -255,23 +254,25 @@ def _march(
         b[0] += half * lo * bottom
         b[-1] += half * up * top
         obstacle = obstacle_at(tau_new)
-        f_int = system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap)
         f_new = np.empty(n + 2)
-        f_new[0], f_new[1:-1], f_new[-1] = bottom, f_int, top
-        # the max is NaN exactly when an entry is, and unlike a sum of squares cannot overflow
-        if math.isnan(f_new.max()):
-            raise RuntimeError(f"finite-difference solve produced NaN for {kind!r}")
+        f_new[0], f_new[-1] = bottom, top
+        system.settle(b, inner, obstacle[1:-1] if spec.constrained else None, spec.cap,
+                      f_new[1:-1])
         return x, f_new, obstacle
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
     f = np.asarray(spec.terminal(x), dtype=float)
     yield x, f, obstacle_at(0.0)
+    system.apply(f[1:-1])
     _, f, _ = step(f, half, False)
     layer = step(f, float(taus[1]), False)
     for tau in taus[2:]:
         yield layer
         layer = step(layer[1], float(tau), True)
-    meta["complementarity_residual"] = float(system.worst.max())
+    residual = float(system.worst.max())
+    if math.isnan(residual):
+        raise RuntimeError(f"finite-difference solve produced NaN for {kind!r}")
+    meta["complementarity_residual"] = residual
     yield layer
 
 
@@ -309,4 +310,3 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, Bounda
     """
     surface = fold_surface(fd_stream(problem, config))
     return surface, fold_boundary(surface.stream())
-

@@ -354,6 +354,28 @@ def test_lattice_nan_exits_3(monkeypatch, capsys):
     assert err.startswith("solver error:") and "NaN" in err
 
 
+def test_fd_nan_exits_3(monkeypatch, capsys):
+    original = fd1d.problem_spec
+
+    def spec_with_nan(problem):
+        spec = original(problem)
+
+        def terminal(x):
+            values = np.array(spec.terminal(x), dtype=float)
+            values[values.size // 3] = math.nan
+            return values
+
+        return dataclasses.replace(spec, terminal=terminal)
+
+    monkeypatch.setattr(fd1d, "problem_spec", spec_with_nan)
+    code, out, err = run(["price", "--regime", "1", "--spot", "0.8", "--solver", "fd",
+                          "--space-nodes", "64", "--time-steps", "8"] + BASE, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("solver error:") and "NaN" in err
+
+
 def test_figure_snapshot_refused_before_solving(monkeypatch, capsys):
     calls = count_calls(monkeypatch, fsg2d, "fsg_stream")
     code, out, err = run(["figure", "3", "--maturity", "0.5"], capsys)

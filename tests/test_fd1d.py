@@ -1,5 +1,6 @@
 """Finite-difference backend: scheme pieces, solves, audits, variants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,32 @@ def test_policy_iteration_guard_raises(monkeypatch):
         solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 
 
+def poison_terminal(monkeypatch):
+    """Make every spec's terminal payoff NaN at one interior node, left of the strike."""
+    original = fd1d.problem_spec
+
+    def spec_with_nan(problem):
+        spec = original(problem)
+
+        def terminal(x):
+            values = np.array(spec.terminal(x), dtype=float)
+            values[values.size // 3] = math.nan
+            return values
+
+        return dataclasses.replace(spec, terminal=terminal)
+
+    monkeypatch.setattr(fd1d, "problem_spec", spec_with_nan)
+
+
+@pytest.mark.parametrize("market", [HIGH_VOL, MarketParams(r=0.12, delta=0.0, sigma=0.3)],
+                         ids=["constrained", "unconstrained"])
+@pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
+def test_nan_in_the_payoff_reaches_the_guard(kind, market, monkeypatch):
+    poison_terminal(monkeypatch)
+    with pytest.raises(RuntimeError, match="NaN"):
+        solve_vi(kind_problem(kind, market), FDConfig(space_nodes=64, time_steps=8))
+
+
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
 def test_complementarity_audit_clean(kind):
     surface, _ = solve_vi(kind_problem(kind), FDConfig(space_nodes=200, time_steps=200))
@@ -269,7 +296,8 @@ def test_value_at_refuses_off_grid():
 
 def reference_march(problem, config):
     """The march with a fresh array for every sum and the obstacle evaluated apart
-    for the floor and for the layer; returns its layers, Rannacher layer and solve count."""
+    for the floor and for the layer; returns its layers, its solve count and the
+    largest abs(max(min(M f - b, f - lower), f - cap)) over every step's solution."""
     from scipy.linalg.lapack import dgtsv
 
     from stockloan.problems import log_x_grid, problem_spec, tau_grid
@@ -282,7 +310,7 @@ def reference_march(problem, config):
     half = 0.5 * dtau
     lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
-    solves = 0
+    solves, worst = 0, 0.0
 
     def solve(sub, diag, sup, b):
         *_, f, info = dgtsv(sub, diag, sup, b)
@@ -295,16 +323,25 @@ def reference_march(problem, config):
         return np.full(x.size - 2, -math.inf)
 
     def policy_step(diag, off_lo, off_up, b, init, lower, cap):
+        """The step's solution, its solve count and its largest complementarity residual."""
         n = b.size
-        if cap is None and not np.isfinite(lower).any():
-            return solve(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up),
-                         b.copy()), 1
         upper = math.inf if cap is None else cap
         padded = np.zeros(n + 2)
 
-        def policy_of(f):
+        def residual_of(f):
             padded[1:-1] = f
-            residual = diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
+            return diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
+
+        def audited(f, count):
+            comp = np.maximum(np.minimum(residual_of(f), f - lower), f - upper)
+            return f, count, float(np.abs(comp).max())
+
+        if cap is None and not np.isfinite(lower).any():
+            return audited(solve(np.full(n - 1, off_lo), np.full(n, diag),
+                                 np.full(n - 1, off_up), b.copy()), 1)
+
+        def policy_of(f):
+            residual = residual_of(f)
             slack = f - lower
             policy = np.where(slack < residual, 1, 0)
             policy[f - upper > np.minimum(residual, slack)] = 2
@@ -318,12 +355,12 @@ def reference_march(problem, config):
                       np.where(pde[:-1], off_up, 0.0), rhs)
             settled = policy_of(f)
             if np.array_equal(settled, policy):
-                return f, count
+                return audited(f, count)
             policy = settled
         raise AssertionError("the reference policy iteration did not settle")
 
     def step(f_old, tau_new, cn):
-        nonlocal solves
+        nonlocal solves, worst
         b = f_old[1:-1].copy()
         if cn:
             b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
@@ -333,9 +370,10 @@ def reference_march(problem, config):
         top = spec.far_field(tau_new, float(x[-1]))
         b[0] += half * lo * bottom
         b[-1] += half * up * top
-        f_int, count = policy_step(1.0 - half * mid, -half * lo, -half * up, b, f_old[1:-1],
-                                   floor(tau_new), spec.cap)
+        f_int, count, residual = policy_step(1.0 - half * mid, -half * lo, -half * up, b,
+                                             f_old[1:-1], floor(tau_new), spec.cap)
         solves += count
+        worst = max(worst, residual)
         return np.concatenate(([bottom], f_int, [top]))
 
     def layer(f, tau):
@@ -349,7 +387,7 @@ def reference_march(problem, config):
     for tau in taus[2:]:
         f = step(f, float(tau), True)
         layers.append(layer(f, float(tau)))
-    return layers, rannacher, solves
+    return layers, solves, worst
 
 
 # r above gamma: regimes 2 and 3 lose their boundary, so each of their steps is one solve
@@ -364,12 +402,13 @@ def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
     config = FDConfig(space_nodes=grid[0], time_steps=grid[1])
     stream = fd_stream(prob, config)
     drawn = list(stream.layers)
-    expected, rannacher, solves = reference_march(prob, config)
+    expected, solves, residual = reference_march(prob, config)
     assert len(drawn) == len(expected) == grid[1] + 1
     for got, want in zip(drawn, expected):
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
     assert stream.solver_meta["linear_solves"] == solves
+    assert stream.solver_meta["complementarity_residual"] == residual
 
 
 # (sigma, space nodes, time steps, maturity) where switching the cap and the

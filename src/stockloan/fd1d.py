@@ -13,9 +13,9 @@ solution until it repeats (Hoffman-Karp nesting; switching both policies at
 once cycled on some grids).  Each pass forms M f once; the last pass of a
 step leaves M f, M f - b and f - obstacle in buffers, which audit the step's
 complementarity residual and give the next step's first policy its M f.
-A NaN anywhere reaches that audit, which the march checks once.  The drift
-term falls back to one-sided differencing whenever central weights would go
-negative, which keeps every per-step matrix an M-matrix.
+A NaN anywhere reaches that audit or the payoff's edges, checked once.  The
+drift term falls back to one-sided differencing whenever central weights
+would go negative, which keeps every per-step matrix an M-matrix.
 
 Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
@@ -29,8 +29,11 @@ off it.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
+from importlib import machinery, util
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,6 +75,25 @@ class FDConfig:
             raise ValueError(f"need at least 2 time steps, got {self.time_steps}")
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrappers, scipy/linalg/_flapack, loaded once and by themselves.
+
+    scipy.linalg.lapack's dgttrf and dgttrs are this module's; importing it
+    runs all of scipy.linalg's setup (about 0.26 s and 28 MB after numpy).
+    """
+    scipy = util.find_spec("scipy")
+    name = "_flapack" + machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(os.path.dirname(scipy.origin), "linalg", name) if scipy else ""
+    if not os.path.isfile(path):
+        raise RuntimeError("the finite-difference step needs scipy's compiled LAPACK module "
+                           "scipy.linalg._flapack, which was not found")
+    spec = util.spec_from_file_location("_flapack", path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class _StepSystem:
     """The step matrix M = I - (dtau / 2) L of a march, the rows of a pinned set
     replaced by identity rows, and the policy iteration that solves each step.
@@ -83,14 +105,13 @@ class _StepSystem:
     solve gives the bits of one gtsv call on the same system.  meta counts
     the solves and the factorizations.  applied holds M f of the last f
     passed to apply, after a step its solution's.  worst holds, row by row,
-    the largest complementarity residual of any step settled so far.  scipy
-    is imported here, so only a finite-difference solve loads it.
+    the largest complementarity residual of any step settled so far.  The
+    LAPACK module is loaded here, so only a finite-difference solve loads it.
     """
 
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
-        self._dgttrf, self._dgttrs = dgttrf, dgttrs
+        lapack = _flapack()
+        self._dgttrf, self._dgttrs = lapack.dgttrf, lapack.dgttrs
         self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
@@ -206,7 +227,8 @@ def _march(
     yielded, stores the largest complementarity residual of every step, the
     Rannacher half-steps included, as meta["complementarity_residual"], or
     raises, naming kind, if it is NaN: np.minimum, np.maximum and abs carry
-    a NaN in any layer, right-hand side or floor into it.  Each step builds
+    a NaN in any layer, right-hand side or floor into it.  The payoff's two
+    edge values, which no step reads, are checked with it.  Each step builds
     its right-hand side in a buffer the march reuses, summed in the order of
     the plain expression, and solves into its new layer, so the layers are
     bit for bit those of a march that allocates every sum.  Only the first
@@ -261,16 +283,16 @@ def _march(
         return x, f_new, obstacle
 
     # Rannacher startup: two implicit-Euler half-steps, then Crank-Nicolson.
-    f = np.asarray(spec.terminal(x), dtype=float)
-    yield x, f, obstacle_at(0.0)
-    system.apply(f[1:-1])
-    _, f, _ = step(f, half, False)
+    payoff = np.asarray(spec.terminal(x), dtype=float)
+    yield x, payoff, obstacle_at(0.0)
+    system.apply(payoff[1:-1])
+    _, f, _ = step(payoff, half, False)
     layer = step(f, float(taus[1]), False)
     for tau in taus[2:]:
         yield layer
         layer = step(layer[1], float(tau), True)
     residual = float(system.worst.max())
-    if math.isnan(residual):
+    if any(map(math.isnan, (residual, payoff[0], payoff[-1]))):
         raise RuntimeError(f"finite-difference solve produced NaN for {kind!r}")
     meta["complementarity_residual"] = residual
     yield layer

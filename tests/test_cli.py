@@ -828,9 +828,9 @@ def test_lattice_boundary_keeps_two_layers(capsys):
                          ids=["regime1", "amortized"])
 def test_fd_price_and_boundary_keep_two_layers(command, contract, capsys):
     # 401 layers of 400 nodes hold 1.3 MB, 2.6 MB with a time-dependent obstacle
-    from scipy.linalg import lapack  # noqa: F401  (the first solve loads it; not counted)
-
     argv = [command, "--solver", "fd", "--spot", "0.8"] + contract + BASE
+    # the first FD solve loads the LAPACK module; a small one keeps that out of the count
+    assert run(argv + ["--space-nodes", "64", "--time-steps", "8"], capsys)[0] == 0
     assert peak_mb(argv, capsys) < 0.5
 
 

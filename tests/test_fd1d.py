@@ -164,8 +164,8 @@ def test_policy_iteration_guard_raises(monkeypatch):
         solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 
 
-def poison_terminal(monkeypatch):
-    """Make every spec's terminal payoff NaN at one interior node, left of the strike."""
+def poison_terminal(monkeypatch, node=None):
+    """Make every spec's terminal payoff NaN at node, by default one inside, left of the strike."""
     original = fd1d.problem_spec
 
     def spec_with_nan(problem):
@@ -173,7 +173,7 @@ def poison_terminal(monkeypatch):
 
         def terminal(x):
             values = np.array(spec.terminal(x), dtype=float)
-            values[values.size // 3] = math.nan
+            values[values.size // 3 if node is None else node] = math.nan
             return values
 
         return dataclasses.replace(spec, terminal=terminal)
@@ -184,8 +184,10 @@ def poison_terminal(monkeypatch):
 @pytest.mark.parametrize("market", [HIGH_VOL, MarketParams(r=0.12, delta=0.0, sigma=0.3)],
                          ids=["constrained", "unconstrained"])
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
-def test_nan_in_the_payoff_reaches_the_guard(kind, market, monkeypatch):
-    poison_terminal(monkeypatch)
+@pytest.mark.parametrize("node", [None, 0, -1], ids=["interior", "bottom", "top"])
+def test_nan_in_the_payoff_reaches_the_guard(kind, market, node, monkeypatch):
+    # the startup half-steps read only the payoff's interior, so an edge node is its own case
+    poison_terminal(monkeypatch, node)
     with pytest.raises(RuntimeError, match="NaN"):
         solve_vi(kind_problem(kind, market), FDConfig(space_nodes=64, time_steps=8))
 

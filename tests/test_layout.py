@@ -34,8 +34,9 @@ def run_probe(probe):
 
 
 def test_cli_import_leaves_heavy_scipy_out():
-    # scipy serves only the finite-difference step; importing it cost every
-    # CLI start about 0.2-0.35 s (scipy.stats alone once added about 1.2 s)
+    # scipy serves only the finite-difference step, which loads its one compiled
+    # LAPACK module alone; importing scipy.linalg cost every FD start about 0.26 s
+    # and 28 MB (scipy.stats alone once added about 1.2 s)
     probe = """
 import contextlib, io, sys
 import stockloan.cli as cli
@@ -43,18 +44,44 @@ import stockloan.cli as cli
 def scipy_modules():
     return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 
+def stdout(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+fd = ["--solver", "fd", "--space-nodes", "64", "--time-steps", "8"]
 loaded = {"import": scipy_modules()}
 for argv in (["perpetual", "--regime", "1"],
              ["price", "--solver", "lattice", "--regime", "1", "--steps", "50"],
              ["price", "--solver", "fsg", "--regime", "4", "--maturity", "1", "--spot", "0.8"],
-             ["boundary", "--solver", "fsg", "--regime", "4", "--maturity", "1", "--spot", "0.8"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
+             ["boundary", "--solver", "fsg", "--regime", "4", "--maturity", "1", "--spot", "0.8"],
+             ["price"] + fd, ["boundary"] + fd):
+    stdout(argv)
     loaded[argv[0] + " " + argv[2]] = scipy_modules()
+# the extension then lives under two names in one process; the price must not change
+before = stdout(["price"] + fd)
+import scipy.linalg.lapack
+loaded["price fd beside scipy.linalg"] = stdout(["price"] + fd) == before
 print(loaded)
 """
     assert run_probe(probe) == str({"import": [], "perpetual 1": [], "price lattice": [],
-                                    "price fsg": [], "boundary fsg": []})
+                                    "price fsg": [], "boundary fsg": [], "price fd": [],
+                                    "boundary fd": [], "price fd beside scipy.linalg": True})
+
+
+def test_fd_without_scipy_is_a_solver_error():
+    probe = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # as if scipy were not installed
+import stockloan.cli as cli
+
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["price", "--solver", "fd", "--space-nodes", "64", "--time-steps", "8"])
+print((code, err.getvalue()))
+"""
+    assert run_probe(probe) == str((3, "solver error: the finite-difference step needs scipy's "
+                                       "compiled LAPACK module scipy.linalg._flapack, which was "
+                                       "not found\n"))
 
 
 def test_closed_forms_and_refusals_leave_numpy_out():

@@ -112,7 +112,8 @@ class _StepSystem:
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
         lapack = _flapack()
         self._dgttrf, self._dgttrs = lapack.dgttrf, lapack.dgttrs
-        self.diag, self.off_lo, self.off_up = diag, off_lo, off_up
+        # 0-d operands: a Python float costs each numpy call more, for the same bits
+        self.diag, self.off_lo, self.off_up = map(np.asarray, (diag, off_lo, off_up))
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
         self.applied, self.residual, self.slack, term = np.empty((4, n))
@@ -244,6 +245,8 @@ def _march(
     # the source term of a Crank-Nicolson step and of an implicit-Euler half-step
     src = spec.source(x[1:-1]) if spec.source is not None else None
     src_cn, src_ie = (None, None) if src is None else (src * dtau, src * half)
+    # the right-hand side's coefficients as 0-d operands; the boundary rows keep the floats
+    c_lo, c_mid, c_up, c_half = map(np.asarray, (lo, mid, up, half))
     steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
 
     def obstacle_at(tau: float) -> np.ndarray:
@@ -261,10 +264,10 @@ def _march(
         inner = f_old[1:-1]
         if cn:
             # b = inner + half * (lo * f_old[:-2] + mid * inner + up * f_old[2:]), in that order
-            np.multiply(f_old[:-2], lo, out=b)
-            np.add(b, np.multiply(inner, mid, out=term), out=b)
-            np.add(b, np.multiply(f_old[2:], up, out=term), out=b)
-            np.add(np.multiply(b, half, out=b), inner, out=b)
+            np.multiply(f_old[:-2], c_lo, out=b)
+            np.add(b, np.multiply(inner, c_mid, out=term), out=b)
+            np.add(b, np.multiply(f_old[2:], c_up, out=term), out=b)
+            np.add(np.multiply(b, c_half, out=b), inner, out=b)
             if src_cn is not None:
                 np.add(b, src_cn, out=b)
         elif src_ie is not None:

@@ -2,9 +2,10 @@
 
 Every problem is marched on a recombining CRR tree built from the spec
 that problems.problem_spec writes out for it: the per-step growth factor is
-exp(drift * dt), each expectation is discounted at the spec's rate, and a
-running source is added explicitly after discounting, before the value is
-floored at the obstacle and clamped at the cap.
+exp(drift * dt), the one-step discount at the spec's rate is folded into the
+two branch weights that the path-tree oracle shares, and a running source is
+added to the expectation before the value is floored at the obstacle and
+clamped at the cap.
 
 lattice_stream builds the tree layer by layer, terminal layer first and
 root last; the folds of problems.py read it.  Every layer's nodes are a
@@ -13,11 +14,13 @@ the first layer.  The source, and an obstacle that does not depend on tau
 (problems.ProblemSpec.strike), are evaluated once on that ladder, an
 obstacle that does is written into a reused buffer, and values alternate
 between two buffers of steps + 1 floats.  So a march does no per-layer exp
-and allocates nothing per layer.  fold_values(lattice_stream(problem,
-config, spot), [spot]) reads the root off it, keeping two layers; the
-price_* functions keep every layer in a surface, so redemption boundaries
-can be read off afterwards (immutable once returned).  Each takes its
-market and contract and refuses a contract of another kind.
+and allocates nothing per layer, and a layer with no source and no cap is
+four array passes, each given its coefficient as a 0-d array.
+fold_values(lattice_stream(problem, config, spot), [spot]) reads the root
+off it, keeping two layers; the price_* functions keep every layer in a
+surface, so redemption boundaries can be read off afterwards (immutable
+once returned).  Each takes its market and contract and refuses a contract
+of another kind.
 """
 
 from __future__ import annotations
@@ -62,12 +65,13 @@ class LatticeConfig:
 def crr_step_params(
     sigma: float, drift: float, rate: float, dt: float
 ) -> tuple[float, float, float, float]:
-    """CRR step: up/down factors, up probability and one-step discount.
+    """CRR step: up factor, up probability p and the weights disc * p, disc * (1 - p).
 
-    drift is the risk-neutral growth rate of the lattice state and rate the
-    discount rate, both per unit time.  The martingale probability must lie
-    strictly inside (0, 1) or the step size is too coarse for the drift; a
-    volatility so small that u and d round to one float is refused too.
+    disc = exp(-rate * dt) is the one-step discount.  drift is the risk-neutral
+    growth rate of the lattice state and rate the discount rate, both per
+    unit time.  The martingale probability must lie strictly inside (0, 1)
+    or the step size is too coarse for the drift; a volatility so small that
+    the up and down factors round to one float is refused too.
     """
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u
@@ -83,7 +87,8 @@ def crr_step_params(
             f"increase the step count so that |drift|*sqrt(dt) stays well below sigma "
             f"(drift={drift:.6g}, sigma={sigma:.6g}, dt={dt:.6g})"
         )
-    return u, d, p, math.exp(-rate * dt)
+    disc = math.exp(-rate * dt)
+    return u, p, disc * p, disc * (1.0 - p)
 
 
 def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> LayerStream:
@@ -103,15 +108,17 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
     steps, maturity = config.steps, problem.contract.maturity
     dt = maturity / steps
     taus = tau_grid(maturity, steps)
-    u, d, p, disc = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
+    u, p, up, down = crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
     log_u = math.log(u)
     if max(math.log(spot), 0.0) + steps * log_u >= LOG_FLOAT_MAX:
         raise ValueError(
             f"the tree's top node spot*exp(sigma*sqrt(T*steps)) overflows a float "
             f"(spot={spot}, sigma={spec.sigma}, T={maturity}, steps={steps})"
         )
-    q = 1.0 - p
-    cap, source, strike = spec.cap, spec.source, spec.strike
+    source, strike = spec.source, spec.strike
+    # 0-d operands: a Python float costs each numpy call more, for the same bits
+    up, down = np.asarray(up), np.asarray(down)
+    cap = None if spec.cap is None else np.asarray(spec.cap)
     meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
 
     def rung(ladders: tuple[np.ndarray, np.ndarray], level: int) -> np.ndarray:
@@ -150,11 +157,10 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
             yield x, v, obs
             level = steps - j
             x = rung(nodes, level)
-            # disc * (p * v[1:] + q * v[:-1]), computed in the other buffer;
-            # the layer just drawn is no longer held, so q * v overwrites it
-            cont = np.multiply(p, v[1:], out=buffers[j % 2][: level + 1])
-            np.add(cont, np.multiply(q, v[:-1], out=v[:-1]), out=cont)
-            np.multiply(disc, cont, out=cont)
+            # up * v[1:] + down * v[:-1], computed in the other buffer; the
+            # layer just drawn is no longer held, so down * v overwrites it
+            cont = np.multiply(up, v[1:], out=buffers[j % 2][: level + 1])
+            np.add(cont, np.multiply(down, v[:-1], out=v[:-1]), out=cont)
             if sources is not None:
                 np.add(cont, rung(sources, level), out=cont)
             obs = obstacle(x, level, float(taus[j]))

@@ -11,8 +11,9 @@ failure modes.
 Level k holds 2**k nodes; the children of node i sit at 2 i (up move) and
 2 i + 1 (down move).  The tree runs in similarity coordinates and reuses
 the recombining lattice's step parameters, the same node values (tested
-bitwise), and its combination arithmetic, so matched-step comparisons
-agree to float precision rather than merely to discretization error.
+bitwise), and its combination arithmetic, up * v_up + down * v_down with its
+two discounted branch weights, so matched-step comparisons agree to float
+precision rather than merely to discretization error.
 """
 
 from __future__ import annotations
@@ -90,8 +91,7 @@ def _solve_tree(
     r_bar = market.r - contract.loan_rate
     delta = market.delta
     dt = contract.maturity / steps
-    u, _, p, disc = crr_step_params(market.sigma, r_bar - delta, r_bar, dt)
-    q = 1.0 - p
+    u, _, up, down = crr_step_params(market.sigma, r_bar - delta, r_bar, dt)
     log_u = math.log(u)
     carries_account = regime in (
         DividendRegime.DELIVERED_IMMEDIATELY,
@@ -120,9 +120,7 @@ def _solve_tree(
     values = level_payoff(steps)
     root_payoff = float(level_payoff(0)[0])
     for k in range(steps - 1, -1, -1):
-        vu = values[0::2]
-        vd = values[1::2]
-        cont = disc * (p * vu + q * vd)
+        cont = up * values[0::2] + down * values[1::2]
         if allowed is None or k in allowed:
             values = np.maximum(cont, level_payoff(k))
         else:

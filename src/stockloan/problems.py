@@ -420,10 +420,11 @@ def amortized_payment_rate(contract: LoanContract) -> float:
     """Continuous payment rate that fully amortizes the principal by maturity.
 
     Solves K = integral_0^T c * exp(-gamma * t) dt for c, giving
-    c = gamma * K / (1 - exp(-gamma * T)) with the gamma -> 0 limit K / T.
+    c = gamma * K / (1 - exp(-gamma * T)) with the gamma -> 0 limit K / T, taken
+    where gamma or gamma T is not a normal float: there the formula loses digits.
     """
     gamma, principal, maturity = contract.loan_rate, contract.principal, contract.maturity
-    if gamma == 0.0:
+    if min(abs(gamma), abs(gamma * maturity)) < sys.float_info.min:
         return principal / maturity
     return gamma * principal / -math.expm1(-gamma * maturity)
 
@@ -483,12 +484,14 @@ def problem_spec(problem: VIProblem) -> ProblemSpec:
 
     if kind == "amortized":
         rate_c = amortized_payment_rate(contract)
+        # c / gamma overflows, or gamma is subnormal, only where the limit c tau is exact
+        scale = rate_c / gamma if abs(gamma) >= sys.float_info.min else math.inf
 
         def outstanding(tau: float) -> float:
             # Present balance of the remaining payments: (c/gamma)(1 - exp(-gamma*tau)).
-            if gamma == 0.0:
+            if math.isinf(scale):
                 return rate_c * tau
-            return rate_c / gamma * -math.expm1(-gamma * tau)
+            return scale * -math.expm1(-gamma * tau)
 
         def annuity(tau: float) -> float:
             return rate_c / r * -math.expm1(-r * tau)

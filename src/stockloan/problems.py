@@ -19,9 +19,11 @@ r - gamma; regime 2 is first rebooked as its dividend-free regime-1
 equivalent.  The amortizing and withdrawable variants keep calendar cash
 coordinates because their obstacles do not scale with exp(gamma * t).
 
-The grids the backends step on are built here too (the layer times of
-all three, the log-spaced stock grid and its stencil).  Grids whose top
-node would overflow a float, or too coarse to price on, are refused.
+The grids the backends step on are built here too: the layer times of
+all three, and the log-spaced stock grid with its stencil, one decision
+in log_grid.  A stock grid whose top node would overflow a float, too
+coarse to price on, too fine for the floats, or so coarse that the drift
+outruns the diffusion across a cell is refused there, before any march.
 
 Every grid backend hands its march over as one LayerStream, terminal layer
 first, and three folds read it: fold_values keeps the last layer and reads
@@ -70,73 +72,55 @@ def tau_grid(maturity: float, steps: int) -> np.ndarray:
     return frozen(np.linspace(0.0, maturity, steps + 1))
 
 
-def log_x_grid(
-    principal: float, sigma: float, maturity: float, nodes: int
-) -> tuple[np.ndarray, float]:
-    """Stock nodes evenly spaced in log(x), read-only, and their log spacing; returns (x, dy).
+def log_grid(
+    principal: float, sigma: float, drift: float, rate: float, maturity: float, nodes: int
+) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """Stock nodes evenly spaced in log(x), read-only, and the pricing operator's stencil on them.
 
-    The log domain is log(K) +- 6 sigma sqrt(T).  A top node that would
-    overflow a float, a spacing wider than MAX_LOG_SPACING, or one too
-    small for the floats (its square underflows to 0, or it spans fewer
-    than MIN_LOG_SPACING_ULPS ulps of the nodes) is refused with ValueError.
+    Returns (x, (lo, mid, up)).  The log domain is log(K) +- 6 sigma sqrt(T).
+    The stencil differences the convection term nu = drift - sigma^2 / 2
+    centrally, so lo and up stay nonnegative, and every step matrix built
+    on them an M-matrix, exactly while the cell Peclet number
+    |nu| dy / sigma^2 is at most 1.  Refused with ValueError, in this
+    order: a top node that would overflow a float, a spacing wider than
+    MAX_LOG_SPACING, one too small for the floats (its square underflows to
+    0, or it spans fewer than MIN_LOG_SPACING_ULPS ulps of the nodes), and
+    a cell Peclet number above 1.  Shared by the one-dimensional solver and
+    the stock direction of the forward-shooting-grid solver.
     """
     sig_span = 6.0 * sigma * math.sqrt(maturity)
     y_min = math.log(principal) - sig_span
     y_max = math.log(principal) + sig_span
+    params = f"principal={principal}, sigma={sigma}, maturity={maturity}, nodes={nodes}"
     if y_max >= LOG_FLOAT_MAX:
-        raise ValueError(
-            f"the stock grid's top node exp({y_max:.6g}) overflows a float "
-            f"(principal={principal}, sigma={sigma}, maturity={maturity})"
-        )
+        raise ValueError(f"the stock grid's top node exp({y_max:.6g}) overflows a float "
+                         f"({params})")
     spacing = 2.0 * sig_span / (nodes - 1)
     if spacing > MAX_LOG_SPACING:
         raise ValueError(
-            f"the stock grid's log spacing {spacing:.3g} exceeds "
-            f"{MAX_LOG_SPACING} (sigma={sigma}, maturity={maturity}, nodes={nodes}); "
-            f"use at least {math.floor(2.0 * sig_span / MAX_LOG_SPACING) + 2} stock nodes"
-        )
+            f"the stock grid's log spacing {spacing:.3g} exceeds {MAX_LOG_SPACING} ({params}); "
+            f"use at least {math.floor(2.0 * sig_span / MAX_LOG_SPACING) + 2} stock nodes")
     y = np.linspace(y_min, y_max, nodes)
     dy = float(y[1] - y[0])
     if dy * dy == 0.0:
-        raise ValueError(
-            f"the stock grid's log spacing {dy:.3g} is too small for a float stencil, "
-            f"which divides by its square (principal={principal}, sigma={sigma}, "
-            f"maturity={maturity}, nodes={nodes})"
-        )
+        raise ValueError(f"the stock grid's log spacing {dy:.3g} is too small for a float "
+                         f"stencil, which divides by its square ({params})")
     # the floats resolve y to ulp(|y|), and exp(y) to ulp(1) relative to it
     if dy < MIN_LOG_SPACING_ULPS * math.ulp(max(1.0, abs(y_min), abs(y_max))):
         raise ValueError(f"the stock grid's log spacing {dy:.3g} spans fewer than "
-                         f"{MIN_LOG_SPACING_ULPS} ulps of its nodes (principal={principal}, "
-                         f"sigma={sigma}, maturity={maturity}, nodes={nodes})")
-    return frozen(np.exp(y)), dy
-
-
-def log_stencil(
-    sigma: float, drift: float, rate: float, dy: float
-) -> tuple[float, float, float]:
-    """Constant stencil (lo, mid, up) of the pricing operator in log space.
-
-    Central differencing for the convection term nu = drift - sigma^2 / 2,
-    switching to one-sided differencing when central weights would turn
-    negative, so lo and up stay nonnegative.  Shared by the one-dimensional
-    solver and the stock direction of the forward-shooting-grid solver.
-    """
+                         f"{MIN_LOG_SPACING_ULPS} ulps of its nodes ({params})")
     s2 = sigma * sigma
     nu = drift - 0.5 * s2
+    if not abs(nu) * dy <= s2:
+        # a count past 2**53 is printed rounded, an infinite one as inf
+        needed = np.floor(2.0 * sig_span * abs(nu) / s2) + 2.0
+        raise ValueError(
+            f"the stock grid's cell Peclet number {abs(nu) * dy / s2:.3g} exceeds 1: the drift "
+            f"{drift:.6g} outruns the diffusion across each cell ({params}); "
+            f"use at least {needed:.15g} stock nodes")
     diff = 0.5 * s2 / (dy * dy)
-    if abs(nu) * dy <= s2:
-        lo = diff - nu / (2.0 * dy)
-        up = diff + nu / (2.0 * dy)
-        mid = -s2 / (dy * dy) - rate
-    elif nu > 0.0:
-        lo = diff
-        up = diff + nu / dy
-        mid = -s2 / (dy * dy) - nu / dy - rate
-    else:
-        lo = diff - nu / dy
-        up = diff
-        mid = -s2 / (dy * dy) + nu / dy - rate
-    return lo, mid, up
+    stencil = (diff - nu / (2.0 * dy), -s2 / (dy * dy) - rate, diff + nu / (2.0 * dy))
+    return frozen(np.exp(y)), stencil
 
 
 Layer = tuple[np.ndarray, np.ndarray, np.ndarray]

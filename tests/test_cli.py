@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -750,10 +751,9 @@ def test_every_command_answers_or_fails_in_one_line(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--sigma", "0.4", "--space-nodes", "800", "--time-steps", "50", "--maturity", "1"],
-    ["--sigma", "1e-5", "--space-nodes", "100", "--time-steps", "100"],
 ], ids=" ".join)
 def test_fd_withdrawable_prices_where_the_joint_policy_cycled(argv, capsys):
-    # both exited 3: "policy iteration did not settle within 799 / 99 linear solves"
+    # exited 3: "policy iteration did not settle within 799 linear solves"
     code, out, err = run(["price", "--solver", "fd", "--variant", "withdrawable",
                           "--cap", "0.35"] + argv, capsys)
     assert (code, err) == (0, "")
@@ -761,30 +761,108 @@ def test_fd_withdrawable_prices_where_the_joint_policy_cycled(argv, capsys):
     assert out == f"{float(out):.17g}\n"
 
 
+def assert_convection_refusal(argv, capsys):
+    """argv exits 2 with one line naming the cell Peclet number; returns the count it names."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the stock grid's cell Peclet number") and err.count("\n") == 1
+    match = re.search(r"; use at least (\S+) stock nodes\n$", err)
+    assert match, err
+    return float(match.group(1))
+
+
+def test_fd_withdrawable_at_a_tiny_sigma_refused(capsys):
+    # 100 nodes at sigma 1e-5 upwinded to a step whose explicit weight went negative
+    count = assert_convection_refusal(
+        ["price", "--solver", "fd", "--variant", "withdrawable", "--cap", "0.35",
+         "--sigma", "1e-5", "--space-nodes", "100", "--time-steps", "100"], capsys)
+    assert count > 100
+
+
 @pytest.mark.parametrize("sigma", ["1e-15", "2e-15"])
 def test_log_spacing_of_a_few_ulps_exits_2(sigma, capsys):
     # about 1.2 and 2.4 ulps of log K apart, the log nodes round unevenly and
-    # the policy iteration never settled (exit 3)
+    # the policy iteration never settled (exit 3); this refusal comes first
     code, out, err = run(["price", "--solver", "fd", "--sigma", sigma], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: the stock grid's log spacing") and err.count("\n") == 1
     assert f"sigma={sigma}" in err
-    # a thousand times wider, the grid prices as it always did
-    code, out, _ = run(["price", "--solver", "fd", "--sigma", "1e-12"], capsys)
-    assert (code, out) == (0, "1.1768364062277102e-14\n")
+    # a thousand times wider, the drift outruns the diffusion across each cell
+    assert_convection_refusal(["price", "--solver", "fd", "--sigma", "1e-12"], capsys)
 
 
-@pytest.mark.parametrize("flag, named", [("--delta", "delta=1e+300"),
-                                         ("--loan-rate", "loan_rate=1e+300")])
-def test_fsg_march_that_cannot_finish_refused(flag, named, capsys):
-    # explicit stability would ask for about 2e299 substeps per layer
-    argv = ["price", "--solver", "fsg", "--regime", "4", "--maturity", "1", flag, "1e300"]
+def test_fd_convection_dominated_default_grid_refused(capsys):
+    # one-sided differences printed 0.73542095044407707, above the spot 0.7
+    count = assert_convection_refusal(["price", "--solver", "fd", "--r", "10"], capsys)
+    assert count == 658
+    code, out, err = run(["price", "--solver", "fd", "--r", "10", "--space-nodes", "658"],
+                         capsys)
+    assert (code, err) == (0, "")
+    # the lattice at 20000 steps gives 0.68576817791557687
+    assert 0.0 < float(out) < 0.7
+    assert abs(float(out) - 0.68576817791557687) < 1e-4
+
+
+# price argvs on 60 x 30 nodes that printed a value outside [max(S - K, 0), S]
+# (the first five) or exited 3 (the last two); the cell Peclet number exceeds 1 in each
+CONVECTION_DOMINATED = [
+    ["--regime", "1", "--r", "3"],
+    ["--regime", "1", "--loan-rate", "-1"],
+    ["--regime", "2", "--r", "3"],
+    ["--regime", "2", "--r", "1e300"],
+    ["--regime", "2", "--loan-rate", "-1"],
+    ["--regime", "1", "--r", "1e300"],
+    ["--regime", "3", "--delta", "1e300"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", CONVECTION_DOMINATED, ids=" ".join)
+def test_fd_convection_dominated_grid_names_the_smallest_passing_count(argv, capsys):
+    fd = ["price", "--solver", "fd", "--time-steps", "30"] + argv
+    count = assert_convection_refusal(fd + ["--space-nodes", "60"], capsys)
+    if count > 10_000:
+        return
+    # one node fewer is refused, the count itself prices
+    assert_convection_refusal(fd + ["--space-nodes", f"{count - 1:.0f}"], capsys)
+    code, out, err = run(fd + ["--space-nodes", f"{count:.0f}"], capsys)
+    assert (code, err) == (0, "")
+    if argv[1] == "1":
+        assert 0.0 <= float(out) <= 0.7
+    else:
+        # regime 2's value lies just below the spot here (the lattice gives 0.6999996
+        # at r 3 and 0.6965 at gamma -1), and the second-order error of so coarse a
+        # grid still lifts the price above it, to 0.7019 and 0.7108
+        assert 0.0 <= float(out) < 0.72
+
+
+def test_fsg_convection_dominated_grid_refused(capsys):
+    # 200 upwinded stock nodes printed 0.0031991778730007191; 1600 central ones give
+    # 0.0031934175998129216
+    fsg = ["price", "--solver", "fsg", "--regime", "4", "--sigma", "0.005"]
+    assert assert_convection_refusal(fsg, capsys) == 377
+    assert_convection_refusal(fsg + ["--x-nodes", "376"], capsys)
+    code, out, err = run(fsg + ["--x-nodes", "377"], capsys)
+    assert (code, err) == (0, "")
+    assert abs(float(out) - 0.0031934175998129216) < 1e-4
+
+
+@pytest.mark.parametrize("flags, named", [
+    # stock steps this fine against layers this long ask for about 2950 substeps per layer
+    (["--x-nodes", "900", "--fsg-steps", "2"], "substeps per layer"),
+    # explicit stability would ask for about 2e299 substeps per layer, but the drift
+    # of -1e300 outruns the diffusion across each cell first
+    (["--delta", "1e300"], "cell Peclet number"),
+    (["--loan-rate", "1e300"], "cell Peclet number"),
+], ids=["fine-stock-step", "delta", "loan-rate"])
+def test_fsg_march_that_cannot_finish_refused(flags, named, capsys):
+    argv = ["price", "--solver", "fsg", "--regime", "4", "--maturity", "1"] + flags
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "substeps per layer" in err and named in err
+    assert named in err
 
 
 def test_fsg_immediate_redemption(capsys):

@@ -27,7 +27,7 @@ from stockloan import (
     solve_vi,
 )
 from stockloan import fd1d
-from stockloan.problems import log_stencil
+from stockloan.problems import log_grid
 
 K = 0.7
 GAMMA = 0.1
@@ -81,29 +81,45 @@ def test_problem_validation():
             fsg_stream(kind_problem(kind), FSG2DConfig(), [0.8], 0.0)
 
 
-def test_log_stencil_rows_sum_to_minus_rate():
+def test_log_grid_stencil_rows_sum_to_minus_rate():
     rng = np.random.default_rng(99)
-    for _ in range(50):
+    drawn = 0
+    while drawn < 50:
         sigma = float(rng.uniform(0.05, 0.6))
         drift = float(rng.uniform(-0.3, 0.3))
         rate = float(rng.uniform(-0.1, 0.2))
-        dy = float(rng.uniform(0.005, 0.1))
-        lo, mid, up = log_stencil(sigma, drift, rate, dy)
+        maturity = float(rng.uniform(0.2, 5.0))
+        nodes = int(rng.integers(40, 800))
+        dy = 12.0 * sigma * math.sqrt(maturity) / (nodes - 1)
+        # only grids whose cell Peclet number is at most 1 (with a margin for rounding)
+        if abs(drift - 0.5 * sigma ** 2) * dy > 0.99 * sigma ** 2 or dy > 0.3:
+            continue
+        drawn += 1
+        _, (lo, mid, up) = log_grid(K, sigma, drift, rate, maturity, nodes)
         assert lo + mid + up == pytest.approx(-rate, abs=1e-12)
         # off-diagonal signs keep the discrete comparison principle
         assert lo >= 0.0
         assert up >= 0.0
 
 
-def test_log_stencil_upwind_fallback():
-    # drift strong enough to break the central form switches to one-sided
-    sigma, dy = 0.1, 0.05
-    drift = 0.5
-    assert abs(drift) * dy > sigma * sigma
-    lo, mid, up = log_stencil(sigma, drift, 0.05, dy)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma, drift, maturity, nodes", [
+    (0.1, 0.5, 1.0, 40), (0.1, -0.5, 1.0, 40), (0.4, 9.87, 5.0, 400), (1e-5, 0.03, 5.0, 100),
+    (1e-3, -1e300, 1.0, 60), (1e-3, -1.7e308, 1.0, 60),
+])
+def test_log_grid_refuses_a_cell_peclet_number_above_one(sigma, drift, maturity, nodes):
+    # central weights would go negative: one-sided differences kept them
+    # nonnegative, but their numerical diffusion |nu| dy / 2 outweighed sigma^2 / 2
+    with pytest.raises(ValueError, match="cell Peclet number") as refused:
+        log_grid(K, sigma, drift, 0.05, maturity, nodes)
+    count = float(str(refused.value).rsplit("use at least ", 1)[1].split()[0])
+    if count > 10_000:
+        return
+    # the count it names is the smallest that passes
+    with pytest.raises(ValueError, match="cell Peclet number"):
+        log_grid(K, sigma, drift, 0.05, maturity, int(count) - 1)
+    _, (lo, _, up) = log_grid(K, sigma, drift, 0.05, maturity, int(count))
     assert lo >= 0.0 and up >= 0.0
-    central_lo = 0.5 * sigma ** 2 / dy ** 2 - 0.5 * (drift - 0.5 * sigma ** 2) / dy
-    assert central_lo < 0.0
 
 
 def test_golden_value_matches_lattice():
@@ -302,15 +318,15 @@ def reference_march(problem, config):
     largest abs(max(min(M f - b, f - lower), f - cap)) over every step's solution."""
     from scipy.linalg.lapack import dgtsv
 
-    from stockloan.problems import log_x_grid, problem_spec, tau_grid
+    from stockloan.problems import problem_spec, tau_grid
 
     spec = problem_spec(problem)
     maturity = problem.contract.maturity
     taus = tau_grid(maturity, config.time_steps)
-    x, dy = log_x_grid(problem.contract.principal, spec.sigma, maturity, config.space_nodes)
+    x, (lo, mid, up) = log_grid(problem.contract.principal, spec.sigma, spec.drift, spec.rate,
+                                maturity, config.space_nodes)
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
-    lo, mid, up = log_stencil(spec.sigma, spec.drift, spec.rate, dy)
     src = spec.source(x[1:-1]) if spec.source is not None else None
     solves, worst = 0, 0.0
 
@@ -415,16 +431,27 @@ def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
 
 # (sigma, space nodes, time steps, maturity) where switching the cap and the
 # obstacle policies of every row at once cycled with period 2
-WITHDRAWABLE_CYCLES = [(0.4, 800, 50, 1.0), (1e-5, 100, 100, 5.0)]
+WITHDRAWABLE_CYCLES = [(0.4, 800, 50, 1.0)]
+
+
+def withdrawable(sigma, maturity):
+    return VIProblem(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(1, maturity),
+                     "withdrawable", cap=0.35)
 
 
 @pytest.mark.parametrize("sigma, nodes, steps, maturity", WITHDRAWABLE_CYCLES)
 def test_withdrawable_step_settles_where_the_joint_policy_cycled(sigma, nodes, steps, maturity):
-    prob = VIProblem(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(1, maturity),
-                     "withdrawable", cap=0.35)
-    surface, _ = solve_vi(prob, FDConfig(space_nodes=nodes, time_steps=steps))
+    surface, _ = solve_vi(withdrawable(sigma, maturity),
+                          FDConfig(space_nodes=nodes, time_steps=steps))
     assert math.isfinite(surface.value_at(0.7, maturity))
     assert surface.solver_meta["complementarity_residual"] < 1e-6 * K
+
+
+def test_withdrawable_at_a_tiny_sigma_refused_before_the_first_layer():
+    # on 100 x 100 nodes (T 5) one-sided differences gave 9850 of the 10100 surface
+    # entries negative values, and the policy iteration about 97 passes a step
+    with pytest.raises(ValueError, match="cell Peclet number"):
+        fd_stream(withdrawable(1e-5, 5.0), FDConfig(space_nodes=100, time_steps=100))
 
 
 @pytest.mark.parametrize("market", FD_MARKETS + [MarketParams(r=0.12, delta=0.0, sigma=0.3)],

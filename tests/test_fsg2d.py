@@ -21,7 +21,7 @@ from stockloan import (
     price_regime1,
     price_regime4,
 )
-from stockloan.problems import log_stencil, log_x_grid
+from stockloan.problems import log_grid
 
 K = 0.7
 GAMMA = 0.1
@@ -149,7 +149,8 @@ def reference_layers(market, loan, config, constrained):
     """The stored layers of the per-offset march: each substep sums three
     account-interpolated stock rows, each with its own closure past A = K."""
     r_bar = market.r - loan.loan_rate
-    x, dy = log_x_grid(loan.principal, market.sigma, loan.maturity, config.x_nodes)
+    x, (lo, mid, up) = log_grid(loan.principal, market.sigma, r_bar - market.delta, r_bar,
+                                loan.maturity, config.x_nodes)
     if config.a_max is not None:
         a_max = config.a_max
     elif constrained:
@@ -157,7 +158,6 @@ def reference_layers(market, loan, config, constrained):
     else:
         a_max = 2.0 * loan.principal * math.exp(r_bar * loan.maturity)
     a = np.linspace(0.0, a_max, config.a_nodes)
-    lo, mid, up = log_stencil(market.sigma, r_bar - market.delta, r_bar, dy)
     dtau = loan.maturity / config.time_steps
     n_sub = max(1, math.ceil(dtau * max(-mid, 0.0) / 0.95))
     dt = dtau / n_sub
@@ -278,4 +278,4 @@ def test_boundary_path_memory_at_the_default_grid():
 def test_log_spacing_too_small_for_the_stencil_refused(principal):
     # at K = 0.7 the spacing rounds to 0; at K = 1 it is 6e-172 and its square underflows
     with pytest.raises(ValueError, match="too small for a float stencil"):
-        log_x_grid(principal, 1e-170, 1.0, 200)
+        log_grid(principal, 1e-170, 0.0, 0.0, 1.0, 200)

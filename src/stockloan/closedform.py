@@ -156,17 +156,21 @@ def parity_price_regime3(
     return call + (1.0 - math.exp(-market.delta * tau)) * spot
 
 
-def _alpha_roots(r_bar: float, delta: float, sigma: float) -> tuple[float, float]:
+def _alpha_roots(r_bar: float, delta: float, sigma: float) -> tuple[float, float, float]:
     # Positive root from the explicit radical; the other via the root sum,
-    # which avoids cancellation in the second radical.
+    # which avoids cancellation in the second radical.  The third value is
+    # alpha_plus - 1 = (root - b) / s2, rationalized where it cancels (b > 0).
     s2 = sigma * sigma
     if s2 == 0.0:
         raise ValueError(f"volatility sigma={sigma} is too small: its square underflows a float")
-    alpha_plus = (
-        -(r_bar - delta - 0.5 * s2) + math.sqrt((r_bar - delta + 0.5 * s2) ** 2 + 2.0 * delta * s2)
-    ) / s2
+    if s2 == math.inf:
+        raise ValueError(f"volatility sigma={sigma} is too large: its square overflows a float")
+    b = r_bar - delta + 0.5 * s2
+    root = math.sqrt(b ** 2 + 2.0 * delta * s2)
+    alpha_plus = (-(r_bar - delta - 0.5 * s2) + root) / s2
     alpha_minus = 1.0 - 2.0 * (r_bar - delta) / s2 - alpha_plus
-    return alpha_plus, alpha_minus
+    excess = 2.0 * delta / (root + b) if b > 0.0 else (root - b) / s2
+    return alpha_plus, alpha_minus, excess
 
 
 def perpetual_regime1(market: MarketParams, contract: LoanContract) -> PerpetualResult:
@@ -176,8 +180,8 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
     or r < gamma.  The boundary is finite when delta > 0, and with delta = 0
     exactly when r < gamma - sigma^2 / 2; in the remaining band
     gamma - sigma^2 / 2 <= r < gamma it is UNBOUNDED.  A sigma whose square
-    underflows a float, and a bounded case whose coefficient c1 over- or
-    underflows one, are refused with ValueError.
+    leaves the floats, and a bounded case whose boundary or coefficient c1
+    does, are refused with ValueError.
     """
     r_bar = market.r - contract.loan_rate
     delta, sigma = market.delta, market.sigma
@@ -186,15 +190,18 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
             "perpetual boundary undefined: redemption region is empty for "
             f"r >= gamma with no dividend paid out (r={market.r}, gamma={contract.loan_rate})"
         )
-    alpha_plus, alpha_minus = _alpha_roots(r_bar, delta, sigma)
+    alpha_plus, alpha_minus, excess = _alpha_roots(r_bar, delta, sigma)
     bounded = delta > 0.0 or r_bar < -0.5 * sigma * sigma
     if not bounded:
         return PerpetualResult(alpha_plus, alpha_minus, UNBOUNDED, None)
     principal = contract.principal
-    x_star = alpha_plus * principal / (alpha_plus - 1.0)
-    base = (alpha_plus - 1.0) / (alpha_plus * principal)
+    x_star = alpha_plus * principal / excess if excess > 0.0 else math.inf
+    if x_star == math.inf:
+        raise ValueError(f"the perpetual boundary is past the float range (alpha_plus - 1 = "
+                         f"{excess!r}, principal={principal})")
+    base = excess / (alpha_plus * principal)
     try:
-        c1 = (1.0 / alpha_plus) * base ** (alpha_plus - 1.0)
+        c1 = (1.0 / alpha_plus) * base ** excess
     except OverflowError:
         c1 = math.inf
     if not 0.0 < c1 < math.inf:

@@ -5,14 +5,16 @@ Rannacher startup (the first step is split into two implicit-Euler halves to
 damp the payoff kink) and a policy-iteration solve of the per-step linear
 complementarity problem: every pass is one tridiagonal solve with the rows held
 at the obstacle, or at the cap, pinned.  Every step of a march has the same
-matrix, so LAPACK's gttrf factors it once per distinct pinned set and each
-pass is one gttrs solve of its right-hand side, bit for bit what gtsv gives,
-written straight into the new layer.  With a cap, the cap set is held fixed
+matrix, factored once by LAPACK's gttrf; a pass whose pinned rows are a top
+block solves only the free rows above it, and any other pinned set is
+factored whole.  Each pass is one gttrs solve, bit for bit what gtsv gives
+on the system it solves, written straight into the new layer.  With a cap, the cap set is held fixed
 while the obstacle policy settles on the other rows, then read off that
 solution until it repeats (Hoffman-Karp nesting; switching both policies at
 once cycled on some grids).  Each pass forms M f once; the last pass of a
 step leaves M f, M f - b and f - obstacle in buffers, which audit the step's
-complementarity residual and give the next step's first policy its M f.
+complementarity residual and give the next step its M f: its first policy
+reads it, and a Crank-Nicolson step's right-hand side is 2 f - M f.
 A NaN anywhere reaches that audit or the payoff's edges, checked once.  The
 drift term is differenced centrally, and a grid on which central weights
 would go negative (cell Peclet number above 1) is refused before the march
@@ -101,14 +103,19 @@ class _StepSystem:
     replaced by identity rows, and the policy iteration that solves each step.
 
     M is the same for every step of the march, the Rannacher half-steps
-    included.  LAPACK's gttrf factors it only when the pinned set differs
-    from the one factored last, and every pass solves its right-hand side
-    with gttrs: the two perform gtsv's eliminations in gtsv's order, so each
-    solve gives the bits of one gtsv call on the same system.  meta counts
-    the solves and the factorizations.  applied holds M f of the last f
-    passed to apply, after a step its solution's.  worst holds, row by row,
-    the largest complementarity residual of any step settled so far.  The
-    LAPACK module is loaded here, so only a finite-difference solve loads it.
+    included, and LAPACK's gttrf factors it once.  Pinned rows that are the
+    top block [k, n), as a call-type obstacle pins them, need no elimination
+    (Brennan & Schwartz): row k - 1 moves off_up f[k] to its right-hand side
+    and gttrs solves the leading k rows with the leading slices of M's
+    factors, which are that block's own unless gttrf swapped rows.  Any
+    other pinned set is factored whole when it differs from the set factored
+    last.  gttrf and gttrs perform gtsv's eliminations in gtsv's order, so
+    each solve gives the bits of one gtsv call on the system it solves.
+    meta counts the solves and the factorizations.  applied holds M f of the
+    last f passed to apply, after a step its solution's.  worst holds, row
+    by row, the largest complementarity residual of any step settled so far.
+    The LAPACK module is loaded here, so only a finite-difference solve
+    loads it.
     """
 
     def __init__(self, diag: float, off_lo: float, off_up: float, n: int, meta: dict):
@@ -116,6 +123,7 @@ class _StepSystem:
         self._dgttrf, self._dgttrs = lapack.dgttrf, lapack.dgttrs
         # 0-d operands: a Python float costs each numpy call more, for the same bits
         self.diag, self.off_lo, self.off_up = map(np.asarray, (diag, off_lo, off_up))
+        self.up = off_up  # and a float for the one row a top block moves
         self.meta = meta
         # every pass reuses these; boundary contributions are already folded into b
         self.applied, self.residual, self.slack, term = np.empty((4, n))
@@ -123,27 +131,46 @@ class _StepSystem:
         self.views = ((self.applied[1:], term[1:]), (self.applied[:-1], term[:-1]))
         self.unpinned = np.zeros(n, dtype=bool)
         self.worst = np.zeros(n)
-        self.factored: bytes | None = None  # the pinned mask of lu, as bytes
-        self.lu: tuple = ()
+        *lu, info = self._dgttrf(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up))
+        meta["factorizations"] += 1
+        self.whole = tuple(lu)
+        # the pinned mask of lu, as bytes: M's until another set is factored whole
+        self.factored, self.lu = (self.unpinned.tobytes(), self.whole) if info == 0 else (None, ())
+        # the leading slices of M's factors, by row count; None if gttrf swapped rows
+        unswapped = info == 0 and np.array_equal(lu[-1], np.arange(1, n + 1))
+        self.leading: dict | None = {} if unswapped else None
 
     def solve(self, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve M f = rhs, the pinned rows as identity rows; returns f, written over rhs."""
         key = pinned.tobytes()
-        if key != self.factored:
-            pde = ~pinned
-            *lu, info = self._dgttrf(np.where(pde[1:], self.off_lo, 0.0),
-                                     np.where(pde, self.diag, 1.0),
-                                     np.where(pde[:-1], self.off_up, 0.0),
-                                     overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-            if info != 0:
-                raise RuntimeError(f"the step matrix is singular (LAPACK gttrf info {info})")
-            self.factored, self.lu = key, tuple(lu)
-            self.meta["factorizations"] += 1
         self.meta["linear_solves"] += 1
-        f, info = self._dgttrs(*self.lu, rhs, overwrite_b=True)
+        n, k = len(key), key.find(b"\x01")  # k: the free rows above a top block
+        k = n if k < 0 else k
+        # LAPACK's wrapper takes no system of 1 or 2 rows
+        if self.leading is not None and k not in (1, 2) and key.count(b"\x01") == n - k:
+            if k == 0:
+                return rhs  # every row pinned: rhs is the solution
+            if k not in self.leading:
+                self.leading[k] = tuple(a[:k + m] for a, m in zip(self.whole, (-1, 0, -1, -2, 0)))
+            if k < n:
+                rhs[k - 1] -= self.up * rhs[k]
+            lu, b = self.leading[k], rhs[:k]
+        else:
+            if key != self.factored:
+                pde = ~pinned
+                *lu, info = self._dgttrf(np.where(pde[1:], self.off_lo, 0.0),
+                                         np.where(pde, self.diag, 1.0),
+                                         np.where(pde[:-1], self.off_up, 0.0),
+                                         overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+                if info != 0:
+                    raise RuntimeError(f"the step matrix is singular (LAPACK gttrf info {info})")
+                self.factored, self.lu = key, tuple(lu)
+                self.meta["factorizations"] += 1
+            lu, b = self.lu, rhs
+        _, info = self._dgttrs(*lu, b, overwrite_b=True)
         if info != 0:
             raise RuntimeError(f"LAPACK gttrs refused its arguments (info {info})")
-        return f
+        return rhs
 
     def apply(self, f: np.ndarray) -> None:
         """Put M f, summed diag * f + off_lo * f[i - 1] + off_up * f[i + 1], in applied."""
@@ -237,8 +264,10 @@ def _march(
     the plain expression, and solves into its new layer, so the layers are
     bit for bit those of a march that allocates every sum.  Only the first
     step forms M f of its previous layer; later ones reuse the product of
-    the step before.  An obstacle that does not depend on tau is evaluated
-    once.
+    the step before, and a Crank-Nicolson step's right-hand side
+    (I + half L) f is 2 f - M f, plus the source and the edge terms
+    half lo (f[0] + bottom) and half up (f[-1] + top).  An obstacle that
+    does not depend on tau is evaluated once.
     """
     dtau = float(taus[-1]) / (taus.size - 1)
     half = 0.5 * dtau
@@ -248,15 +277,13 @@ def _march(
     # the source term of a Crank-Nicolson step and of an implicit-Euler half-step
     src = spec.source(x[1:-1]) if spec.source is not None else None
     src_cn, src_ie = (None, None) if src is None else (src * dtau, src * half)
-    # the right-hand side's coefficients as 0-d operands; the boundary rows keep the floats
-    c_lo, c_mid, c_up, c_half = map(np.asarray, (lo, mid, up, half))
     steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
 
     def obstacle_at(tau: float) -> np.ndarray:
         return steady if steady is not None else spec.obstacle(x, tau)
 
-    # every step rebuilds its right-hand side b in these
-    b, term = np.empty((2, n))
+    # every step rebuilds its right-hand side in b
+    b = np.empty(n)
     x_bottom, x_top = float(x[0]), float(x[-1])
 
     def step(f_old: np.ndarray, tau_new: float, cn: bool) -> Layer:
@@ -265,22 +292,18 @@ def _march(
         Returns the layer at tau_new; its obstacle is also the step's floor.
         """
         inner = f_old[1:-1]
-        if cn:
-            # b = inner + half * (lo * f_old[:-2] + mid * inner + up * f_old[2:]), in that order
-            np.multiply(f_old[:-2], c_lo, out=b)
-            np.add(b, np.multiply(inner, c_mid, out=term), out=b)
-            np.add(b, np.multiply(f_old[2:], c_up, out=term), out=b)
-            np.add(np.multiply(b, c_half, out=b), inner, out=b)
-            if src_cn is not None:
-                np.add(b, src_cn, out=b)
-        elif src_ie is not None:
-            np.add(inner, src_ie, out=b)
-        else:
-            np.copyto(b, inner)
         bottom = spec.near_field(tau_new, x_bottom)
         top = spec.far_field(tau_new, x_top)
-        b[0] += half * lo * bottom
-        b[-1] += half * up * top
+        if cn:
+            np.subtract(np.add(inner, inner, out=b), system.applied, out=b)
+            source, edge_lo, edge_up = src_cn, f_old[0] + bottom, f_old[-1] + top
+        else:
+            np.copyto(b, inner)
+            source, edge_lo, edge_up = src_ie, bottom, top
+        if source is not None:
+            np.add(b, source, out=b)
+        b[0] += half * lo * edge_lo
+        b[-1] += half * up * edge_up
         obstacle = obstacle_at(tau_new)
         f_new = np.empty(n + 2)
         f_new[0], f_new[-1] = bottom, top

@@ -9,6 +9,7 @@ refused) or 3 (solver error) with one line on stderr and nothing on stdout.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -38,3 +39,76 @@ def test_price_lies_within_the_no_arbitrage_bounds_or_is_refused(argv, capsys):
     assert captured.err == ""
     value = float(captured.out)
     assert max(SPOT - PRINCIPAL, 0.0) <= value <= SPOT
+
+
+# The argv fuzz over every subcommand with a solver grid, each solver it
+# runs and the market and contract flags, built from cli's own tables so a
+# new subcommand or solver is covered without editing this file.
+FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary")
+FUZZ_FLAGS = FLAGS + ["--maturity", "--principal", "--spot"]
+SMALL_GRID = {"steps": 20, "space_nodes": 40, "time_steps": 10, "x_nodes": 20, "a_nodes": 6,
+              "fsg_steps": 10, "oracle_steps": 6}
+COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"]}
+
+
+def command_configs():
+    """(command, solver or None, regime) for each subcommand and each solver it covers."""
+    for name in FUZZ_COMMANDS:
+        command = cli._COMMANDS[name]
+        if "solver" not in command["reads"] and "grid" not in command["reads"]:
+            for regime in command["regimes"][0]:
+                yield name, None, regime
+            continue
+        for solver in command.get("solvers", (cli._SOLVERS,))[0]:
+            yield name, solver, cli._SOLVERS[solver]["regimes"][0]
+
+
+def fuzz_argvs(name, solver, regime):
+    for flag, value in itertools.product(FUZZ_FLAGS, VALUES):
+        argv = [name, *COMMAND_ARGS.get(name, []), "--regime", str(regime)]
+        if solver is not None:
+            argv += ["--solver", solver]
+            for field in cli._SOLVERS[solver]["grid"]:
+                argv += [f"--{field.replace('_', '-')}", str(SMALL_GRID[field])]
+        yield argv + [flag, value]
+
+
+def printed_numbers(out):
+    """Every number of an exit-0 output, in order: name=value lines, or CSV rows after the header."""
+    lines = [line for line in out.splitlines() if line and not line.startswith("#")]
+    if "=" in lines[0]:
+        return {line.split("=")[0]: float(line.split("=")[1]) for line in lines}
+    return {f"{row} {i}": float(cell) for row, line in enumerate(lines[1:])
+            for i, cell in enumerate(line.split(","))}
+
+
+@pytest.mark.parametrize("name, solver, regime", list(command_configs()),
+                         ids=lambda v: str(v))
+def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, regime, capsys):
+    """Each argv exits 0, 2 or 3; a refusal prints one stderr line and no stdout; an
+    answer prints no NaN.  A regime-1 lattice or path-tree sweep value lies in
+    [max(S - K, 0), S], and a bounded perpetual boundary lies above the
+    principal.  FD values on these coarse grids are not bounded: the grids
+    are too coarse for the margin a regime-2 value keeps below S."""
+    failures = []
+    for argv in fuzz_argvs(name, solver, regime):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if code not in (0, 2, 3):
+            failures.append((argv, f"exit {code}"))
+        elif code != 0:
+            if captured.out or captured.err.count("\n") != 1 or not captured.err.endswith("\n"):
+                failures.append((argv, f"refusal printed {captured.out!r} {captured.err!r}"))
+            continue
+        numbers = printed_numbers(captured.out)
+        if any(math.isnan(v) for v in numbers.values()):
+            failures.append((argv, f"NaN in {captured.out!r}"))
+        principal = float(argv[-1]) if argv[-2] == "--principal" else PRINCIPAL
+        if name == "perpetual" and math.isfinite(numbers.get("x_star_inf", math.inf)):
+            if not numbers["x_star_inf"] >= principal:
+                failures.append((argv, f"boundary below the principal: {captured.out!r}"))
+        if name == "sweep" and solver in ("lattice", "oracle"):
+            for s, v in zip(*[iter(numbers.values())] * 2):
+                if not max(s - principal, 0.0) <= v <= s:
+                    failures.append((argv, f"value {v} outside its bounds at spot {s}"))
+    assert failures == []

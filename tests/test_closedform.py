@@ -1,6 +1,8 @@
 """Closed forms: European prices, perpetual limits, terminal boundary limits."""
 
 import math
+import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -134,6 +136,36 @@ def test_perpetual_value_shape():
         result.value(-0.1)
 
 
+def exact_level(market, principal):
+    """alpha_plus K / (alpha_plus - 1) in 400-digit decimals, from the float inputs as given.
+
+    Enough digits that alpha_plus - 1 keeps about 80 of them at delta 1e-300."""
+    with localcontext() as context:
+        context.prec = 400
+        r_bar = Decimal(market.r) - Decimal(GAMMA)
+        delta, s2 = Decimal(market.delta), Decimal(market.sigma) ** 2
+        b = r_bar - delta + s2 / 2
+        alpha = (-(r_bar - delta - s2 / 2) + (b * b + 2 * delta * s2).sqrt()) / s2
+        return float(alpha * Decimal(principal) / (alpha - 1))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12, 1e-17, 1e-20, 1e-300])
+def test_perpetual_boundary_keeps_its_digits_as_the_yield_vanishes(delta):
+    # alpha_plus - 1 tends to 0 with delta; subtracting 1 from the rounded
+    # alpha_plus kept none of its digits at 1e-17 and divided by 0 below
+    market = MarketParams(r=0.06, delta=delta, sigma=0.4)
+    result = perpetual_regime1(market, contract(1))
+    assert result.x_star_inf == pytest.approx(exact_level(market, K), rel=1e-13)
+    assert 0.0 < result.c1 < math.inf
+
+
+@pytest.mark.parametrize("delta", [1e-320, 5e-324])
+def test_perpetual_boundary_past_the_floats_refused(delta):
+    # the true boundary, about 2.8e-2 / delta, is finite but no float holds it
+    with pytest.raises(ValueError, match="past the float range"):
+        perpetual_regime1(MarketParams(r=0.06, delta=delta, sigma=0.4), contract(1))
+
+
 @pytest.mark.parametrize("sigma, principal", [(0.01, 2.0), (0.001, K)],
                          ids=["underflow", "overflow"])
 def test_perpetual_coefficient_off_the_floats_refused(sigma, principal):
@@ -150,6 +182,13 @@ def test_volatility_whose_square_underflows_refused(sigma):
     # the roots divide by sigma^2, which rounds to 0
     with pytest.raises(ValueError, match=f"sigma={sigma} is too small"):
         perpetual_regime1(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(1))
+
+
+@pytest.mark.parametrize("sigma", [1e155, 1e300])
+def test_volatility_whose_square_overflows_refused(sigma):
+    # inf / inf made both roots NaN, which the unbounded regime-2 result printed
+    with pytest.raises(ValueError, match=re.escape(f"sigma={sigma} is too large")):
+        perpetual_regime2(MarketParams(r=0.06, delta=0.03, sigma=sigma), contract(2))
 
 
 def test_perpetual_delivered_dividend_boundary_unbounded():

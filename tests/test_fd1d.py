@@ -315,8 +315,15 @@ def test_value_at_refuses_off_grid():
 def reference_march(problem, config):
     """The march with a fresh array for every sum and the obstacle evaluated apart
     for the floor and for the layer; returns its layers, its solve count and the
-    largest abs(max(min(M f - b, f - lower), f - cap)) over every step's solution."""
-    from scipy.linalg.lapack import dgtsv
+    largest abs(max(min(M f - b, f - lower), f - cap)) over every step's solution.
+
+    A Crank-Nicolson step's right-hand side is 2 f - M f plus the source and
+    the edge terms.  Unless partial pivoting swaps rows of M, a pass that pins
+    every row takes its right-hand side as its solution, and a pass whose
+    pinned rows are a top block [k, n) with k > 2 solves the leading k rows
+    alone, row k - 1 taking off_up f[k] to its right-hand side; any other
+    pass solves the whole system with its pinned rows as identity rows."""
+    from scipy.linalg.lapack import dgtsv, dgttrf
 
     from stockloan.problems import problem_spec, tau_grid
 
@@ -335,6 +342,11 @@ def reference_march(problem, config):
         assert info == 0
         return f
 
+    def applied(diag, off_lo, off_up, f):
+        """M f, a missing neighbour taken as 0."""
+        padded = np.concatenate(([0.0], f, [0.0]))
+        return diag * f + off_lo * padded[:-2] + off_up * padded[2:]
+
     def floor(tau):
         if spec.constrained:
             return np.asarray(spec.obstacle(x[1:-1], tau), dtype=float)
@@ -344,19 +356,31 @@ def reference_march(problem, config):
         """The step's solution, its solve count and its largest complementarity residual."""
         n = b.size
         upper = math.inf if cap is None else cap
-        padded = np.zeros(n + 2)
+        *_, ipiv, info = dgttrf(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up))
+        blocks = info == 0 and np.array_equal(ipiv, np.arange(1, n + 1))
 
         def residual_of(f):
-            padded[1:-1] = f
-            return diag * f + off_lo * padded[:-2] + off_up * padded[2:] - b
+            return applied(diag, off_lo, off_up, f) - b
+
+        def solve_pinned(pde, rhs):
+            k = int(np.count_nonzero(pde))
+            if blocks and k == 0:
+                return rhs
+            if blocks and k > 2 and pde[:k].all():
+                if k < n:
+                    rhs[k - 1] -= off_up * rhs[k]
+                rhs[:k] = solve(np.full(k - 1, off_lo), np.full(k, diag), np.full(k - 1, off_up),
+                                rhs[:k].copy())
+                return rhs
+            return solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
+                         np.where(pde[:-1], off_up, 0.0), rhs)
 
         def audited(f, count):
             comp = np.maximum(np.minimum(residual_of(f), f - lower), f - upper)
             return f, count, float(np.abs(comp).max())
 
         if cap is None and not np.isfinite(lower).any():
-            return audited(solve(np.full(n - 1, off_lo), np.full(n, diag),
-                                 np.full(n - 1, off_up), b.copy()), 1)
+            return audited(solve_pinned(np.full(n, True), b.copy()), 1)
 
         def policy_of(f):
             residual = residual_of(f)
@@ -368,9 +392,7 @@ def reference_march(problem, config):
         policy = policy_of(init)
         for count in range(1, n + 2):
             pde = policy == 0
-            rhs = np.where(pde, b, np.where(policy == 1, lower, upper))
-            f = solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
-                      np.where(pde[:-1], off_up, 0.0), rhs)
+            f = solve_pinned(pde, np.where(pde, b, np.where(policy == 1, lower, upper)))
             settled = policy_of(f)
             if np.array_equal(settled, policy):
                 return audited(f, count)
@@ -379,15 +401,19 @@ def reference_march(problem, config):
 
     def step(f_old, tau_new, cn):
         nonlocal solves, worst
-        b = f_old[1:-1].copy()
-        if cn:
-            b += half * (lo * f_old[:-2] + mid * f_old[1:-1] + up * f_old[2:])
-        if src is not None:
-            b += (dtau if cn else half) * src
         bottom = spec.near_field(tau_new, float(x[0]))
         top = spec.far_field(tau_new, float(x[-1]))
-        b[0] += half * lo * bottom
-        b[-1] += half * up * top
+        if cn:
+            inner = f_old[1:-1]
+            b = 2.0 * inner - applied(1.0 - half * mid, -half * lo, -half * up, inner)
+            edge_lo, edge_up = f_old[0] + bottom, f_old[-1] + top
+        else:
+            b = f_old[1:-1].copy()
+            edge_lo, edge_up = bottom, top
+        if src is not None:
+            b += (dtau if cn else half) * src
+        b[0] += half * lo * edge_lo
+        b[-1] += half * up * edge_up
         f_int, count, residual = policy_step(1.0 - half * mid, -half * lo, -half * up, b,
                                              f_old[1:-1], floor(tau_new), spec.cap)
         solves += count
@@ -469,13 +495,70 @@ def test_factorizations_never_exceed_solves(kind, market):
         assert meta["factorizations"] == 1
 
 
-def test_default_grid_march_factors_a_few_pinned_sets():
-    stream = fd_stream(problem(1), FDConfig())
+@pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
+def test_default_grid_march_factors_the_step_matrix_once(kind):
+    stream = fd_stream(kind_problem(kind), FDConfig())
     for _ in stream.layers:
         pass
     meta = stream.solver_meta
-    # the pinned set changes on few of the passes: 42 factorizations for 429 solves
-    assert 4 * meta["factorizations"] < meta["linear_solves"]
+    # every pass pins a top block of rows, none or all, so every solve uses
+    # the one factorization of M
+    assert meta["factorizations"] == 1
+    assert meta["linear_solves"] >= 400
+
+
+def gtsv(diag, off_lo, off_up, pinned, rhs):
+    """One LAPACK gtsv solve of M f = rhs, the pinned rows replaced by identity rows."""
+    from scipy.linalg.lapack import dgtsv
+
+    pde = ~pinned
+    *_, f, info = dgtsv(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
+                        np.where(pde[:-1], off_up, 0.0), rhs.copy())
+    assert info == 0
+    return f
+
+
+STEP_N = 24
+TOP_BLOCK = np.arange(STEP_N) >= 15
+GAP = TOP_BLOCK & (np.arange(STEP_N) != 18)
+DOMINANT = (2.5, -0.7, -0.6)
+# |off_lo| > diag: gttrf swaps every pair of rows it eliminates
+PIVOTING = (0.2, -1.5, -0.4)
+
+
+@pytest.mark.parametrize("coefficients, pinned, factored", [
+    (DOMINANT, TOP_BLOCK, 1),
+    (DOMINANT, np.ones(STEP_N, dtype=bool), 1),
+    (DOMINANT, GAP, 2),
+    (PIVOTING, TOP_BLOCK, 2),
+], ids=["top-block", "all-pinned", "gap", "pivoting"])
+def test_step_system_solves_each_pinned_set(coefficients, pinned, factored):
+    diag, off_lo, off_up = coefficients
+    meta = {"linear_solves": 0, "factorizations": 0}
+    system = fd1d._StepSystem(diag, off_lo, off_up, STEP_N, meta)
+    assert (system.leading is None) == (coefficients is PIVOTING)
+    rhs = np.random.default_rng(11).standard_normal(STEP_N)
+    k = int(np.count_nonzero(~pinned))
+    if factored == 1:
+        # the pinned rows are a top block [k, n): row k - 1 moves off_up f[k]
+        # to its right-hand side and the leading k rows are solved alone
+        expected = rhs.copy()
+        if k:
+            expected[k - 1] -= off_up * expected[k]
+            expected[:k] = gtsv(diag, off_lo, off_up, np.zeros(k, dtype=bool), expected[:k])
+    else:
+        expected = gtsv(diag, off_lo, off_up, pinned, rhs)
+    dense = np.diag(np.where(pinned, 1.0, diag))
+    dense += np.diag(np.where(pinned[1:], 0.0, off_lo), -1)
+    dense += np.diag(np.where(pinned[:-1], 0.0, off_up), 1)
+    for solves in (1, 2):
+        out = rhs.copy()
+        got = system.solve(pinned, out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(dense @ got, rhs, rtol=0, atol=1e-12)
+        # a repeated set is not factored again
+        assert meta == {"linear_solves": solves, "factorizations": factored}
 
 
 def test_cap_policy_guard_raises(monkeypatch):

@@ -9,13 +9,13 @@ clamped at the cap.
 
 lattice_stream builds the tree layer by layer, terminal layer first and
 root last; the folds of problems.py read it.  Every layer's nodes are a
-slice of one ladder spot * exp(k log u), k = -steps..steps, built before
-the first layer.  The source, and an obstacle that does not depend on tau
-(problems.ProblemSpec.strike), are evaluated once on that ladder, an
-obstacle that does is written into a reused buffer, and values alternate
-between two buffers of steps + 1 floats.  So a march does no per-layer exp
-and allocates nothing per layer, and a layer with no source and no cap is
-four array passes, each given its coefficient as a 0-d array.
+contiguous slice of one parity of the ladder spot * exp(k log u),
+k = -steps..steps, built before the first layer, as are its source and an
+obstacle that does not depend on tau (problems.ProblemSpec.strike); a
+strike that does is evaluated for every layer before the march, and its
+obstacle written into a reused buffer.  Values alternate between two
+buffers of steps + 1 floats.  So a layer calls no exp, helper or strike,
+allocates nothing, and with no source and no cap is four numpy calls.
 fold_values(lattice_stream(problem, config, spot), [spot]) reads the root
 off it, keeping two layers; the price_* functions keep every layer in a
 surface, so redemption boundaries can be read off afterwards (immutable
@@ -101,7 +101,8 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
     ladder, and its values a view of a buffer the march overwrites as soon
     as the next layer is drawn.  Memory grows with the step count, not its
     square: the node ladder, the source and the obstacle on it (or one
-    obstacle buffer) and two value buffers, each a few times steps floats.
+    obstacle buffer and each layer's strike) and two value buffers, each a
+    few times steps floats.
     """
     check_state(spot)
     spec = problem_spec(problem)
@@ -121,52 +122,49 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
     cap = None if spec.cap is None else np.asarray(spec.cap)
     meta = {"solver": "lattice", "steps": steps, "dt": dt, "up_factor": u, "up_probability": p}
 
-    def rung(ladders: tuple[np.ndarray, np.ndarray], level: int) -> np.ndarray:
-        # level's nodes are ladder[steps - level : steps + level + 1 : 2], all
-        # of one parity, and each parity of the ladder is stored contiguously
-        start = steps - level
-        return ladders[start % 2][start // 2 : start // 2 + level + 1]
-
     def layers() -> Iterator[Layer]:
         # 2 i - level is an exact integer in a float, so every node equals
-        # spot * exp(log_u * (2 i - level)) bit for bit
+        # spot * exp(log_u * (2 i - level)) bit for bit.  Layer j's nodes are
+        # ladder[j : 2 steps + 1 - j : 2], of parity j % 2: with each parity
+        # stored contiguously, its indices j // 2 .. j // 2 + steps - j.
         ladder = spot * np.exp(log_u * np.arange(-steps, steps + 1, dtype=float))
         nodes = (ladder[0::2].copy(), ladder[1::2].copy())
-        # the source, and an obstacle x - strike with a fixed strike, are
-        # elementwise in x, so each is evaluated once per node; an obstacle
-        # whose strike moves with tau is written into one reused buffer
         sources = None if source is None else tuple(source(n) * dt for n in nodes)
         buffers = (np.empty(steps + 1), np.empty(steps + 1))
         if callable(strike):
+            # a strike that moves with tau is evaluated for every layer up
+            # front; its obstacle is written into one reused buffer
+            obstacles, strikes = None, [strike(tau) for tau in taus.tolist()]
             obs_buffer = np.empty(steps + 1)
-
-            def obstacle(x: np.ndarray, level: int, tau: float) -> np.ndarray:
-                return np.subtract(x, strike(tau), out=obs_buffer[: level + 1])
+            obs = np.subtract(nodes[0], strikes[0], out=obs_buffer)
         else:
             obstacles = (nodes[0] - strike, nodes[1] - strike)
-
-            def obstacle(x: np.ndarray, level: int, tau: float) -> np.ndarray:
-                return rung(obstacles, level)
-
-        x, v = rung(nodes, steps), buffers[0]
+            obs = obstacles[0]
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        maximum, minimum = np.maximum, np.minimum
+        x, v = nodes[0], buffers[0]
         v[:] = spec.terminal(x)
-        obs = obstacle(x, steps, 0.0)
         if cap is not None:
-            np.minimum(v, cap, out=v)
+            minimum(v, cap, out=v)
         for j in range(1, steps + 1):
             yield x, v, obs
-            level = steps - j
-            x = rung(nodes, level)
+            par, off, size = j % 2, j // 2, steps + 1 - j
+            end = off + size
+            x = nodes[par][off:end]
             # up * v[1:] + down * v[:-1], computed in the other buffer; the
             # layer just drawn is no longer held, so down * v overwrites it
-            cont = np.multiply(up, v[1:], out=buffers[j % 2][: level + 1])
-            np.add(cont, np.multiply(down, v[:-1], out=v[:-1]), out=cont)
+            low = v[:-1]
+            cont = multiply(up, v[1:], out=buffers[par][:size])
+            add(cont, multiply(down, low, out=low), out=cont)
             if sources is not None:
-                np.add(cont, rung(sources, level), out=cont)
-            obs = obstacle(x, level, float(taus[j]))
-            v = np.maximum(cont, obs, out=cont)
+                add(cont, sources[par][off:end], out=cont)
+            if obstacles is None:
+                obs = subtract(x, strikes[j], out=obs_buffer[:size])
+            else:
+                obs = obstacles[par][off:end]
+            v = maximum(cont, obs, out=cont)
             if cap is not None:
-                np.minimum(v, cap, out=v)
+                minimum(v, cap, out=v)
         # The root depends on every node of every layer (0 < p < 1), and the
         # expectation, np.maximum and np.minimum all carry a NaN forward, so
         # a NaN anywhere in the tree shows up here.

@@ -336,6 +336,28 @@ def test_grid_spot_sweep_solves_once(flags, module, name, monkeypatch, capsys):
     assert [line.split(",")[1] for line in out.splitlines()[3:]] == prices
 
 
+@pytest.mark.parametrize("steps", ["40", "41"])
+@pytest.mark.parametrize("kind", [["--regime", "1"], ["--regime", "2"], ["--regime", "3"],
+                                  ["--variant", "amortized"],
+                                  ["--variant", "withdrawable", "--cap", "0.35"]],
+                         ids=lambda kind: kind[1])
+def test_lattice_spot_sweep_prints_each_price(kind, steps, monkeypatch, capsys):
+    # the lattice tree is centred on its spot, so a sweep builds one tree per spot
+    flags = kind + ["--solver", "lattice", "--steps", steps] + BASE
+    spots = ["0.55", "0.8", "1.3"]
+    prices = []
+    for spot in spots:
+        code, out, _ = run(["price", "--spot", spot] + flags, capsys)
+        assert code == 0
+        prices.append(out.strip())
+    calls = count_calls(monkeypatch, lattice1d, "lattice_stream")
+    code, out, _ = run(["sweep", "--param", "spot", "--values", ",".join(spots)] + flags,
+                       capsys)
+    assert code == 0
+    assert [call[2] for call in calls] == [float(spot) for spot in spots]
+    assert [line.split(",")[1] for line in out.splitlines()[3:]] == prices
+
+
 def test_lattice_nan_exits_3(monkeypatch, capsys):
     original = lattice1d.problem_spec
 

@@ -42,17 +42,20 @@ def test_price_lies_within_the_no_arbitrage_bounds_or_is_refused(argv, capsys):
 
 
 # The argv fuzz over every subcommand with a solver grid, each solver it
-# runs and the market and contract flags, built from cli's own tables so a
-# new subcommand or solver is covered without editing this file.
-FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary")
+# runs (the lattice also on each loan variant the subcommand takes) and the
+# market and contract flags, built from cli's own tables so a new subcommand,
+# solver or variant is covered without editing this file.
+FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary", "price")
 FUZZ_FLAGS = FLAGS + ["--maturity", "--principal", "--spot"]
 SMALL_GRID = {"steps": 20, "space_nodes": 40, "time_steps": 10, "x_nodes": 20, "a_nodes": 6,
               "fsg_steps": 10, "oracle_steps": 6}
 COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"]}
+CAP = 0.35
+VARIANT_ARGS = {"amortized": [], "withdrawable": ["--cap", str(CAP)]}
 
 
 def command_configs():
-    """(command, solver or None, regime) for each subcommand and each solver it covers."""
+    """(command, solver or None, regime or variant) for each subcommand and solver it covers."""
     for name in FUZZ_COMMANDS:
         command = cli._COMMANDS[name]
         if "solver" not in command["reads"] and "grid" not in command["reads"]:
@@ -61,11 +64,17 @@ def command_configs():
             continue
         for solver in command.get("solvers", (cli._SOLVERS,))[0]:
             yield name, solver, cli._SOLVERS[solver]["regimes"][0]
+        for variant in command.get("variants", (cli._SOLVERS["lattice"]["variants"],))[0]:
+            yield name, "lattice", variant
 
 
-def fuzz_argvs(name, solver, regime):
+def fuzz_argvs(name, solver, kind):
+    if isinstance(kind, str):
+        selector = ["--variant", kind, *VARIANT_ARGS[kind]]
+    else:
+        selector = ["--regime", str(kind)]
     for flag, value in itertools.product(FUZZ_FLAGS, VALUES):
-        argv = [name, *COMMAND_ARGS.get(name, []), "--regime", str(regime)]
+        argv = [name, *COMMAND_ARGS.get(name, []), *selector]
         if solver is not None:
             argv += ["--solver", solver]
             for field in cli._SOLVERS[solver]["grid"]:
@@ -74,24 +83,37 @@ def fuzz_argvs(name, solver, regime):
 
 
 def printed_numbers(out):
-    """Every number of an exit-0 output, in order: name=value lines, or CSV rows after the header."""
+    """Every number of an exit-0 output, in order: name=value lines, a lone value, or CSV rows
+    after the header."""
     lines = [line for line in out.splitlines() if line and not line.startswith("#")]
+    if len(lines) == 1 and "=" not in lines[0]:
+        return {"value": float(lines[0])}
     if "=" in lines[0]:
         return {line.split("=")[0]: float(line.split("=")[1]) for line in lines}
     return {f"{row} {i}": float(cell) for row, line in enumerate(lines[1:])
             for i, cell in enumerate(line.split(","))}
 
 
-@pytest.mark.parametrize("name, solver, regime", list(command_configs()),
+def priced(name, argv, numbers):
+    """(spot, value) for each value a price or spot sweep printed."""
+    if name == "price":
+        return [(float(argv[-1]) if argv[-2] == "--spot" else SPOT, numbers["value"])]
+    if name == "sweep":
+        return list(zip(*[iter(numbers.values())] * 2))
+    return []
+
+
+@pytest.mark.parametrize("name, solver, kind", list(command_configs()),
                          ids=lambda v: str(v))
-def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, regime, capsys):
+def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, kind, capsys):
     """Each argv exits 0, 2 or 3; a refusal prints one stderr line and no stdout; an
-    answer prints no NaN.  A regime-1 lattice or path-tree sweep value lies in
-    [max(S - K, 0), S], and a bounded perpetual boundary lies above the
-    principal.  FD values on these coarse grids are not bounded: the grids
-    are too coarse for the margin a regime-2 value keeps below S."""
+    answer prints no NaN.  A regime-1 lattice or path-tree price or sweep value
+    lies in [max(S - K, 0), S], a withdrawable lattice value in [0, cap], and a
+    bounded perpetual boundary lies above the principal.  FD values on these
+    coarse grids are not bounded: the grids are too coarse for the margin a
+    regime-2 value keeps below S."""
     failures = []
-    for argv in fuzz_argvs(name, solver, regime):
+    for argv in fuzz_argvs(name, solver, kind):
         code = cli.main(argv)
         captured = capsys.readouterr()
         if code not in (0, 2, 3):
@@ -107,8 +129,13 @@ def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, regime, cap
         if name == "perpetual" and math.isfinite(numbers.get("x_star_inf", math.inf)):
             if not numbers["x_star_inf"] >= principal:
                 failures.append((argv, f"boundary below the principal: {captured.out!r}"))
-        if name == "sweep" and solver in ("lattice", "oracle"):
-            for s, v in zip(*[iter(numbers.values())] * 2):
-                if not max(s - principal, 0.0) <= v <= s:
-                    failures.append((argv, f"value {v} outside its bounds at spot {s}"))
+        for s, v in priced(name, argv, numbers):
+            if kind == 1 and solver in ("lattice", "oracle"):
+                low, high = max(s - principal, 0.0), s
+            elif kind == "withdrawable":
+                low, high = 0.0, CAP
+            else:
+                continue
+            if not low <= v <= high:
+                failures.append((argv, f"value {v} outside [{low}, {high}] at spot {s}"))
     assert failures == []

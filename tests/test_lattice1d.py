@@ -315,7 +315,8 @@ def reference_layers(spot, problem, steps):
 HIGH_RATE = MarketParams(r=0.14, delta=0.03, sigma=0.4)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 7, 300])
+# 301: an odd march deep enough that both parity ladders reach many layers
+@pytest.mark.parametrize("steps", [1, 2, 7, 300, 301])
 @pytest.mark.parametrize(
     "problem",
     PROBLEMS + [dataclasses.replace(p, market=HIGH_RATE) for p in PROBLEMS],

@@ -491,6 +491,13 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(named: str | None) -> argparse.ArgumentParser:
+    """build_parser's parser for an argv whose first word is the subcommand named, or names
+    none; built once per process, since parse_args keeps no state from one call to the next."""
+    return build_parser([named] if named else None)
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """argv with a token such as -1e-3 or -0.01,0.02 joined to the flag before it by "=".
 
@@ -513,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_negative_values(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         cfg = _load_config(args)
         text = _COMMANDS[args.command]["run"](cfg, args)

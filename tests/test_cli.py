@@ -958,6 +958,30 @@ def test_boundary_stdout_digest(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of FD boundary runs on the default 400 x 400 grid, the
+# benchmark's, recorded before the policy passes became one loop in the march
+FD_DEFAULT_GRID_DIGESTS = {
+    "regime1": (["--regime", "1"],
+                "d608db8f79d10446dc37ec39e1d29c971666d180b6f5b47d8d7585d5d04a0064"),
+    "regime2": (["--regime", "2"],
+                "1a5c1e5b3447fb59cfd4db5512e58bf7e25e53cdd25c49b65a4c507cccd2c19a"),
+    "regime3": (["--regime", "3"],
+                "a7530423738eea9726bea7f3361a358bc7f9fd3b0d2e6469d1f030736c48fce1"),
+    "amortized": (["--variant", "amortized"],
+                  "6b4ce0aa2be2712dd294e515015408d16034ad87fdf6280deaa70f99b8360c61"),
+    "withdrawable": (["--variant", "withdrawable", "--cap", "0.5"],
+                     "f8a2e5febef1cbe98df7c1ec42b15ce4935e964061ff79b8cb74814e0fdacadb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FD_DEFAULT_GRID_DIGESTS))
+def test_fd_boundary_stdout_digest_on_the_default_grid(name, capsys):
+    flags, digest = FD_DEFAULT_GRID_DIGESTS[name]
+    code, out, err = run(["boundary"] + BASE + ["--solver", "fd"] + flags, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def parse(parser, argv, capsys):
     """What parser prints and exits with on argv, or the namespace it parses; and its output."""
     try:
@@ -992,3 +1016,44 @@ def test_main_prints_the_full_parsers_help_and_usage_errors(argv, capsys):
     printed = capsys.readouterr()
     assert parse(cli.build_parser(), argv, capsys) == (exc.value.code, printed)
     assert printed.out or printed.err
+
+
+# one process's commands: subcommands switch, and a parse that exits (help, a
+# usage error) comes between two that run
+REUSED_PARSER_ARGVS = [
+    ["perpetual", "--regime", "1"],
+    ["price", "--steps", "50"],
+    ["--help"],
+    ["price", "--loan-rate", "-1e-3", "--steps", "50"],
+    ["boundary", "--solver", "fd", "--space-nodes", "40", "--time-steps", "10"],
+    ["sweep", "--bogus"],
+    ["price", "--spot", "-7.5e-1", "--steps", "50"],
+    ["figure", "--help"],
+    ["perpetual", "--regime", "2", "--sigma", "0.001"],
+    ["price", "--steps", "50"],
+    ["nope"],
+    ["sweep", "--param", "spot", "--values", "-0.6,0.8", "--steps", "50"],
+    ["perpetual", "--regime", "1"],
+]
+
+
+def main_outcome(argv, capsys):
+    """main's exit code on argv, or the code it exits with, and what it prints."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_each_parser_once_with_a_fresh_parsers_output(capsys):
+    fresh = []
+    for argv in REUSED_PARSER_ARGVS:
+        cli._parser.cache_clear()
+        fresh.append(main_outcome(argv, capsys))
+    cli._parser.cache_clear()
+    assert [main_outcome(argv, capsys) for argv in REUSED_PARSER_ARGVS] == fresh
+    # one parser per subcommand named, and one for an argv that names none
+    assert cli._parser.cache_info().misses == 6
+    assert {code for code, _, _ in fresh} == {0, 2}

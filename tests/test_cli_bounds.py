@@ -45,19 +45,23 @@ def test_price_lies_within_the_no_arbitrage_bounds_or_is_refused(argv, capsys):
 # runs (the lattice also on each loan variant the subcommand takes) and the
 # market and contract flags, built from cli's own tables so a new subcommand,
 # solver or variant is covered without editing this file.
-FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary", "price")
+FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary", "price", "figure")
 FUZZ_FLAGS = FLAGS + ["--maturity", "--principal", "--spot"]
 SMALL_GRID = {"steps": 20, "space_nodes": 40, "time_steps": 10, "x_nodes": 20, "a_nodes": 6,
               "fsg_steps": 10, "oracle_steps": 6}
-COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"]}
+COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"], "figure": ["1"]}
 CAP = 0.35
 VARIANT_ARGS = {"amortized": [], "withdrawable": ["--cap", str(CAP)]}
 
 
 def command_configs():
-    """(command, solver or None, regime or variant) for each subcommand and solver it covers."""
+    """(command, solver or None, regime or variant) for each subcommand and solver it covers;
+    a figure runs the solver and regime its number fixes, and None stands for its regime."""
     for name in FUZZ_COMMANDS:
         command = cli._COMMANDS[name]
+        if name == "figure":
+            yield name, cli._FIGURES[int(COMMAND_ARGS[name][0])][0]["solver"], None
+            continue
         if "solver" not in command["reads"] and "grid" not in command["reads"]:
             for regime in command["regimes"][0]:
                 yield name, None, regime
@@ -69,14 +73,17 @@ def command_configs():
 
 
 def fuzz_argvs(name, solver, kind):
-    if isinstance(kind, str):
+    if kind is None:
+        selector = []  # a figure refuses the flags of the settings it fixes
+    elif isinstance(kind, str):
         selector = ["--variant", kind, *VARIANT_ARGS[kind]]
     else:
         selector = ["--regime", str(kind)]
     for flag, value in itertools.product(FUZZ_FLAGS, VALUES):
         argv = [name, *COMMAND_ARGS.get(name, []), *selector]
         if solver is not None:
-            argv += ["--solver", solver]
+            if "solver" in cli._COMMANDS[name]["reads"]:
+                argv += ["--solver", solver]
             for field in cli._SOLVERS[solver]["grid"]:
                 argv += [f"--{field.replace('_', '-')}", str(SMALL_GRID[field])]
         yield argv + [flag, value]

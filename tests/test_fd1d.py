@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -169,13 +170,26 @@ def test_delivered_stream_matches_parity():
         assert abs(surface.value_at(float(spot), 1.0) - reference) < 1e-3 * K
 
 
+def after_each_solve(monkeypatch, change):
+    """Make the march's LAPACK gttrs call change on every solution it writes in place."""
+    lapack = fd1d._flapack()
+
+    def dgttrs(*args, **kwargs):
+        solved = lapack.dgttrs(*args, **kwargs)
+        change(args[-1])
+        return solved
+
+    monkeypatch.setattr(fd1d, "_flapack",
+                        lambda: types.SimpleNamespace(dgttrf=lapack.dgttrf, dgttrs=dgttrs))
+
+
 def test_policy_iteration_guard_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
-    def never_settles(system, pinned, rhs):
-        return rng.standard_normal(rhs.size)
+    def never_settles(f):
+        f[:] = rng.standard_normal(f.size)
 
-    monkeypatch.setattr("stockloan.fd1d._StepSystem.solve", never_settles)
+    after_each_solve(monkeypatch, never_settles)
     with pytest.raises(RuntimeError, match="did not settle"):
         solve_vi(problem(1), FDConfig(space_nodes=32, time_steps=4))
 
@@ -229,14 +243,12 @@ def test_complementarity_audit_sees_a_perturbed_solve(market, monkeypatch):
     prob = VIProblem(market, contract(1))
     config = FDConfig(space_nodes=64, time_steps=20)
     assert march_residual(prob, config) < 1e-9
-    solve = fd1d._StepSystem.solve
 
-    def perturbed(system, pinned, rhs):
-        f = solve(system, pinned, rhs)
-        f[f.size // 2] += 1e-6  # a continuation row near the strike, far above the obstacle
-        return f
+    def perturbed(f):
+        # the middle of the rows solved: a continuation row, far above the obstacle
+        f[f.size // 2] += 1e-6
 
-    monkeypatch.setattr(fd1d._StepSystem, "solve", perturbed)
+    after_each_solve(monkeypatch, perturbed)
     assert march_residual(prob, config) > 1e-7
 
 
@@ -507,67 +519,38 @@ def test_default_grid_march_factors_the_step_matrix_once(kind):
     assert meta["linear_solves"] >= 400
 
 
-def gtsv(diag, off_lo, off_up, pinned, rhs):
-    """One LAPACK gtsv solve of M f = rhs, the pinned rows replaced by identity rows."""
-    from scipy.linalg.lapack import dgtsv
-
-    pde = ~pinned
-    *_, f, info = dgtsv(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
-                        np.where(pde[:-1], off_up, 0.0), rhs.copy())
-    assert info == 0
-    return f
-
-
-STEP_N = 24
-TOP_BLOCK = np.arange(STEP_N) >= 15
-GAP = TOP_BLOCK & (np.arange(STEP_N) != 18)
-DOMINANT = (2.5, -0.7, -0.6)
-# |off_lo| > diag: gttrf swaps every pair of rows it eliminates
-PIVOTING = (0.2, -1.5, -0.4)
-
-
-@pytest.mark.parametrize("coefficients, pinned, factored", [
-    (DOMINANT, TOP_BLOCK, 1),
-    (DOMINANT, np.ones(STEP_N, dtype=bool), 1),
-    (DOMINANT, GAP, 2),
-    (PIVOTING, TOP_BLOCK, 2),
-], ids=["top-block", "all-pinned", "gap", "pivoting"])
-def test_step_system_solves_each_pinned_set(coefficients, pinned, factored):
-    diag, off_lo, off_up = coefficients
-    meta = {"linear_solves": 0, "factorizations": 0}
-    system = fd1d._StepSystem(diag, off_lo, off_up, STEP_N, meta)
-    assert (system.leading is None) == (coefficients is PIVOTING)
-    rhs = np.random.default_rng(11).standard_normal(STEP_N)
-    k = int(np.count_nonzero(~pinned))
-    if factored == 1:
-        # the pinned rows are a top block [k, n): row k - 1 moves off_up f[k]
-        # to its right-hand side and the leading k rows are solved alone
-        expected = rhs.copy()
-        if k:
-            expected[k - 1] -= off_up * expected[k]
-            expected[:k] = gtsv(diag, off_lo, off_up, np.zeros(k, dtype=bool), expected[:k])
-    else:
-        expected = gtsv(diag, off_lo, off_up, pinned, rhs)
-    dense = np.diag(np.where(pinned, 1.0, diag))
-    dense += np.diag(np.where(pinned[1:], 0.0, off_lo), -1)
-    dense += np.diag(np.where(pinned[:-1], 0.0, off_up), 1)
-    for solves in (1, 2):
-        out = rhs.copy()
-        got = system.solve(pinned, out)
-        assert got is out
-        assert got.tobytes() == expected.tobytes()
-        np.testing.assert_allclose(dense @ got, rhs, rtol=0, atol=1e-12)
-        # a repeated set is not factored again
-        assert meta == {"linear_solves": solves, "factorizations": factored}
+@pytest.mark.parametrize("kind, factorizations", [("regime1", 2), ("regime2", 2), ("regime3", 3)])
+def test_a_march_whose_step_matrix_pivots_matches_the_reference_bitwise(kind, factorizations):
+    # a loan rate far above r on a coarse time step, on the fewest nodes the
+    # Peclet rule takes: |off_lo| > diag, so gttrf swaps rows of M and every
+    # pinned set, top blocks included, is factored whole, once while passes repeat it
+    market = MarketParams(r=0.06, delta=0.03, sigma=0.4)
+    loan = LoanContract(principal=K, loan_rate=2.0, maturity=3.0,
+                        regime=DividendRegime(int(kind[-1])))
+    prob, config = VIProblem(market, loan), FDConfig(space_nodes=108, time_steps=2)
+    spec = fd1d.problem_spec(prob)
+    _, (lo, mid, _) = log_grid(K, spec.sigma, spec.drift, spec.rate, 3.0, config.space_nodes)
+    half = 0.5 * 3.0 / config.time_steps
+    assert half * lo > 1.0 - half * mid
+    stream = fd_stream(prob, config)
+    drawn = list(stream.layers)
+    expected, solves, residual = reference_march(prob, config)
+    assert len(drawn) == len(expected) == config.time_steps + 1
+    for got, want in zip(drawn, expected):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    meta = stream.solver_meta
+    assert (meta["linear_solves"], meta["complementarity_residual"]) == (solves, residual)
+    assert meta["factorizations"] == factorizations < solves + 1
 
 
 def test_cap_policy_guard_raises(monkeypatch):
     rng = np.random.default_rng(5)
 
-    def flickers(system, f, cap):
+    def flickers(f, cap, residual, slack):
         return rng.random(f.size) < 0.5
 
-    monkeypatch.setattr("stockloan.fd1d._StepSystem.cap_rows", flickers)
+    monkeypatch.setattr(fd1d, "_cap_rows", flickers)
     prob = VIProblem(HIGH_VOL, contract(1), "withdrawable", cap=0.5)
     with pytest.raises(RuntimeError, match="the cap policy did not settle within 31 updates"):
         solve_vi(prob, FDConfig(space_nodes=32, time_steps=4))

@@ -7,7 +7,7 @@ dividends paid in the meantime changes the contract: this package prices
 the four standard dividend arrangements, plus amortizing and capped
 withdrawable variants, and locates the optimal redeeming boundaries.
 
-Solvers: a binomial lattice and a Crank-Nicolson variational-inequality
+Solvers: a binomial lattice and a BDF2 variational-inequality
 solver for the one-dimensional regimes, a forward-shooting grid for the
 two-dimensional cash-dividend regime, infinite-maturity closed forms, and
 an exhaustive-stopping path tree for cross-checking everything else.

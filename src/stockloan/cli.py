@@ -89,8 +89,8 @@ class RunConfig:
     variant: str | None = None
     solver: str = "lattice"
     steps: int = 2000
-    space_nodes: int = 400
-    time_steps: int = 400
+    space_nodes: int = 900
+    time_steps: int = 100
     x_nodes: int = 200
     a_nodes: int = 50
     fsg_steps: int = 200

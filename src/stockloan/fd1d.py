@@ -1,22 +1,21 @@
 """Finite-difference variational-inequality solver in log similarity space.
 
-Crank-Nicolson time stepping on a uniform grid in y = log(x), with a
-Rannacher startup (the first step is split into two implicit-Euler halves to
-damp the payoff kink) and a policy-iteration solve of the per-step linear
-complementarity problem: every pass is one tridiagonal solve with the rows held
-at the obstacle, or at the cap, pinned.  Every step of a march has the same
-matrix, factored once by LAPACK's gttrf; a pass whose pinned rows are a top
-block solves only the free rows above it, and any other pinned set is
-factored whole.  Each pass is one gttrs solve, bit for bit what gtsv gives
-on the system it solves, written straight into the new layer.  One loop
-(_march) runs every step and pass over buffers and policy masks it reuses,
-so a pass costs its numpy and LAPACK calls and little else; the last pass
-of a step leaves M f, M f - b and f - obstacle behind, which audit the
-step's complementarity residual and give the next step its M f.  A NaN
-anywhere reaches that audit or the payoff's edges, checked once.  The
-drift term is differenced centrally, and a grid on which central weights
-would go negative (cell Peclet number above 1) is refused before the march
-(problems.log_grid), so every per-step matrix is an M-matrix.
+BDF2 time stepping on a uniform grid in y = log(x), after two implicit-Euler
+half-steps that damp the payoff kink, with a policy-iteration solve of the
+per-step linear complementarity problem: every pass is one tridiagonal solve
+with the rows held at the obstacle, or at the cap, pinned.  The half-steps
+share one matrix and the BDF2 steps another, each factored once by LAPACK's
+gttrf; a pass whose pinned rows are a top block solves only the free rows
+above it, and any other pinned set is factored whole.  Each pass is one
+gttrs solve, bit for bit what gtsv gives on the system it solves, written
+straight into the new layer.  One loop (_march) runs every step and pass
+over buffers and policy masks it reuses; the last pass of a step leaves
+M f, M f - b and f - obstacle behind, which audit the step's
+complementarity residual.  A NaN anywhere reaches that audit or the
+payoff's edges, checked once.  The drift term is differenced centrally, and
+a grid on which central weights would go negative (cell Peclet number above
+1) is refused before the march (problems.log_grid), so every step matrix is
+an M-matrix.  BDF2 is L-stable, so a coarse time step needs few passes.
 
 Boundary rows are Dirichlet, set from the near- and far-field values of
 the problem's spec (see problems.problem_spec).  The far field takes the
@@ -58,7 +57,7 @@ from .problems import (
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Grid resolution.
+    """Grid resolution: 900 x 100, on the error-per-cost frontier of BDF2 steps.
 
     The log-space domain is log(K) +- 6 sigma sqrt(T) (problems.log_grid),
     and a space_nodes too few for the drift to stay under the diffusion
@@ -67,8 +66,8 @@ class FDConfig:
     set.
     """
 
-    space_nodes: int = 400
-    time_steps: int = 400
+    space_nodes: int = 900
+    time_steps: int = 100
 
     def __post_init__(self) -> None:
         if self.space_nodes < 16:
@@ -107,31 +106,31 @@ def _march(
 ) -> Iterator[Layer]:
     """Step from tau = 0 through taus on the nodes x and their stencil; yields every layer.
 
-    Every step, Crank-Nicolson or one of the two implicit-Euler half-steps
-    of the startup, solves max(min(M f - b, f - lower), f - cap) = 0 with
-    the same matrix M = I - half L, factored once by gttrf.  Its right-hand
-    side b is built in a buffer the march reuses, summed in the order of the
-    plain expression: a Crank-Nicolson step's (I + half L) f is 2 f - M f,
-    from the M f the last pass of the step before left, plus the source and
-    the edge terms half lo (f[0] + bottom) and half up (f[-1] + top).  Each
-    pass of the policy iteration pins rows to the obstacle or the cap,
-    writes its right-hand side into the new layer and solves over it, the
-    pinned rows as identity rows; it forms M f, M f - b and f - lower in
-    reused buffers, reads the next policy into a reused mask and keys each
-    mask by its bytes once.  Pinned rows that are a top block [k, n), as a
-    call-type obstacle pins them, need no elimination (Brennan & Schwartz):
-    row k - 1 moves off_up f[k] to its right-hand side and gttrs solves the
-    leading k rows with the leading slices of M's factors, which are that
-    block's own unless gttrf swapped rows.  Any other pinned set is factored
-    whole when it differs from the set factored last.  So each solve gives
-    the bits of one gtsv call on the system it solves, and every layer is
-    bit for bit that of a march that allocates every sum.  The policies are
-    first read off the previous layer.  The cap set is held fixed while the
-    obstacle policy iterates on the other rows until a pass leaves it
-    unchanged; then the cap set is read off that solution, and the step is
-    done when it repeats (Hoffman-Karp nesting; switching both policies at
-    once cycled on some grids).  Each level is bounded by n + 1 passes.  An
-    unconstrained step is one solve, audited against the PDE alone.
+    Every step solves max(min(M f - b, f - lower), f - cap) = 0: the two
+    implicit-Euler half-steps of the startup with M = I - (dtau / 2) L and
+    b = f_n, every later step by BDF2, with M = I - (2 dtau / 3) L and
+    b = (4 f_n - f_{n-1}) / 3 (f_{n-1} the payoff, first), each b plus M's
+    weight of L times the source, lo bottom and up top.  Each M is factored
+    once by gttrf, and M f of the layer it first steps from formed, when the
+    march reaches it; later steps take the M f of the last pass.  Each pass
+    of the policy iteration pins rows to the obstacle or the cap, writes its
+    right-hand side into the new layer and solves over it, the pinned rows
+    as identity rows; it forms M f, M f - b and f - lower in reused buffers,
+    reads the next policy into a reused mask and keys each mask by its bytes
+    once.  Pinned rows that are a top block [k, n), as a call-type obstacle
+    pins them, need no elimination (Brennan & Schwartz): row k - 1 moves
+    off_up f[k] to its right-hand side and gttrs solves the leading k rows
+    with the leading slices of M's factors, which are that block's own
+    unless gttrf swapped rows.  Any other pinned set is factored whole when
+    it differs from the set factored last.  So each solve gives the bits of
+    one gtsv call on the system it solves, and every layer is bit for bit
+    that of a march that allocates every sum.  The policies are first read
+    off the previous layer.  The cap set is held fixed while the obstacle
+    policy iterates on the other rows until a pass leaves it unchanged; then
+    the cap set is read off that solution, and the step is done when it
+    repeats (Hoffman-Karp nesting; switching both policies at once cycled on
+    some grids).  Each level is bounded by n + 1 passes.  An unconstrained
+    step is one solve, audited against the PDE alone.
 
     Adds the passes to meta["linear_solves"] and the factorizations to
     meta["factorizations"]; before the last layer is yielded, stores the
@@ -146,57 +145,58 @@ def _march(
     subtract, add, multiply, less, copyto = np.subtract, np.add, np.multiply, np.less, np.copyto
     minimum, maximum, absolute, logical_or = np.minimum, np.maximum, np.absolute, np.logical_or
     dtau = float(taus[-1]) / (taus.size - 1)
-    half = 0.5 * dtau
+    half, bdf = 0.5 * dtau, 2.0 * dtau / 3.0  # the weight of L in a half-step, in a BDF2 step
     lo, mid, up = stencil
     n = x.size - 2
-    row_up = -half * up  # a float for the one row a top block moves
-    # 0-d operands: a Python float costs each numpy call more, for the same bits
-    diag, off_lo, off_up = map(np.asarray, (1.0 - half * mid, -half * lo, row_up))
+    four, three = np.asarray(4.0), np.asarray(3.0)
     lapack = _flapack()
     dgttrf, dgttrs = lapack.dgttrf, lapack.dgttrs
-    *lu, info = dgttrf(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up))
-    meta["factorizations"] += 1
-    whole = tuple(lu)
-    # the key of the pinned set whose factors lu holds: M's (no row pinned) unless gttrf failed
-    free = bytes(n)
-    factored = free if info == 0 else None
-    # the leading slices of M's factors, by free row count; None if gttrf swapped rows
-    leading = {} if info == 0 and np.array_equal(lu[-1], np.arange(1, n + 1)) else None
+    free = bytes(n)  # the key of a pass that pins no row
     # every pass reuses these; boundary contributions are folded into b
-    applied, residual, slack, term, b = np.empty((5, n))
+    applied, residual, slack, term, b, prev = np.empty((6, n))
     tail, term_tail, head, term_head = applied[1:], term[1:], applied[:-1], term[:-1]
     prefers, pinned = np.zeros((2, n), dtype=bool)  # the obstacle policy, and it or the cap
     worst = np.zeros(n)  # row by row, the largest complementarity residual so far
     src = spec.source(x[1:-1]) if spec.source is not None else None
-    src_cn, src_ie = (None, None) if src is None else (src * dtau, src * half)
     steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
-    cap, constrained, half_lo, half_up = spec.cap, spec.constrained, half * lo, half * up
+    cap, constrained = spec.cap, spec.constrained
     x_bottom, x_top = float(x[0]), float(x[-1])
 
-    payoff = f_new = np.asarray(spec.terminal(x), dtype=float)
+    payoff = np.asarray(spec.terminal(x), dtype=float)
     obstacle = steady if steady is not None else spec.obstacle(x, 0.0)
     lower = obstacle[1:-1]
     yield x, payoff, obstacle
-    # M f of the payoff, formed as a pass forms it; a missing neighbour would
-    # add -0.0 (off_lo, off_up <= 0), which changes no sum
-    f = payoff[1:-1]
-    multiply(f, diag, out=applied)
-    add(tail, multiply(f[:-1], off_lo, out=term_tail), out=tail)
-    add(head, multiply(f[1:], off_up, out=term_head), out=head)
-    times = [half, *taus[1:].tolist()]  # Rannacher: two implicit-Euler half-steps first
+    f = prev[:] = payoff[1:-1]  # f_{n-1} of the first BDF2 step, kept in prev
+    times = [half, *taus[1:].tolist()]  # two implicit-Euler half-steps first
     for j, tau in enumerate(times):
-        f_old, inner = f_new, f
+        inner = f
+        if j in (0, 2):
+            weight = half if j == 0 else bdf
+            row_lo, row_up = -weight * lo, -weight * up  # floats for single rows
+            # 0-d operands: a Python float costs each numpy call more, for the same bits
+            diag, off_lo, off_up = map(np.asarray, (1.0 - weight * mid, row_lo, row_up))
+            source = None if src is None else src * weight
+            *lu, info = dgttrf(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up))
+            meta["factorizations"] += 1
+            whole = tuple(lu)
+            # the key of the pinned set whose factors lu holds: M's unless gttrf failed
+            factored = free if info == 0 else None
+            # the leading slices of M's factors, by free row count; None if gttrf swapped rows
+            leading = {} if info == 0 and np.array_equal(lu[-1], np.arange(1, n + 1)) else None
+            # M f of the layer stepped from, as a pass forms it (a missing neighbour adds -0.0)
+            multiply(inner, diag, out=applied)
+            add(tail, multiply(inner[:-1], off_lo, out=term_tail), out=tail)
+            add(head, multiply(inner[1:], off_up, out=term_head), out=head)
         bottom, top = spec.near_field(tau, x_bottom), spec.far_field(tau, x_top)
         if j > 1:
-            subtract(add(inner, inner, out=b), applied, out=b)
-            source, edge_lo, edge_up = src_cn, f_old[0] + bottom, f_old[-1] + top
+            np.divide(subtract(multiply(inner, four, out=b), prev, out=b), three, out=b)
+            copyto(prev, inner)
         else:
             copyto(b, inner)
-            source, edge_lo, edge_up = src_ie, bottom, top
         if source is not None:
             add(b, source, out=b)
-        b[0] += half_lo * edge_lo
-        b[-1] += half_up * edge_up
+        b[0] -= row_lo * bottom
+        b[-1] -= row_up * top
         if steady is None:
             obstacle = spec.obstacle(x, tau)
             lower = obstacle[1:-1]

@@ -75,7 +75,7 @@ def test_runtime_error_exits_3(monkeypatch, capsys):
     (["price", "--solver", "fsg", "--regime", "4", "--x-nodes", "300", "--a-nodes", "400000"],
      "fsg grid (x_nodes=300, a_nodes=400000, fsg_steps=200)"),
     (["price", "--steps", "100000000"], "lattice grid (steps=100000000)"),
-    (["boundary", "--solver", "fd"], "fd grid (space_nodes=400, time_steps=400)"),
+    (["boundary", "--solver", "fd"], "fd grid (space_nodes=900, time_steps=100)"),
     (["figure", "3", "--a-nodes", "400000"],
      "fsg grid (x_nodes=200, a_nodes=400000, fsg_steps=200)"),
 ])
@@ -88,6 +88,18 @@ def test_memory_error_exits_2_naming_the_grid(argv, grid, monkeypatch, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: not enough memory for the {grid}\n"
+
+
+@pytest.mark.parametrize("solver, record", [
+    ("lattice", lattice1d.LatticeConfig), ("fd", fd1d.FDConfig), ("fsg", fsg2d.FSG2DConfig),
+])
+def test_cli_grid_defaults_are_the_backends_defaults(solver, record):
+    # the CLI holds its own copy of each default, so that a cold start loads no solver module
+    defaults, backend = cli.RunConfig(), record()
+    for name, keyword in cli._SOLVERS[solver]["grid"].items():
+        assert getattr(defaults, name) == getattr(backend, keyword), name
+    # the path tree has no grid record; its step count is only bounded
+    assert oracle.tree_steps(defaults.oracle_steps) == defaults.oracle_steps
 
 
 def test_unknown_flag_is_usage_error():
@@ -814,14 +826,29 @@ def test_log_spacing_of_a_few_ulps_exits_2(sigma, capsys):
 
 
 def test_fd_convection_dominated_default_grid_refused(capsys):
-    # one-sided differences printed 0.73542095044407707, above the spot 0.7
-    count = assert_convection_refusal(["price", "--solver", "fd", "--r", "10"], capsys)
-    assert count == 658
+    count = assert_convection_refusal(["price", "--solver", "fd", "--r", "14"], capsys)
+    assert count == 927
+    code, out, err = run(["price", "--solver", "fd", "--r", "14", "--space-nodes", "927"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert 0.0 < float(out) < 0.7
+    # the lattice at 20000 steps gives 0.68931340806133701; at a drift this
+    # large the FD and lattice values part by about 5e-4 (1e-3 K is 7e-4)
+    assert abs(float(out) - 0.68931340806133701) < 7e-4
+
+
+def test_fd_default_grid_prices_a_drift_its_old_grid_refused(capsys):
+    # 400 one-sided stock nodes printed 0.73542095044407707, above the spot 0.7,
+    # and 400 central ones were refused; 900 keep the cell Peclet number under 1
+    code, out, err = run(["price", "--solver", "fd", "--r", "10"], capsys)
+    assert (code, err) == (0, "")
+    # the value of a regime-1 loan lies in [max(S - K, 0), S]
+    assert 0.0 <= float(out) <= 0.7
+    # and the count 400 nodes were refused with prices near the lattice at
+    # 20000 steps, 0.68576817791557687
     code, out, err = run(["price", "--solver", "fd", "--r", "10", "--space-nodes", "658"],
                          capsys)
     assert (code, err) == (0, "")
-    # the lattice at 20000 steps gives 0.68576817791557687
-    assert 0.0 < float(out) < 0.7
     assert abs(float(out) - 0.68576817791557687) < 1e-4
 
 
@@ -922,31 +949,33 @@ def test_lattice_boundary_keeps_two_layers(capsys):
 @pytest.mark.parametrize("contract", [["--regime", "1"], ["--variant", "amortized"]],
                          ids=["regime1", "amortized"])
 def test_fd_price_and_boundary_keep_two_layers(command, contract, capsys):
-    # 401 layers of 400 nodes hold 1.3 MB, 2.6 MB with a time-dependent obstacle
+    # 101 layers of 900 nodes hold 0.7 MB, 1.5 MB with a time-dependent obstacle
     argv = [command, "--solver", "fd", "--spot", "0.8"] + contract + BASE
     # the first FD solve loads the LAPACK module; a small one keeps that out of the count
     assert run(argv + ["--space-nodes", "64", "--time-steps", "8"], capsys)[0] == 0
     assert peak_mb(argv, capsys) < 0.5
 
 
-# sha256 of the stdout of small-grid boundary runs, recorded before the march
-# became a layer stream; every fold must print the same bytes.
+# sha256 of the stdout of small-grid boundary runs; every fold must print the
+# same bytes.  The FD ones were recorded when the march took BDF2 steps.  The
+# lattice and FSG runs print the FD default grid in their config header, so a
+# new default moves their digests and nothing else.
 BOUNDARY_DIGESTS = {
     "lattice": (["--solver", "lattice", "--regime", "1", "--steps", "60"],
-                "1dc9e4527ac1f4376fc3d5f191f257a0647b275591d1cd51ed55fcb82841b298"),
+                "0caba9f2642cdb55257887eb785173d4fc1263e97fddbd9e059c5e4b2ca4c12f"),
     "fd-regime1": (["--solver", "fd", "--regime", "1", "--space-nodes", "80",
                     "--time-steps", "40"],
-                   "9a2e0c823642e8174e0e02b06f32ed86197584fe3a866445b16c49cdfb539b66"),
+                   "f2857fed99496456b00c68f0b94dab482b96face115bc191c3aea9bfffda1c4f"),
     "fd-withdrawable": (["--solver", "fd", "--variant", "withdrawable", "--cap", "0.5",
                          "--space-nodes", "80", "--time-steps", "40"],
-                        "b28eedb3a3eda48da9175eb830df88f2f32d782aa86dabcf678ca6a6db8b9c6c"),
+                        "9bacc686a267490f998751bd26f6a5c64a4bae7f8278ef56155c5ee8f039fa31"),
     "fsg-constrained": (["--solver", "fsg", "--regime", "4", "--accrued", "0.1",
                          "--x-nodes", "60", "--a-nodes", "10", "--fsg-steps", "40"],
-                        "9e561c2df1a4a01bac0af2f362ffa3f03636a2a107e1191bd7eaa7e66775fb15"),
+                        "2aac6672fcb7918415ce8de0511bad8fc88a8d0c3c9254a5ef84e05ef3f843d6"),
     "fsg-unconstrained": (["--solver", "fsg", "--regime", "4", "--accrued", "0.1",
                            "--x-nodes", "60", "--a-nodes", "10", "--fsg-steps", "40",
                            "--r", "0.13"],
-                          "51bfd181c29b45fe8bcacf89d05dd20487e205536942ea38b325c870cfaffb33"),
+                          "cc68d845bd49a544ba1fb642a24ccba5a0822361708a8b52513252bb009f45c9"),
 }
 
 
@@ -958,19 +987,19 @@ def test_boundary_stdout_digest(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the stdout of FD boundary runs on the default 400 x 400 grid, the
-# benchmark's, recorded before the policy passes became one loop in the march
+# sha256 of the stdout of FD boundary runs on the default 900 x 100 grid, the
+# benchmark's, recorded when the march took BDF2 steps
 FD_DEFAULT_GRID_DIGESTS = {
     "regime1": (["--regime", "1"],
-                "d608db8f79d10446dc37ec39e1d29c971666d180b6f5b47d8d7585d5d04a0064"),
+                "01132f2221633e8d98a19b13f7fc0aa36ca72ae0dd0b144e0fc43f91917bd288"),
     "regime2": (["--regime", "2"],
-                "1a5c1e5b3447fb59cfd4db5512e58bf7e25e53cdd25c49b65a4c507cccd2c19a"),
+                "a832a688911229f91bd0ffb34ce9f5d1a2994c5d5a8c3290d1e30479212a6b25"),
     "regime3": (["--regime", "3"],
-                "a7530423738eea9726bea7f3361a358bc7f9fd3b0d2e6469d1f030736c48fce1"),
+                "b00794f41ca33fc7f31901effd8af7b9562b910c7f09c7b70f36b1f7b729b7ef"),
     "amortized": (["--variant", "amortized"],
-                  "6b4ce0aa2be2712dd294e515015408d16034ad87fdf6280deaa70f99b8360c61"),
+                  "2a1a14086a3931178db84f82c505e4f6c0e9c1f00e14238f0e5e004cdaa0c1ca"),
     "withdrawable": (["--variant", "withdrawable", "--cap", "0.5"],
-                     "f8a2e5febef1cbe98df7c1ec42b15ce4935e964061ff79b8cb74814e0fdacadb"),
+                     "deb682f55aab3669e5e586c443368abb3b23a7838dca7514844c6f4677da5150"),
 }
 
 

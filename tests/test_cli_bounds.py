@@ -42,39 +42,44 @@ def test_price_lies_within_the_no_arbitrage_bounds_or_is_refused(argv, capsys):
 
 
 # The argv fuzz over every subcommand with a solver grid, each solver it
-# runs (the lattice also on each loan variant the subcommand takes) and the
-# market and contract flags, built from cli's own tables so a new subcommand,
-# solver or variant is covered without editing this file.
+# runs (also on each loan variant the subcommand and solver take), each
+# finite-difference figure and the market and contract flags, built from
+# cli's own tables so a new subcommand, solver or variant is covered without
+# editing this file.
 FUZZ_COMMANDS = ("perpetual", "oracle-check", "sweep", "boundary", "price", "figure")
 FUZZ_FLAGS = FLAGS + ["--maturity", "--principal", "--spot"]
 SMALL_GRID = {"steps": 20, "space_nodes": 40, "time_steps": 10, "x_nodes": 20, "a_nodes": 6,
               "fsg_steps": 10, "oracle_steps": 6}
-COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"], "figure": ["1"]}
+COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"]}
+FIGURES = ("1", "2")  # the finite-difference figures; 3 and 4 run the fsg grid
 CAP = 0.35
 VARIANT_ARGS = {"amortized": [], "withdrawable": ["--cap", str(CAP)]}
 
 
 def command_configs():
-    """(command, solver or None, regime or variant) for each subcommand and solver it covers;
-    a figure runs the solver and regime its number fixes, and None stands for its regime."""
+    """(command, solver or None, regime, variant or figure number) for each subcommand and
+    solver it covers; a figure runs the solver and regime its number fixes."""
     for name in FUZZ_COMMANDS:
         command = cli._COMMANDS[name]
         if name == "figure":
-            yield name, cli._FIGURES[int(COMMAND_ARGS[name][0])][0]["solver"], None
+            for number in FIGURES:
+                yield name, cli._FIGURES[int(number)][0]["solver"], number
             continue
         if "solver" not in command["reads"] and "grid" not in command["reads"]:
             for regime in command["regimes"][0]:
                 yield name, None, regime
             continue
-        for solver in command.get("solvers", (cli._SOLVERS,))[0]:
+        solvers = command.get("solvers", (cli._SOLVERS,))[0]
+        for solver in solvers:
             yield name, solver, cli._SOLVERS[solver]["regimes"][0]
-        for variant in command.get("variants", (cli._SOLVERS["lattice"]["variants"],))[0]:
-            yield name, "lattice", variant
+        for solver in solvers:
+            for variant in command.get("variants", (cli._SOLVERS[solver]["variants"],))[0]:
+                yield name, solver, variant
 
 
 def fuzz_argvs(name, solver, kind):
-    if kind is None:
-        selector = []  # a figure refuses the flags of the settings it fixes
+    if name == "figure":
+        selector = [kind]  # a figure refuses the flags of the settings it fixes
     elif isinstance(kind, str):
         selector = ["--variant", kind, *VARIANT_ARGS[kind]]
     else:
@@ -115,8 +120,9 @@ def priced(name, argv, numbers):
 def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, kind, capsys):
     """Each argv exits 0, 2 or 3; a refusal prints one stderr line and no stdout; an
     answer prints no NaN.  A regime-1 lattice or path-tree price or sweep value
-    lies in [max(S - K, 0), S], a withdrawable lattice value in [0, cap], and a
-    bounded perpetual boundary lies above the principal.  FD values on these
+    lies in [max(S - K, 0), S], a withdrawable value in [0, cap] and an
+    amortized one in [S - K, S] on either grid solver, and a bounded perpetual
+    boundary lies above the principal.  FD values of the regimes on these
     coarse grids are not bounded: the grids are too coarse for the margin a
     regime-2 value keeps below S."""
     failures = []
@@ -141,6 +147,9 @@ def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, kind, capsy
                 low, high = max(s - principal, 0.0), s
             elif kind == "withdrawable":
                 low, high = 0.0, CAP
+            elif kind == "amortized":
+                # redeeming at once pays S - K, which the solvers round by an ulp or so
+                low, high = s - principal - 1e-12 * abs(s - principal), s
             else:
                 continue
             if not low <= v <= high:

@@ -126,7 +126,7 @@ def test_log_grid_refuses_a_cell_peclet_number_above_one(sigma, drift, maturity,
 def test_golden_value_matches_lattice():
     surface, _ = solve_vi(problem(1), FDConfig(space_nodes=400, time_steps=400))
     fd_value = surface.value_at(0.8, 1.0)
-    assert fd_value == pytest.approx(0.1526295634653246, rel=1e-10)
+    assert fd_value == pytest.approx(0.15262999108880965, rel=1e-10)
     lattice_value, _ = price_regime1(0.8, HIGH_VOL, contract(1), LatticeConfig(steps=2000))
     assert abs(fd_value - lattice_value) < 1e-3 * K
 
@@ -329,12 +329,15 @@ def reference_march(problem, config):
     for the floor and for the layer; returns its layers, its solve count and the
     largest abs(max(min(M f - b, f - lower), f - cap)) over every step's solution.
 
-    A Crank-Nicolson step's right-hand side is 2 f - M f plus the source and
-    the edge terms.  Unless partial pivoting swaps rows of M, a pass that pins
-    every row takes its right-hand side as its solution, and a pass whose
-    pinned rows are a top block [k, n) with k > 2 solves the leading k rows
-    alone, row k - 1 taking off_up f[k] to its right-hand side; any other
-    pass solves the whole system with its pinned rows as identity rows."""
+    The two implicit-Euler half-steps take M = I - (dtau / 2) L and the
+    right-hand side f_n; every later step is BDF2, with M = I - (2 dtau / 3) L
+    and the right-hand side (4 f_n - f_{n-1}) / 3, f_{n-1} the payoff for the
+    first; each adds its weight of L times the source and the edge terms.
+    Unless partial pivoting swaps rows of M, a pass that pins every row takes
+    its right-hand side as its solution, and a pass whose pinned rows are a
+    top block [k, n) with k > 2 solves the leading k rows alone, row k - 1
+    taking off_up f[k] to its right-hand side; any other pass solves the
+    whole system with its pinned rows as identity rows."""
     from scipy.linalg.lapack import dgtsv, dgttrf
 
     from stockloan.problems import problem_spec, tau_grid
@@ -345,7 +348,7 @@ def reference_march(problem, config):
     x, (lo, mid, up) = log_grid(problem.contract.principal, spec.sigma, spec.drift, spec.rate,
                                 maturity, config.space_nodes)
     dtau = float(taus[-1]) / (taus.size - 1)
-    half = 0.5 * dtau
+    half, bdf = 0.5 * dtau, 2.0 * dtau / 3.0
     src = spec.source(x[1:-1]) if spec.source is not None else None
     solves, worst = 0, 0.0
 
@@ -411,22 +414,19 @@ def reference_march(problem, config):
             policy = settled
         raise AssertionError("the reference policy iteration did not settle")
 
-    def step(f_old, tau_new, cn):
+    def step(f_old, f_prev, tau_new, weight):
         nonlocal solves, worst
         bottom = spec.near_field(tau_new, float(x[0]))
         top = spec.far_field(tau_new, float(x[-1]))
-        if cn:
-            inner = f_old[1:-1]
-            b = 2.0 * inner - applied(1.0 - half * mid, -half * lo, -half * up, inner)
-            edge_lo, edge_up = f_old[0] + bottom, f_old[-1] + top
-        else:
+        if f_prev is None:
             b = f_old[1:-1].copy()
-            edge_lo, edge_up = bottom, top
+        else:
+            b = (4.0 * f_old[1:-1] - f_prev[1:-1]) / 3.0
         if src is not None:
-            b += (dtau if cn else half) * src
-        b[0] += half * lo * edge_lo
-        b[-1] += half * up * edge_up
-        f_int, count, residual = policy_step(1.0 - half * mid, -half * lo, -half * up, b,
+            b += weight * src
+        b[0] += weight * lo * bottom
+        b[-1] += weight * up * top
+        f_int, count, residual = policy_step(1.0 - weight * mid, -weight * lo, -weight * up, b,
                                              f_old[1:-1], floor(tau_new), spec.cap)
         solves += count
         worst = max(worst, residual)
@@ -437,11 +437,11 @@ def reference_march(problem, config):
 
     f = np.asarray(spec.terminal(x), dtype=float)
     layers = [layer(f, 0.0)]
-    rannacher = step(f, half, False)
-    f = step(rannacher, float(taus[1]), False)
+    startup = step(f, None, half, half)
+    older, f = f, step(startup, None, float(taus[1]), half)
     layers.append(layer(f, float(taus[1])))
     for tau in taus[2:]:
-        f = step(f, float(tau), True)
+        older, f = f, step(f, older, float(tau), bdf)
         layers.append(layer(f, float(tau)))
     return layers, solves, worst
 
@@ -501,37 +501,40 @@ def test_factorizations_never_exceed_solves(kind, market):
     for _ in stream.layers:
         pass
     meta = stream.solver_meta
-    assert 1 <= meta["factorizations"] <= meta["linear_solves"]
+    assert 2 <= meta["factorizations"] <= meta["linear_solves"]
     if not meta["constrained"]:
-        # nothing is ever pinned, so the one step matrix is factored once
-        assert meta["factorizations"] == 1
+        # nothing is ever pinned, so the half-step and the BDF2 matrix are factored once each
+        assert meta["factorizations"] == 2
 
 
 @pytest.mark.parametrize("kind", ["regime1", "regime2", "regime3", "amortized", "withdrawable"])
-def test_default_grid_march_factors_the_step_matrix_once(kind):
-    stream = fd_stream(kind_problem(kind), FDConfig())
+def test_default_grid_march_factors_each_step_matrix_once(kind):
+    config = FDConfig()
+    stream = fd_stream(kind_problem(kind), config)
     for _ in stream.layers:
         pass
     meta = stream.solver_meta
     # every pass pins a top block of rows, none or all, so every solve uses
-    # the one factorization of M
-    assert meta["factorizations"] == 1
-    assert meta["linear_solves"] >= 400
+    # the one factorization of its step's matrix, the half-step's or BDF2's
+    assert meta["factorizations"] == 2
+    assert meta["linear_solves"] >= config.time_steps + 1
 
 
-@pytest.mark.parametrize("kind, factorizations", [("regime1", 2), ("regime2", 2), ("regime3", 3)])
+@pytest.mark.parametrize("kind, factorizations", [("regime1", 4), ("regime2", 4), ("regime3", 5)])
 def test_a_march_whose_step_matrix_pivots_matches_the_reference_bitwise(kind, factorizations):
     # a loan rate far above r on a coarse time step, on the fewest nodes the
-    # Peclet rule takes: |off_lo| > diag, so gttrf swaps rows of M and every
-    # pinned set, top blocks included, is factored whole, once while passes repeat it
+    # Peclet rule takes: |off_lo| > diag in both step matrices, so gttrf swaps
+    # their rows and every pinned set, top blocks included, is factored whole,
+    # once while passes repeat it, beside the one factorization of each matrix
     market = MarketParams(r=0.06, delta=0.03, sigma=0.4)
     loan = LoanContract(principal=K, loan_rate=2.0, maturity=3.0,
                         regime=DividendRegime(int(kind[-1])))
     prob, config = VIProblem(market, loan), FDConfig(space_nodes=108, time_steps=2)
     spec = fd1d.problem_spec(prob)
     _, (lo, mid, _) = log_grid(K, spec.sigma, spec.drift, spec.rate, 3.0, config.space_nodes)
-    half = 0.5 * 3.0 / config.time_steps
-    assert half * lo > 1.0 - half * mid
+    dtau = 3.0 / config.time_steps
+    for weight in (0.5 * dtau, 2.0 * dtau / 3.0):  # of L, in a half-step and in a BDF2 step
+        assert weight * lo > 1.0 - weight * mid
     stream = fd_stream(prob, config)
     drawn = list(stream.layers)
     expected, solves, residual = reference_march(prob, config)
@@ -541,7 +544,9 @@ def test_a_march_whose_step_matrix_pivots_matches_the_reference_bitwise(kind, fa
             assert a.tobytes() == b.tobytes()
     meta = stream.solver_meta
     assert (meta["linear_solves"], meta["complementarity_residual"]) == (solves, residual)
-    assert meta["factorizations"] == factorizations < solves + 1
+    assert meta["factorizations"] == factorizations
+    # the factorizations of pinned sets, beside the two of the step matrices
+    assert factorizations - 2 < solves
 
 
 def test_cap_policy_guard_raises(monkeypatch):

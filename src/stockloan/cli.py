@@ -377,11 +377,11 @@ def cmd_perpetual(cfg: RunConfig, args: argparse.Namespace) -> str:
     market, contract = cfg.market(), cfg.contract()
     if cfg.regime == 3:
         boundary = closedform.perpetual_regime3(market, contract).boundary
-        return f"x_star_inf={_fmt(float(boundary))}\n"
+        return f"x_star_inf={_fmt(boundary)}\n"
     perpetual = closedform.perpetual_regime1 if cfg.regime == 1 else closedform.perpetual_regime2
     res = perpetual(market, contract)
     lines = [f"alpha_plus={_fmt(res.alpha_plus)}", f"alpha_minus={_fmt(res.alpha_minus)}",
-             f"x_star_inf={_fmt(float(res.x_star_inf))}"]
+             f"x_star_inf={_fmt(res.x_star_inf)}"]
     if res.c1 is not None:
         lines.append(f"c1={_fmt(res.c1)}")
     return "\n".join(lines) + "\n"
@@ -521,6 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     argv = _join_negative_values(argv)
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    cfg = None
     try:
         cfg = _load_config(args)
         text = _COMMANDS[args.command]["run"](cfg, args)
@@ -531,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: a value overflows a float: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
+        if cfg is None:
+            print("error: not enough memory to read the configuration", file=sys.stderr)
+            return 2
         grid = ", ".join(f"{name}={getattr(cfg, name)}" for name in _SOLVERS[cfg.solver]["grid"])
         print(f"error: not enough memory for the {cfg.solver} grid ({grid})", file=sys.stderr)
         return 2

@@ -7,15 +7,15 @@ alpha_plus is the positive root of
     (sigma^2 / 2) a^2 + (r - gamma - delta - sigma^2 / 2) a - (r - gamma) = 0.
 
 With delta = 0 the boundary is finite only for r < gamma - sigma^2 / 2; in
-the complementary band the boundary escapes to infinity, which is reported
-as the first-class value UNBOUNDED rather than a float sentinel.
+the complementary band the boundary escapes to infinity and is reported as
+UNBOUNDED, the float inf, as boundary curves and the CLI write it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contracts import (
     ClosedForm,
@@ -27,24 +27,7 @@ from .contracts import (
 )
 
 
-class _Unbounded:
-    """Perpetual boundary that sits at infinity.  A singleton."""
-
-    _instance = None
-
-    def __new__(cls) -> "_Unbounded":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unbounded"
-
-    def __float__(self) -> float:
-        return math.inf
-
-
-UNBOUNDED = _Unbounded()
+UNBOUNDED = math.inf
 
 
 @dataclass(frozen=True)
@@ -53,18 +36,21 @@ class PerpetualResult:
 
     alpha_plus and alpha_minus are the roots of the characteristic quadratic
     (alpha_plus > 1 whenever the boundary is finite).  x_star_inf is the flat
-    perpetual boundary in similarity coordinates, or UNBOUNDED.  c1 is the
-    value coefficient of C1 * x**alpha_plus, present only when bounded.
+    perpetual boundary in similarity coordinates, or UNBOUNDED (the float
+    inf).  c1 is the value coefficient of C1 * x**alpha_plus, present only
+    when bounded.  principal is the loan principal K, the strike of the
+    obstacle x - K that value() returns beyond the boundary.
     """
 
     alpha_plus: float
     alpha_minus: float
-    x_star_inf: float | _Unbounded
+    x_star_inf: float
     c1: float | None
+    principal: float
 
     @property
     def is_bounded(self) -> bool:
-        return not isinstance(self.x_star_inf, _Unbounded)
+        return math.isfinite(self.x_star_inf)
 
     def value(self, x: float) -> float:
         """Perpetual value at similarity coordinate x >= 0 (bounded case)."""
@@ -73,19 +59,15 @@ class PerpetualResult:
         if x < 0.0:
             raise ValueError(f"similarity coordinate must be nonnegative, got x={x}")
         if x >= self.x_star_inf:
-            return x - self._principal
+            return x - self.principal
         return self.c1 * x**self.alpha_plus
-
-    # Principal is stashed at construction so value() can apply the obstacle
-    # beyond the boundary without re-threading the contract.
-    _principal: float = field(default=math.nan, repr=False)
 
 
 @dataclass(frozen=True)
 class PerpetualRegime3Result:
     """Perpetual delivered-dividend loan: worth the stock, never redeemed."""
 
-    boundary: _Unbounded = UNBOUNDED
+    boundary: float = UNBOUNDED
 
     def value(self, spot: float) -> float:
         return spot
@@ -191,10 +173,10 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
             f"r >= gamma with no dividend paid out (r={market.r}, gamma={contract.loan_rate})"
         )
     alpha_plus, alpha_minus, excess = _alpha_roots(r_bar, delta, sigma)
+    principal = contract.principal
     bounded = delta > 0.0 or r_bar < -0.5 * sigma * sigma
     if not bounded:
-        return PerpetualResult(alpha_plus, alpha_minus, UNBOUNDED, None)
-    principal = contract.principal
+        return PerpetualResult(alpha_plus, alpha_minus, UNBOUNDED, None, principal)
     x_star = alpha_plus * principal / excess if excess > 0.0 else math.inf
     if x_star == math.inf:
         raise ValueError(f"the perpetual boundary is past the float range (alpha_plus - 1 = "
@@ -209,7 +191,7 @@ def perpetual_regime1(market: MarketParams, contract: LoanContract) -> Perpetual
             f"the value coefficient c1={c1} is not a positive finite float "
             f"(alpha_plus={alpha_plus}, principal={principal})"
         )
-    return PerpetualResult(alpha_plus, alpha_minus, x_star, c1, _principal=principal)
+    return PerpetualResult(alpha_plus, alpha_minus, x_star, c1, principal)
 
 
 def perpetual_regime2(market: MarketParams, contract: LoanContract) -> PerpetualResult:

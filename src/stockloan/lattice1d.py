@@ -144,8 +144,6 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
         maximum, minimum = np.maximum, np.minimum
         x, v = nodes[0], buffers[0]
         v[:] = spec.terminal(x)
-        if cap is not None:
-            minimum(v, cap, out=v)
         for j in range(1, steps + 1):
             yield x, v, obs
             par, off, size = j % 2, j // 2, steps + 1 - j

@@ -90,6 +90,16 @@ def test_memory_error_exits_2_naming_the_grid(argv, grid, monkeypatch, capsys):
     assert err == f"error: not enough memory for the {grid}\n"
 
 
+def test_memory_error_while_reading_the_configuration_exits_2(monkeypatch, capsys):
+    # no configuration is bound yet, so naming its grid raised UnboundLocalError
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_config", out_of_memory)
+    code, out, err = run(PRICE, capsys)
+    assert (code, out, err) == (2, "", "error: not enough memory to read the configuration\n")
+
+
 @pytest.mark.parametrize("solver, record", [
     ("lattice", lattice1d.LatticeConfig), ("fd", fd1d.FDConfig), ("fsg", fsg2d.FSG2DConfig),
 ])
@@ -226,23 +236,29 @@ def test_non_finite_input_exits_2(value, capsys):
     assert "spot must be finite" in err
 
 
-@pytest.mark.parametrize("extra", [
-    ["--regime", "1", "--accrued", "0.1"],
-    ["--regime", "2", "--accrued", "0.1"],
-    ["--regime", "3", "--accrued", "-0.1"],
-    ["--variant", "amortized", "--accrued", "0.1"],
-    ["--variant", "amortized", "--cap", "0.5"],
-    ["--regime", "1", "--cap", "0.5"],
-    ["--variant", "withdrawable"],
+NOT_ACCRUING = "error: only regimes 3 and 4 carry an accrued dividend account\n"
+CAP_RULE = "error: the withdrawable variant, and only that variant, takes a cap\n"
+NEGATIVE = "error: accrued account must be nonnegative, got -0.1\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--regime", "1", "--accrued", "0.1"], NOT_ACCRUING),
+    (["--regime", "2", "--accrued", "0.1"], NOT_ACCRUING),
+    (["--regime", "3", "--accrued", "-0.1"], NEGATIVE),
+    (["--variant", "amortized", "--accrued", "0.1"], NOT_ACCRUING),
+    (["--variant", "amortized", "--cap", "0.5"], CAP_RULE),
+    (["--regime", "1", "--cap", "0.5"], CAP_RULE),
+    (["--variant", "withdrawable"], CAP_RULE),
 ])
-@pytest.mark.parametrize("solver", ["lattice", "fd"])
-def test_unused_or_missing_arguments_exit_2(solver, extra, capsys):
-    argv = ["price", "--spot", "0.8", "--solver", solver, "--steps", "50",
-            "--space-nodes", "40", "--time-steps", "20"] + BASE + extra
+@pytest.mark.parametrize("solver, grid", [
+    ("lattice", ["--steps", "50"]),
+    ("fd", ["--space-nodes", "40", "--time-steps", "20"]),
+])
+def test_unused_or_missing_arguments_exit_2(solver, grid, extra, message, capsys):
+    # each solver gets only its own grid flags, so that the rule across fields is reached
+    argv = ["price", "--spot", "0.8", "--solver", solver] + grid + BASE + extra
     code, out, err = run(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_regime3_accrued_account_added(capsys):

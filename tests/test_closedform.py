@@ -12,6 +12,7 @@ from stockloan import (
     DividendRegime,
     LoanContract,
     MarketParams,
+    PerpetualResult,
     european_call,
     european_put,
     parity_price_regime3,
@@ -82,6 +83,27 @@ def test_perpetual_unbounded_when_carry_beats_volatility_drag():
     assert not result.is_bounded
     with pytest.raises(ValueError):
         result.value(1.0)
+
+
+def test_an_unbounded_level_is_the_float_inf():
+    # a sentinel object compared with a float raised TypeError
+    high_vol = MarketParams(r=0.06, delta=0.03, sigma=0.4)
+    assert UNBOUNDED == math.inf
+    for level in (perpetual_regime2(high_vol, contract(2)).x_star_inf,
+                  perpetual_regime3(high_vol, contract(3)).boundary):
+        assert type(level) is float
+        assert 1e308 < level
+
+
+def test_perpetual_result_value_needs_its_principal():
+    # the principal defaulted to NaN, so a result built from the public fields valued NaN
+    result = perpetual_regime1(MarketParams(r=0.06, delta=0.03, sigma=0.4), contract(1))
+    fields = (result.alpha_plus, result.alpha_minus, result.x_star_inf, result.c1)
+    with pytest.raises(TypeError):
+        PerpetualResult(*fields)
+    rebuilt = PerpetualResult(*fields, K)
+    assert rebuilt == result
+    assert rebuilt.value(3.0) == result.value(3.0) == 3.0 - K
 
 
 def test_perpetual_boundary_formula():

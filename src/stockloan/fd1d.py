@@ -307,10 +307,9 @@ def fd_stream(
                           config.space_nodes)
     for spot in spots:
         check_state(spot, x=x, tau=maturity)
-    meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0,
-            "constrained": spec.constrained}
+    meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0}
     layers = _march(spec, x, stencil, taus, meta, problem.kind)
-    return LayerStream(taus, None, principal, float(x[-1]), meta, layers)
+    return LayerStream(taus, None, principal, float(x[-1]), spec.constrained, meta, layers)
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, BoundaryCurve]:
@@ -320,4 +319,4 @@ def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, Bounda
     redeeming region is empty.
     """
     surface = fold_surface(fd_stream(problem, config))
-    return surface, fold_boundary(surface.stream())
+    return surface, fold_boundary(surface)

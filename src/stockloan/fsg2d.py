@@ -197,10 +197,9 @@ def fsg_stream(
 
     for spot in spots:
         check_state(spot, accrued, x, a, maturity)
-    meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt,
-            "constrained": constrained}
-    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]), meta,
-                       layers())
+    meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt}
+    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]),
+                       constrained, meta, layers())
 
 
 def price_regime4(
@@ -217,8 +216,8 @@ def price_regime4(
     immediate redemption is optimal and the exact value spot + accrued - K
     is returned without a solve (surface None).  When no redemption is
     strictly optimal (r >= gamma), the obstacle never binds and the plain
-    pricing equation is marched over a wider account grid, with
-    solver_meta["constrained"] False.  check_state refuses, on either path,
+    pricing equation is marched over a wider account grid, and the
+    surface's constrained is False.  check_state refuses, on either path,
     a state no loan is in, and one outside the solved grid.
     """
     stream = fsg_stream(VIProblem(market, contract), config or FSG2DConfig(), [spot], accrued)
@@ -234,4 +233,4 @@ def extract_boundary_surface(surface: ValueSurface, tol: float = 1e-7) -> Bounda
     Kept under this name for the tests and for the benchmark's tracer,
     which wraps it; the CLI folds the stream itself.
     """
-    return fold_boundary(surface.stream(), tol)
+    return fold_boundary(surface, tol)

@@ -171,7 +171,8 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
         yield x, v, obs
 
     principal = problem.contract.principal
-    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, meta, layers())
+    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, spec.constrained, meta,
+                       layers())
 
 
 def _surface(kind: str, problem: VIProblem, config: LatticeConfig,
@@ -260,4 +261,4 @@ def extract_boundary(surface: ValueSurface, tol: float = 1e-7) -> BoundaryCurve:
     Kept under this name for the tests and for the benchmark's tracer,
     which wraps it; the CLI folds the stream itself.
     """
-    return fold_boundary(surface.stream(), tol)
+    return fold_boundary(surface, tol)

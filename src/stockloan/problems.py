@@ -29,7 +29,8 @@ Every grid backend hands its march over as one LayerStream, terminal layer
 first, and three folds read it: fold_values keeps the last layer and reads
 the values off it, fold_boundary scans each layer for the smallest node
 tying with the obstacle, and fold_surface keeps every layer in a value
-surface, which refuses any query off its layers.  All three carry the cash
+surface: a stream whose layers are kept, so it folds again, and which
+refuses any query off its layers.  All three carry the cash
 account as an a_grid, None in one dimension, and read layers by read_layer,
 which takes an account exactly when there is an a_grid.  check_state, the
 one rule for a loan's state (S > 0, A >= 0, on the grid read), is applied by
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -135,17 +136,19 @@ class LayerStream:
     it is set (None in one dimension).  A layer may be a view of a buffer
     the march reuses, so it holds until the next one is drawn; only
     fold_surface copies.  principal scales the tie tolerance, ties above
-    spatial_cap are not boundary points and solver_meta carries
-    diagnostics, some of them filled in as the layers are drawn.  The
-    builder of a stream checks its arguments before the first layer.
+    spatial_cap are not boundary points, constrained is False when the
+    problem has no redemption region and solver_meta carries diagnostics,
+    some of them filled in as the layers are drawn.  The builder of a
+    stream checks its arguments before the first layer.
     """
 
     tau_grid: np.ndarray
     a_grid: np.ndarray | None
     principal: float
     spatial_cap: float
+    constrained: bool
     solver_meta: dict
-    layers: Iterator[Layer]
+    layers: Iterable[Layer]
 
 
 def check_state(spot: float, accrued: float | None = None, x: np.ndarray | None = None,
@@ -189,29 +192,25 @@ def read_layer(x: np.ndarray, a_grid: np.ndarray | None, layer: np.ndarray, s: f
 
 
 @dataclass(frozen=True)
-class ValueSurface:
-    """Every layer of a march, one per time to maturity, and the grids they sit on.
+class ValueSurface(LayerStream):
+    """A LayerStream whose layers are kept, copied and read-only, so it folds any number of times.
 
-    tau_grid ascends from 0 (the terminal layer) to the maturity.  Layer j
-    holds the stock nodes x_nodes[j], the values and the redemption obstacle
-    on them, with one column per level of a_grid when it is set (None in one
-    dimension).  principal scales tolerances; spatial_cap bounds boundary
-    extraction; solver_meta carries diagnostics.
+    x_nodes, values and obstacles are the layers' three parts, in tau_grid order.
     """
 
-    tau_grid: np.ndarray
-    a_grid: np.ndarray | None
-    x_nodes: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-    obstacles: tuple[np.ndarray, ...]
-    principal: float
-    spatial_cap: float
-    solver_meta: dict
+    layers: tuple[Layer, ...]
 
-    def stream(self) -> LayerStream:
-        """The stored layers as a stream again, for the folds."""
-        return LayerStream(self.tau_grid, self.a_grid, self.principal, self.spatial_cap,
-                           self.solver_meta, zip(self.x_nodes, self.values, self.obstacles))
+    @property
+    def x_nodes(self) -> tuple[np.ndarray, ...]:
+        return tuple(x for x, _, _ in self.layers)
+
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return tuple(v for _, v, _ in self.layers)
+
+    @property
+    def obstacles(self) -> tuple[np.ndarray, ...]:
+        return tuple(obs for _, _, obs in self.layers)
 
     def value_at(self, x: float, tau: float, *, a: float | None = None) -> float:
         """Linear in x (and in the account a) within layers, linear across tau.
@@ -224,7 +223,7 @@ class ValueSurface:
             raise ValueError(f"tau={tau} outside surface range [{taus[0]}, {taus[-1]}]")
 
         def read(j: int) -> float:
-            return read_layer(self.x_nodes[j], self.a_grid, self.values[j], x, a, tau)
+            return read_layer(self.layers[j][0], self.a_grid, self.layers[j][1], x, a, tau)
         j = int(np.searchsorted(taus, tau))
         if j == 0 or taus[j] == tau:
             return read(j)
@@ -322,15 +321,14 @@ def fold_surface(stream: LayerStream) -> ValueSurface:
     Stock nodes and obstacles that equal the previous layer's are stored
     once.
     """
-    xs: list[np.ndarray] = []
-    values = []
-    obstacles: list[np.ndarray] = []
+    layers: list[Layer] = []
+    kept_x = kept_obs = None
     for x, v, obs in stream.layers:
-        for kept, arr in ((xs, x), (obstacles, obs)):
-            kept.append(kept[-1] if kept and np.array_equal(arr, kept[-1]) else frozen(arr.copy()))
-        values.append(frozen(v.copy()))
-    return ValueSurface(stream.tau_grid, stream.a_grid, tuple(xs), tuple(values),
-                        tuple(obstacles), stream.principal, stream.spatial_cap, stream.solver_meta)
+        kept_x, kept_obs = (kept if kept is not None and np.array_equal(arr, kept)
+                            else frozen(arr.copy()) for arr, kept in ((x, kept_x), (obs, kept_obs)))
+        layers.append((kept_x, frozen(v.copy()), kept_obs))
+    return ValueSurface(stream.tau_grid, stream.a_grid, stream.principal, stream.spatial_cap,
+                        stream.constrained, stream.solver_meta, tuple(layers))
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def test_solver_metadata():
     surface, _ = solve_vi(problem(1), config)
     meta = surface.solver_meta
     assert meta["solver"] == "fd"
-    assert meta["constrained"] is True
+    assert surface.constrained is True
     assert meta["linear_solves"] >= config.time_steps + 1
 
 
@@ -145,7 +145,7 @@ def test_unconstrained_path_one_solve_per_step():
     assert classify(market, contract(1)).redemption_region_kind is RegionKind.EMPTY
     config = FDConfig(space_nodes=200, time_steps=100)
     surface, boundary = solve_vi(VIProblem(market, contract(1)), config)
-    assert surface.solver_meta["constrained"] is False
+    assert surface.constrained is False
     # one banded solve per implicit step, the Rannacher half-step included
     assert surface.solver_meta["linear_solves"] == config.time_steps + 1
     assert not np.isfinite(boundary.x_star[1:]).any()
@@ -502,7 +502,7 @@ def test_factorizations_never_exceed_solves(kind, market):
         pass
     meta = stream.solver_meta
     assert 2 <= meta["factorizations"] <= meta["linear_solves"]
-    if not meta["constrained"]:
+    if not stream.constrained:
         # nothing is ever pinned, so the half-step and the BDF2 matrix are factored once each
         assert meta["factorizations"] == 2
 

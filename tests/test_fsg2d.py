@@ -69,7 +69,7 @@ def test_golden_value(golden_surface):
     assert surface.value_at(0.8, 1.0, a=0.1) == pytest.approx(value, rel=1e-12)
     meta = surface.solver_meta
     assert meta["solver"] == "fsg"
-    assert meta["constrained"] is True
+    assert surface.constrained is True
     assert meta["n_sub"] >= 1
 
 
@@ -112,10 +112,10 @@ def test_linear_solver_gating_and_agreement():
     # redeems early and marches the plain pricing equation
     cfg = FSG2DConfig(x_nodes=120, a_nodes=24, time_steps=100)
     _, surface = price_regime4(0.8, 0.1, HIGH_VOL, contract(), cfg)
-    assert surface.solver_meta["constrained"] is True
+    assert surface.constrained is True
     market = MarketParams(r=0.12, delta=0.03, sigma=0.3)
     _, linear_surface = price_regime4(0.8, 0.1, market, contract(), cfg)
-    assert linear_surface.solver_meta["constrained"] is False
+    assert linear_surface.constrained is False
 
 
 def test_all_redeem_columns_sit_on_obstacle():
@@ -211,7 +211,7 @@ def test_march_matches_per_offset_reference(market, a_max, constrained):
     config = FSG2DConfig(x_nodes=60, a_nodes=12, time_steps=30, a_max=a_max)
     loan = contract(maturity=2.0)
     _, surface = price_regime4(0.8, 0.1, market, loan, config)
-    assert surface.solver_meta["constrained"] is constrained
+    assert surface.constrained is constrained
     reference = reference_layers(market, loan, config, constrained)
     assert len(reference) == len(surface.tau_grid)
     # the precomputed map rounds as the per-offset sums do, so bit for bit

@@ -23,7 +23,7 @@ from stockloan.fd1d import fd_stream
 from stockloan.fsg2d import fsg_stream
 from stockloan.lattice1d import lattice_stream
 from stockloan.oracle import oracle_price
-from stockloan.problems import fold_boundary, fold_values, tau_grid
+from stockloan.problems import LayerStream, fold_boundary, fold_values, tau_grid
 
 HIGH_VOL = MarketParams(r=0.06, delta=0.03, sigma=0.4)
 
@@ -82,6 +82,27 @@ def surface(backend):
     if backend == "fd":
         return solve_vi(regime1(), SMALL_FD)[0]
     return price_regime4(0.8, 0.1, HIGH_VOL, loan(4, 1.0), SMALL_FSG)[1]
+
+
+# A stored surface is a stream whose layers are kept: it folds any number of
+# times, each time as the march it was stored from folds once.
+FRESH_STREAMS = {
+    "lattice": lambda: lattice_stream(regime1(), LatticeConfig(40), 0.8),
+    "fd": lambda: fd_stream(regime1(), SMALL_FD),
+    "fsg": lambda: fsg_stream(REGIME4, SMALL_FSG, [0.8], 0.1),
+}
+
+
+@pytest.mark.parametrize("backend", FRESH_STREAMS)
+def test_a_stored_surface_folds_again_as_its_stream(backend):
+    stored = surface(backend)
+    assert isinstance(stored, LayerStream)
+    accrued = 0.1 if backend == "fsg" else None
+
+    def folds(stream):
+        return fold_values(stream(), [0.8], accrued), fold_boundary(stream()).x_star.tolist()
+    # the one stored surface is folded four times
+    assert folds(lambda: stored) == folds(lambda: stored) == folds(FRESH_STREAMS[backend])
 
 
 # name: (call(spot, accrued), the account a valid state has, or None where no

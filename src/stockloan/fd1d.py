@@ -38,6 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .closedform import terminal_limit
 from .problems import (
     BoundaryCurve,
     Layer,
@@ -292,24 +293,32 @@ def fd_stream(
 
     The problem (a regime-4 one by problem_spec), the grid and its stencil
     (by log_grid) and every spot (by check_state, against the stock nodes)
-    are checked before the first layer.  solver_meta counts the tridiagonal
-    solves as the layers are drawn, and once the last layer is drawn holds
-    the largest discrete complementarity residual
-    abs(max(min(M f - b, f - obstacle), f - cap)) of any row of any step as
-    "complementarity_residual".  Parameters whose redeeming region is empty
-    have no row to pin, so each step is a single tridiagonal solve, audited
-    against the PDE alone.
+    are checked before the first layer; so is a dividend regime whose
+    redeeming level at maturity (closedform.terminal_limit) lies above the
+    top stock node, where the far field would stand in for the boundary.
+    solver_meta counts the tridiagonal solves as the layers are drawn, and
+    once the last layer is drawn holds the largest discrete complementarity
+    residual abs(max(min(M f - b, f - obstacle), f - cap)) of any row of any
+    step as "complementarity_residual".  Parameters whose redeeming region
+    is empty have no row to pin, so each step is a single tridiagonal
+    solve, audited against the PDE alone.
     """
     spec = problem_spec(problem)
     principal, maturity = problem.contract.principal, problem.contract.maturity
     taus = tau_grid(maturity, config.time_steps)
     x, stencil = log_grid(principal, spec.sigma, spec.drift, spec.rate, maturity,
                           config.space_nodes)
+    if problem.variant is None and spec.constrained:
+        level = terminal_limit(problem.contract.regime, problem.market, problem.contract)
+        if level > x[-1]:
+            raise ValueError(f"the redeeming level at maturity {level:.6g} lies above the stock "
+                             f"grid's top node {x[-1]:.6g}, so the grid cannot hold the boundary")
     for spot in spots:
         check_state(spot, x=x, tau=maturity)
     meta = {"solver": "fd", "config": config, "linear_solves": 0, "factorizations": 0}
     layers = _march(spec, x, stencil, taus, meta, problem.kind)
-    return LayerStream(taus, None, principal, float(x[-1]), spec.constrained, meta, layers)
+    # the top row is set to the far field, not solved, so it is never a boundary point
+    return LayerStream(taus, None, principal, float(x[-2]), spec.constrained, meta, layers)
 
 
 def solve_vi(problem: VIProblem, config: FDConfig) -> tuple[ValueSurface, BoundaryCurve]:

@@ -160,7 +160,9 @@ def fsg_stream(
     idx_hi = idx_lo + 1
     # The boundary rows start at max(obstacle, 0), which np.maximum keeps when
     # constrained; a right column past the principal is pinned to its obstacle.
+    # Unconstrained, they hold the stock and account less the discounted principal.
     right = x + a_max - principal if constrained and a_max >= principal else None
+    bottom, top = x[0] + a, x[-1] + a
 
     obstacle = frozen(x[:, None] + a[None, :] - principal)
     f = np.maximum(obstacle, 0.0)
@@ -188,8 +190,8 @@ def fsg_stream(
                     f[:, -1] = right
             else:
                 disc = principal * math.exp(-r_bar * (step * dt))
-                f[0] = np.maximum(a - disc, 0.0)
-                f[-1] = x[-1] + a - disc
+                f[0] = np.maximum(bottom - disc, 0.0)
+                f[-1] = top - disc
             if step % n_sub == 0:
                 if np.isnan(f).any():
                     raise RuntimeError("forward-shooting-grid solve produced NaN")
@@ -198,7 +200,8 @@ def fsg_stream(
     for spot in spots:
         check_state(spot, accrued, x, a, maturity)
     meta = {"solver": "fsg", "config": config, "n_sub": n_sub, "dt": dt}
-    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-1]),
+    # the top row is set, not marched, so it is never a boundary point
+    return LayerStream(tau_grid(maturity, config.time_steps), a, principal, float(x[-2]),
                        constrained, meta, layers())
 
 

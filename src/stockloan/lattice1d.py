@@ -46,10 +46,6 @@ from .problems import (
     tau_grid,
 )
 
-# Boundary extraction searches nodes up to this many principals before
-# declaring the boundary unbounded at a layer.
-_X_MAX_MULT = 8.0
-
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -170,8 +166,8 @@ def lattice_stream(problem: VIProblem, config: LatticeConfig, spot: float) -> La
             raise RuntimeError(f"lattice produced NaN values for problem {problem.kind!r}")
         yield x, v, obs
 
-    principal = problem.contract.principal
-    return LayerStream(taus, None, principal, _X_MAX_MULT * principal, spec.constrained, meta,
+    # every node is a solved one, so each may be a boundary point
+    return LayerStream(taus, None, problem.contract.principal, math.inf, spec.constrained, meta,
                        layers())
 
 

@@ -297,10 +297,13 @@ def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
 
     Per layer, the boundary is the smallest node at or below spatial_cap
     whose value sits within tol * principal of the obstacle (ties count as
-    redemption), inf where none does.  In two dimensions only the account
-    columns strictly below the principal are scanned: at and above it every
-    state redeems and there is no boundary to locate.  The curve is never
-    monotonized.  A negative or non-finite tol is refused before the first layer.
+    redemption), inf where none does.  A problem that is not constrained has
+    no redemption region, so its boundary is inf on every layer after the
+    terminal one, whatever ties the march rounds to.  In two dimensions only
+    the account columns strictly below the principal are scanned: at and
+    above it every state redeems and there is no boundary to locate.  The
+    curve is never monotonized.  A negative or non-finite tol is refused
+    before the first layer.
     """
     slack_tol = slack_tolerance(tol, stream.principal)
     a_cols, cols = stream.a_grid, slice(None)
@@ -312,6 +315,8 @@ def fold_boundary(stream: LayerStream, tol: float = 1e-7) -> BoundaryCurve:
                       for x, v, obs in stream.layers])
     # x ascends, so a tie at or below spatial_cap exists only if the first tie is one
     stars[stars > stream.spatial_cap] = math.inf
+    if not stream.constrained:
+        stars[1:] = math.inf
     return BoundaryCurve(stream.tau_grid, frozen(stars), a_cols)
 
 

@@ -844,28 +844,35 @@ def test_log_spacing_of_a_few_ulps_exits_2(sigma, capsys):
 def test_fd_convection_dominated_default_grid_refused(capsys):
     count = assert_convection_refusal(["price", "--solver", "fd", "--r", "14"], capsys)
     assert count == 927
-    code, out, err = run(["price", "--solver", "fd", "--r", "14", "--space-nodes", "927"],
-                         capsys)
-    assert (code, err) == (0, "")
-    assert 0.0 < float(out) < 0.7
-    # the lattice at 20000 steps gives 0.68931340806133701; at a drift this
-    # large the FD and lattice values part by about 5e-4 (1e-3 K is 7e-4)
-    assert abs(float(out) - 0.68931340806133701) < 7e-4
+    # that count keeps the cell Peclet number under 1, but the redeeming level
+    # at maturity, (r - gamma) K / delta = 324, lies above the top node 150;
+    # it priced 0.688819, 4.9e-4 below the lattice at 20000 steps
+    assert_terminal_level_refusal(["--r", "14", "--space-nodes", "927"], "324.333", capsys)
 
 
-def test_fd_default_grid_prices_a_drift_its_old_grid_refused(capsys):
-    # 400 one-sided stock nodes printed 0.73542095044407707, above the spot 0.7,
-    # and 400 central ones were refused; 900 keep the cell Peclet number under 1
-    code, out, err = run(["price", "--solver", "fd", "--r", "10"], capsys)
-    assert (code, err) == (0, "")
-    # the value of a regime-1 loan lies in [max(S - K, 0), S]
-    assert 0.0 <= float(out) <= 0.7
-    # and the count 400 nodes were refused with prices near the lattice at
-    # 20000 steps, 0.68576817791557687
-    code, out, err = run(["price", "--solver", "fd", "--r", "10", "--space-nodes", "658"],
-                         capsys)
-    assert (code, err) == (0, "")
-    assert abs(float(out) - 0.68576817791557687) < 1e-4
+def assert_terminal_level_refusal(flags, level, capsys):
+    """An FD price with flags exits 2 with one line naming the level and the default top node."""
+    code, out, err = run(["price", "--solver", "fd"] + flags, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the redeeming level at maturity {level} lies above the stock grid's "
+                   "top node 149.888, so the grid cannot hold the boundary\n")
+
+
+def test_fd_refuses_a_redeeming_level_above_its_grid(capsys):
+    # at r 10 the level at maturity is 231 and the default top node 150: the
+    # far field stood in for the boundary and the price moved away from the
+    # lattice's 0.68576817791557687 (20000 steps) as the grid refined, -1.32e-4
+    # at 900 nodes and -1.97e-4 at 1800; 658 nodes printed within 1e-4 of it
+    for nodes in ([], ["--space-nodes", "658"], ["--space-nodes", "1800"]):
+        assert_terminal_level_refusal(["--r", "10"] + nodes, "231", capsys)
+    # at r 5 the level, 114, lies on the grid: the price converges on the
+    # lattice's 0.67454637771802506 (20000 steps) as the grid refines
+    errors = []
+    for grid in ([], ["--space-nodes", "1800", "--time-steps", "200"]):
+        code, out, err = run(["price", "--solver", "fd", "--r", "5"] + grid, capsys)
+        assert (code, err) == (0, "")
+        errors.append(abs(float(out) - 0.67454637771802506))
+    assert errors[1] < errors[0] < 1e-4
 
 
 # price argvs on 60 x 30 nodes that printed a value outside [max(S - K, 0), S]
@@ -975,7 +982,9 @@ def test_fd_price_and_boundary_keep_two_layers(command, contract, capsys):
 # sha256 of the stdout of small-grid boundary runs; every fold must print the
 # same bytes.  The FD ones were recorded when the march took BDF2 steps.  The
 # lattice and FSG runs print the FD default grid in their config header, so a
-# new default moves their digests and nothing else.
+# new default moves their digests and nothing else.  The unconstrained FSG one
+# was recorded when a problem with no redemption region read inf on every
+# layer after maturity.
 BOUNDARY_DIGESTS = {
     "lattice": (["--solver", "lattice", "--regime", "1", "--steps", "60"],
                 "0caba9f2642cdb55257887eb785173d4fc1263e97fddbd9e059c5e4b2ca4c12f"),
@@ -991,7 +1000,7 @@ BOUNDARY_DIGESTS = {
     "fsg-unconstrained": (["--solver", "fsg", "--regime", "4", "--accrued", "0.1",
                            "--x-nodes", "60", "--a-nodes", "10", "--fsg-steps", "40",
                            "--r", "0.13"],
-                          "cc68d845bd49a544ba1fb642a24ccba5a0822361708a8b52513252bb009f45c9"),
+                          "040964306641e0144a635b0a82dc2f52e04ac87a75de48a8ae1f7eb3967b0f34"),
 }
 
 

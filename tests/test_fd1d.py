@@ -559,3 +559,26 @@ def test_cap_policy_guard_raises(monkeypatch):
     prob = VIProblem(HIGH_VOL, contract(1), "withdrawable", cap=0.5)
     with pytest.raises(RuntimeError, match="the cap policy did not settle within 31 updates"):
         solve_vi(prob, FDConfig(space_nodes=32, time_steps=4))
+
+
+def test_grid_top_is_never_a_boundary_point():
+    # r 0.4: the boundary starts at 7 = 10 K and leaves the grid, whose top
+    # node K e^{6 sigma sqrt(T)} = 7.72 is set to the far field; that value
+    # ties with the obstacle, and 82 of the 101 rows read the top node
+    market = MarketParams(r=0.4, delta=0.03, sigma=0.4)
+    surface, curve = solve_vi(problem(1, market), FDConfig())
+    x = surface.x_nodes[0]
+    assert surface.spatial_cap == x[-2]
+    finite = curve.x_star[np.isfinite(curve.x_star)]
+    assert finite.size == 19 and finite.max() < x[-1]
+
+
+def test_no_boundary_after_maturity_without_a_redemption_region():
+    # r = gamma with no dividend is EMPTY, yet the march's ties read levels
+    # from 0.93 to 4.07; the terminal row stays
+    market = MarketParams(r=GAMMA, delta=0.0, sigma=0.4)
+    assert classify(market, contract(1)).redemption_region_kind is RegionKind.EMPTY
+    surface, curve = solve_vi(problem(1, market), FDConfig())
+    assert surface.constrained is False
+    assert curve.x_star[0] == surface.x_nodes[0][np.searchsorted(surface.x_nodes[0], K)]
+    assert np.isinf(curve.x_star[1:]).all()

@@ -1,5 +1,6 @@
 """Forward-shooting-grid backend for the cash-account dividend regime."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from stockloan import (
     fold_boundary,
     fold_values,
     fsg_stream,
+    oracle_price,
     price_regime1,
     price_regime4,
 )
@@ -191,7 +193,7 @@ def reference_layers(market, loan, config, constrained):
                 new[:, -1] = x + a_max - loan.principal
         else:
             disc = loan.principal * math.exp(-r_bar * (step * dt))
-            new[0] = np.maximum(a - disc, 0.0)
+            new[0] = np.maximum(x[0] + a - disc, 0.0)
             new[-1] = x[-1] + a - disc
         f = new
         if step % n_sub == 0:
@@ -226,6 +228,20 @@ def test_march_matches_per_offset_reference(market, a_max, constrained):
                                    np.asarray(surface.x_nodes[0][1:-1])[:, None],
                                    r_bar, market.delta, surface.solver_meta["dt"])
         assert queries.max() > account[-1]
+
+
+@pytest.mark.parametrize("spot", [0.45, 0.4095])
+def test_unconstrained_bottom_row_holds_the_stock(spot):
+    # r >= gamma: the bottom stock row held max(A - K e^{-(r - gamma) tau}, 0),
+    # the value at x = 0, though it sits at x[0] = K e^{-6 sigma sqrt(T)} > 0.
+    # Near expiry the spots 0.45 and 0.4095, a few nodes above it, priced
+    # 0.3205 and 0.0038, under the intrinsic value; the path tree gives
+    # 0.4410 and 0.4005.
+    market = MarketParams(r=0.13, delta=0.03, sigma=0.4)
+    loan = contract(maturity=0.05)
+    value, _ = price_regime4(spot, 0.69, market, loan)
+    assert value >= spot + 0.69 - K
+    assert value == pytest.approx(oracle_price(spot, market, loan, 14, 0.69), abs=1e-7)
 
 
 @pytest.mark.parametrize("market", [HIGH_VOL, MarketParams(r=0.12, delta=0.05, sigma=0.3)],
@@ -279,3 +295,25 @@ def test_log_spacing_too_small_for_the_stencil_refused(principal):
     # at K = 0.7 the spacing rounds to 0; at K = 1 it is 6e-172 and its square underflows
     with pytest.raises(ValueError, match="too small for a float stencil"):
         log_grid(principal, 1e-170, 0.0, 0.0, 1.0, 200)
+
+
+def test_top_row_is_never_a_boundary_point():
+    # the top stock row is set, not marched; a column whose only tie is that
+    # row has no boundary on the grid, where it read the top node
+    stream = fsg_stream(VIProblem(HIGH_VOL, contract()), FSG2DConfig(40, 8, 10), [0.8], 0.1)
+    lifted = ((x, np.concatenate([v[:-1] + 1.0, obs[-1:]]), obs) for x, v, obs in stream.layers)
+    stars = fold_boundary(dataclasses.replace(stream, layers=lifted)).x_star
+    assert np.isinf(stars).all()
+
+
+@pytest.mark.parametrize("r", [0.13, GAMMA])
+def test_no_boundary_after_maturity_without_a_redemption_region(r):
+    # r >= gamma: no state redeems before maturity.  At 0.13 the bottom row
+    # tied for the accounts 0.648 and 0.677 on every layer; at r = gamma the
+    # march without the obstacle dips below it, and 5000 levels were read
+    stream = fsg_stream(VIProblem(MarketParams(r=r, delta=0.03, sigma=0.4), contract()),
+                        FSG2DConfig(), [0.8], 0.1)
+    assert stream.constrained is False
+    curve = fold_boundary(stream)
+    assert np.isfinite(curve.x_star[0]).all()
+    assert np.isinf(curve.x_star[1:]).all()

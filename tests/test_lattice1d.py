@@ -16,6 +16,7 @@ from stockloan import (
     VIProblem,
     amortized_payment_rate,
     extract_boundary,
+    fold_boundary,
     fold_surface,
     fold_values,
     lattice_stream,
@@ -373,3 +374,25 @@ def test_volatility_too_small_for_the_tree_refused():
     # exp(sigma sqrt(dt)) rounds to 1, so u == d and the up probability divides by 0
     with pytest.raises(ValueError, match="sigma=1e-150 is too small"):
         lattice1d.crr_step_params(1e-150, -0.04, -0.04, 0.0025)
+
+
+def test_boundary_above_eight_principals_is_found():
+    # r 0.4: the boundary starts at 7 = 10 K (closedform.terminal_limit) and
+    # rises; the scan stopped at 8 K and read inf on every layer after maturity
+    market = MarketParams(r=0.4, delta=0.03, sigma=0.4)
+    stars = fold_boundary(lattice_stream(VIProblem(market, contract(1)), LatticeConfig(200),
+                                         0.7)).x_star
+    assert all(8.0 * K < stars[m] < math.inf for m in (1, 2, 50, 100))
+    # near the root the layers' nodes stop short of the boundary
+    assert np.isinf(stars[150:]).all()
+
+
+def test_no_boundary_after_maturity_without_a_redemption_region():
+    # r > gamma with no dividend: waiting is optimal, yet the scan over every
+    # node of a T 5 tree would read rounding ties at nodes near 1e11 on 604 layers
+    market = MarketParams(r=0.13, delta=0.0, sigma=0.4)
+    stream = lattice_stream(VIProblem(market, contract(1, maturity=5.0)), LatticeConfig(2000), 0.7)
+    assert stream.constrained is False
+    stars = fold_boundary(stream).x_star
+    assert stars[0] == pytest.approx(K)
+    assert np.isinf(stars[1:]).all()

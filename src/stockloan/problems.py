@@ -329,8 +329,9 @@ def fold_surface(stream: LayerStream) -> ValueSurface:
     layers: list[Layer] = []
     kept_x = kept_obs = None
     for x, v, obs in stream.layers:
-        kept_x, kept_obs = (kept if kept is not None and np.array_equal(arr, kept)
-                            else frozen(arr.copy()) for arr, kept in ((x, kept_x), (obs, kept_obs)))
+        kept_x, kept_obs = (
+            kept if kept is not None and np.array_equal(arr, kept) else frozen(arr.copy())
+            for arr, kept in ((x, kept_x), (obs, kept_obs)))
         layers.append((kept_x, frozen(v.copy()), kept_obs))
     return ValueSurface(stream.tau_grid, stream.a_grid, stream.principal, stream.spatial_cap,
                         stream.constrained, stream.solver_meta, tuple(layers))

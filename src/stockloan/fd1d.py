@@ -6,11 +6,14 @@ per-step linear complementarity problem: every pass is one tridiagonal solve
 with the rows held at the obstacle, or at the cap, pinned.  The half-steps
 share one matrix and the BDF2 steps another, each factored once by LAPACK's
 gttrf; a pass whose pinned rows are a top block solves only the free rows
-above it, and any other pinned set is factored whole.  Each pass is one
-gttrs solve, bit for bit what gtsv gives on the system it solves, written
-straight into the new layer.  One loop (_march) runs every step and pass
-over buffers and policy masks it reuses; the last pass of a step leaves
-M f, M f - b and f - obstacle behind, which audit the step's
+above it, and any other pinned set is factored whole.  A step's first
+policy is Brennan and Schwartz's top block, guessed by a back-substitution
+against the obstacle near the block the last step settled on, so a step
+whose guess holds is one pass; the iteration still decides every answer.
+Each pass is one gttrs solve, bit for bit what gtsv gives on the system it
+solves, written straight into the new layer.  One loop (_march) runs every
+step and pass over buffers and policy masks it reuses; the last pass of a
+step leaves M f, M f - b and f - obstacle behind, which audit the step's
 complementarity residual.  A NaN anywhere reaches that audit or the
 payoff's edges, checked once.  The drift term is differenced centrally, and
 a grid on which central weights would go negative (cell Peclet number above
@@ -101,6 +104,37 @@ def _cap_rows(f: np.ndarray, cap: float, residual: np.ndarray, slack: np.ndarray
     return np.greater(f - cap, np.minimum(residual, slack))
 
 
+def _top_block_guess(
+    dgttrs, factors: tuple, unit: tuple, b: np.ndarray, u_lower: np.ndarray, k: int,
+    reach: int
+) -> int | None:
+    """The first row of the top block Brennan and Schwartz's back-substitution pins; or None.
+
+    factors are M's, from a gttrf that swapped no rows; [k, n) is the block
+    the last step settled on, and unit holds n ones and n zeros.  The forward
+    elimination L y = b runs over the rows [k - reach, k + reach) alone, as
+    one gttrs call with the window's multipliers and a unit upper factor:
+    it is exact from row 0, and a start dropped higher decays below 1e-13
+    within reach rows.  A row's back-substitution against the obstacle of
+    the row above, c = (y - du lower[i + 1]) / d, clears its own obstacle
+    where y exceeds u_lower = U lower (d is positive); the block starts
+    above the highest such row.  None where no window row is free, or where
+    the window's top row is free but the window ends below the top row: the
+    block left the window.
+    """
+    dl, _, _, _, ipiv = factors
+    ones, zeros = unit
+    start, stop = max(k - reach, 0), min(k + reach, b.size)
+    m = stop - start
+    y = b[start:stop].copy()
+    dgttrs(dl[start:stop - 1], ones[:m], zeros[:m - 1], zeros[:m - 2], ipiv[:m], y,
+           overwrite_b=True)
+    row = np.greater(y, u_lower[start:stop]).tobytes().rfind(1)
+    if row < 0 or (row == m - 1 and stop < b.size):
+        return None
+    return start + row + 1
+
+
 def _march(
     spec: ProblemSpec, x: np.ndarray, stencil: tuple[float, float, float], taus: np.ndarray,
     meta: dict, kind: str
@@ -125,12 +159,17 @@ def _march(
     unless gttrf swapped rows.  Any other pinned set is factored whole when
     it differs from the set factored last.  So each solve gives the bits of
     one gtsv call on the system it solves, and every layer is bit for bit
-    that of a march that allocates every sum.  The policies are first read
-    off the previous layer.  The cap set is held fixed while the obstacle
-    policy iterates on the other rows until a pass leaves it unchanged; then
-    the cap set is read off that solution, and the step is done when it
-    repeats (Hoffman-Karp nesting; switching both policies at once cycled on
-    some grids).  Each level is bounded by n + 1 passes.  An unconstrained
+    that of a march that allocates every sum.  The first obstacle policy is
+    the block _top_block_guess finds near the one the last step settled on
+    (first, the rows whose payoff is on the obstacle), when that is a top
+    block [k, n) with 0 < k < n, gttrf swapped no rows and there is no cap;
+    otherwise, or where it finds none, the policies are read off the
+    previous layer, once.  Each step still ends on the policy its own
+    solution repeats.  The cap set is held fixed while the obstacle policy
+    iterates on the other rows until a pass leaves it unchanged; then the
+    cap set is read off that solution, and the step is done when it
+    repeats (Hoffman-Karp nesting; switching both policies at once cycled
+    on some grids).  Each level is bounded by n + 1 passes.  An unconstrained
     step is one solve, audited against the PDE alone.
 
     Adds the passes to meta["linear_solves"] and the factorizations to
@@ -157,6 +196,7 @@ def _march(
     applied, residual, slack, term, b, prev = np.empty((6, n))
     tail, term_tail, head, term_head = applied[1:], term[1:], applied[:-1], term[:-1]
     prefers, pinned = np.zeros((2, n), dtype=bool)  # the obstacle policy, and it or the cap
+    unit = np.ones(n), np.zeros(n)  # the bands of a unit upper factor, for a guess's window
     worst = np.zeros(n)  # row by row, the largest complementarity residual so far
     src = spec.source(x[1:-1]) if spec.source is not None else None
     steady = None if callable(spec.strike) else frozen(spec.obstacle(x, 0.0))
@@ -168,6 +208,8 @@ def _march(
     lower = obstacle[1:-1]
     yield x, payoff, obstacle
     f = prev[:] = payoff[1:-1]  # f_{n-1} of the first BDF2 step, kept in prev
+    # the policy the last step settled on; first, the rows whose payoff is on the obstacle
+    key = np.less_equal(f, lower).tobytes() if constrained else free
     times = [half, *taus[1:].tolist()]  # two implicit-Euler half-steps first
     for j, tau in enumerate(times):
         inner = f
@@ -184,6 +226,12 @@ def _march(
             factored = free if info == 0 else None
             # the leading slices of M's factors, by free row count; None if gttrf swapped rows
             leading = {} if info == 0 and np.array_equal(lu[-1], np.arange(1, n + 1)) else None
+            # the rows on each side of a block's start that a guess eliminates: past them
+            # the product of multipliers, each at most the last, falls below 1e-13
+            last = abs(float(lu[0][-1]))
+            reach = 2 if last == 0 else n if last >= 1 else max(
+                2, math.ceil(math.log(1e-13) / math.log(last)))
+            u_lower = None  # U lower, for a guess; per step if the obstacle moves
             # M f of the layer stepped from, as a pass forms it (a missing neighbour adds -0.0)
             multiply(inner, diag, out=applied)
             add(tail, multiply(inner[:-1], off_lo, out=term_tail), out=tail)
@@ -203,14 +251,24 @@ def _march(
             lower = obstacle[1:-1]
         f_new = np.empty(n + 2)
         f_new[0], f_new[-1] = bottom, top
-        f, mask, key, at_cap = f_new[1:-1], prefers, free, None
+        f, mask, at_cap = f_new[1:-1], prefers, None
         if constrained:
-            subtract(applied, b, out=residual)
-            subtract(inner, lower, out=slack)
-            less(slack, residual, out=prefers)
-            if cap is not None:
-                at_cap = _cap_rows(inner, cap, residual, slack)
-                cap_key, mask = at_cap.tobytes(), logical_or(prefers, at_cap, out=pinned)
+            k = key.find(1)  # the top block [k, n) the last step settled on, if it was one
+            start = None
+            if cap is None and leading is not None and 0 < k and key.count(1) == n - k:
+                if u_lower is None or steady is None:
+                    u_lower = multiply(whole[1], lower)
+                    add(u_lower[:-1], multiply(whole[2], lower[1:]), out=u_lower[:-1])
+                start = _top_block_guess(dgttrs, whole, unit, b, u_lower, k, reach)
+            if start is None:
+                subtract(applied, b, out=residual)
+                subtract(inner, lower, out=slack)
+                less(slack, residual, out=prefers)
+                if cap is not None:
+                    at_cap = _cap_rows(inner, cap, residual, slack)
+                    cap_key, mask = at_cap.tobytes(), logical_or(prefers, at_cap, out=pinned)
+            else:
+                prefers[:start], prefers[start:] = False, True
             key = mask.tobytes()
         for _ in range(n + 1):
             for _ in range(n + 1):

@@ -51,19 +51,19 @@ FUZZ_FLAGS = FLAGS + ["--maturity", "--principal", "--spot"]
 SMALL_GRID = {"steps": 20, "space_nodes": 40, "time_steps": 10, "x_nodes": 20, "a_nodes": 6,
               "fsg_steps": 10, "oracle_steps": 6}
 COMMAND_ARGS = {"sweep": ["--param", "spot", "--values", "0.6,0.8"]}
-FIGURES = ("1", "2")  # the finite-difference figures; 3 and 4 run the fsg grid
 CAP = 0.35
 VARIANT_ARGS = {"amortized": [], "withdrawable": ["--cap", str(CAP)]}
 
 
 def command_configs():
-    """(command, solver or None, regime, variant or figure number) for each subcommand and
-    solver it covers; a figure runs the solver and regime its number fixes."""
+    """(command, solver or None, regime, variant or figure number) for each subcommand, each
+    solver it covers and each regime and variant of that solver; a figure runs the solver and
+    regime its number fixes."""
     for name in FUZZ_COMMANDS:
         command = cli._COMMANDS[name]
         if name == "figure":
-            for number in FIGURES:
-                yield name, cli._FIGURES[int(number)][0]["solver"], number
+            for number, (fixed, *_) in cli._FIGURES.items():
+                yield name, fixed["solver"], str(number)
             continue
         if "solver" not in command["reads"] and "grid" not in command["reads"]:
             for regime in command["regimes"][0]:
@@ -71,7 +71,8 @@ def command_configs():
             continue
         solvers = command.get("solvers", (cli._SOLVERS,))[0]
         for solver in solvers:
-            yield name, solver, cli._SOLVERS[solver]["regimes"][0]
+            for regime in cli._SOLVERS[solver]["regimes"]:
+                yield name, solver, regime
         for solver in solvers:
             for variant in command.get("variants", (cli._SOLVERS[solver]["variants"],))[0]:
                 yield name, solver, variant
@@ -119,12 +120,16 @@ def priced(name, argv, numbers):
                          ids=lambda v: str(v))
 def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, kind, capsys):
     """Each argv exits 0, 2 or 3; a refusal prints one stderr line and no stdout; an
-    answer prints no NaN.  A regime-1 lattice or path-tree price or sweep value
-    lies in [max(S - K, 0), S], a withdrawable value in [0, cap] and an
-    amortized one in [S - K, S] on either grid solver, and a bounded perpetual
-    boundary lies above the principal.  FD values of the regimes on these
-    coarse grids are not bounded: the grids are too coarse for the margin a
-    regime-2 value keeps below S."""
+    answer prints no NaN.  A regime-1 or regime-2 lattice or path-tree price or
+    sweep value lies in [max(S - K, 0), S], a withdrawable value in [0, cap] and
+    an amortized one in [S - K, S] on either grid solver, and a bounded
+    perpetual boundary lies above the principal.  The rest get the exit, refusal
+    and NaN checks only.  FD values of the regimes are not bounded: these
+    coarse grids are too coarse for the margin a regime-2 value keeps below S
+    (ROADMAP known defect 1).  Regime-3 and regime-4 values are not bounded:
+    their trees price above the collateral S when K << S, since each step adds
+    the delivered dividend as delta x dt after discounting (known defect 3).
+    Nor are the figures, whose CSV rows are boundary levels, not values."""
     failures = []
     for argv in fuzz_argvs(name, solver, kind):
         code = cli.main(argv)
@@ -143,7 +148,7 @@ def test_every_command_exits_cleanly_on_extreme_inputs(name, solver, kind, capsy
             if not numbers["x_star_inf"] >= principal:
                 failures.append((argv, f"boundary below the principal: {captured.out!r}"))
         for s, v in priced(name, argv, numbers):
-            if kind == 1 and solver in ("lattice", "oracle"):
+            if kind in (1, 2) and solver in ("lattice", "oracle"):
                 low, high = max(s - principal, 0.0), s
             elif kind == "withdrawable":
                 low, high = 0.0, CAP

@@ -337,7 +337,12 @@ def reference_march(problem, config):
     its right-hand side as its solution, and a pass whose pinned rows are a
     top block [k, n) with k > 2 solves the leading k rows alone, row k - 1
     taking off_up f[k] to its right-hand side; any other pass solves the
-    whole system with its pinned rows as identity rows."""
+    whole system with its pinned rows as identity rows.  A step's first
+    policy is Brennan and Schwartz's top block, from a forward elimination
+    of every row, when the last step settled on a top block [k, n) with
+    0 < k < n (before the first, the rows whose payoff is on the
+    obstacle), M did not pivot and there is no cap; otherwise, or where no
+    row is free, it is read off the previous layer."""
     from scipy.linalg.lapack import dgtsv, dgttrf
 
     from stockloan.problems import problem_spec, tau_grid
@@ -367,11 +372,23 @@ def reference_march(problem, config):
             return np.asarray(spec.obstacle(x[1:-1], tau), dtype=float)
         return np.full(x.size - 2, -math.inf)
 
-    def policy_step(diag, off_lo, off_up, b, init, lower, cap):
-        """The step's solution, its solve count and its largest complementarity residual."""
+    def brennan_schwartz(dl, d, du, b, lower):
+        """The first row of the top block that back-substituting against the obstacle pins,
+        after a forward elimination from row 0; None if no row is free."""
+        y = b.copy()
+        for i in range(1, y.size):
+            y[i] -= dl[i - 1] * y[i - 1]
+        # c = (y - du lower[i + 1]) / d exceeds lower where y exceeds U lower, d > 0
+        free = np.flatnonzero(y > d * lower + np.append(du * lower[1:], 0.0))
+        return None if free.size == 0 else int(free[-1]) + 1
+
+    def policy_step(diag, off_lo, off_up, b, init, lower, cap, last):
+        """The step's solution, its solve count, its largest complementarity residual
+        and the rows its settled policy pins to the obstacle."""
         n = b.size
         upper = math.inf if cap is None else cap
-        *_, ipiv, info = dgttrf(np.full(n - 1, off_lo), np.full(n, diag), np.full(n - 1, off_up))
+        dl, d, du, _, ipiv, info = dgttrf(np.full(n - 1, off_lo), np.full(n, diag),
+                                          np.full(n - 1, off_up))
         blocks = info == 0 and np.array_equal(ipiv, np.arange(1, n + 1))
 
         def residual_of(f):
@@ -390,12 +407,12 @@ def reference_march(problem, config):
             return solve(np.where(pde[1:], off_lo, 0.0), np.where(pde, diag, 1.0),
                          np.where(pde[:-1], off_up, 0.0), rhs)
 
-        def audited(f, count):
+        def audited(f, count, policy):
             comp = np.maximum(np.minimum(residual_of(f), f - lower), f - upper)
-            return f, count, float(np.abs(comp).max())
+            return f, count, float(np.abs(comp).max()), policy == 1
 
         if cap is None and not np.isfinite(lower).any():
-            return audited(solve_pinned(np.full(n, True), b.copy()), 1)
+            return audited(solve_pinned(np.full(n, True), b.copy()), 1, np.zeros(n))
 
         def policy_of(f):
             residual = residual_of(f)
@@ -404,18 +421,22 @@ def reference_march(problem, config):
             policy[f - upper > np.minimum(residual, slack)] = 2
             return policy
 
-        policy = policy_of(init)
+        k = int(np.argmax(last)) if last.any() else n
+        start = None
+        if cap is None and blocks and 0 < k and last[k:].all():
+            start = brennan_schwartz(dl, d, du, b, lower)
+        policy = policy_of(init) if start is None else np.where(np.arange(n) < start, 0, 1)
         for count in range(1, n + 2):
             pde = policy == 0
             f = solve_pinned(pde, np.where(pde, b, np.where(policy == 1, lower, upper)))
             settled = policy_of(f)
             if np.array_equal(settled, policy):
-                return audited(f, count)
+                return audited(f, count, policy)
             policy = settled
         raise AssertionError("the reference policy iteration did not settle")
 
     def step(f_old, f_prev, tau_new, weight):
-        nonlocal solves, worst
+        nonlocal solves, worst, last
         bottom = spec.near_field(tau_new, float(x[0]))
         top = spec.far_field(tau_new, float(x[-1]))
         if f_prev is None:
@@ -426,8 +447,8 @@ def reference_march(problem, config):
             b += weight * src
         b[0] += weight * lo * bottom
         b[-1] += weight * up * top
-        f_int, count, residual = policy_step(1.0 - weight * mid, -weight * lo, -weight * up, b,
-                                             f_old[1:-1], floor(tau_new), spec.cap)
+        f_int, count, residual, last = policy_step(1.0 - weight * mid, -weight * lo, -weight * up,
+                                                   b, f_old[1:-1], floor(tau_new), spec.cap, last)
         solves += count
         worst = max(worst, residual)
         return np.concatenate(([bottom], f_int, [top]))
@@ -436,6 +457,7 @@ def reference_march(problem, config):
         return x, f, np.asarray(spec.obstacle(x, tau), dtype=float)
 
     f = np.asarray(spec.terminal(x), dtype=float)
+    last = f[1:-1] <= floor(0.0)
     layers = [layer(f, 0.0)]
     startup = step(f, None, half, half)
     older, f = f, step(startup, None, float(taus[1]), half)
@@ -464,6 +486,44 @@ def test_every_layer_matches_the_reference_march_bitwise(kind, market, grid):
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
     assert stream.solver_meta["linear_solves"] == solves
+    assert stream.solver_meta["complementarity_residual"] == residual
+
+
+@pytest.mark.parametrize("grid", [(900, 100), (1600, 100), (3200, 100)],
+                         ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("regime", [1, 2, 3])
+def test_constrained_march_takes_one_solve_per_step(regime, grid):
+    # each step's Brennan-Schwartz guess is the block its policy iteration settles on
+    config = FDConfig(space_nodes=grid[0], time_steps=grid[1])
+    stream = fd_stream(problem(regime, maturity=5.0), config)
+    for _ in stream.layers:
+        pass
+    meta = stream.solver_meta
+    assert (meta["linear_solves"], meta["factorizations"]) == (config.time_steps + 1, 2)
+
+
+def test_a_guess_whose_window_misses_the_block_falls_back(monkeypatch):
+    # r 0.4: the first half-step's block starts at row 195 of 198, far above the
+    # strike's row 99 that the payoff pins from; 2000 steps leave a window of
+    # 9 rows on each side, so the guess fails and the policy is read off the
+    # payoff, while the reference eliminates every row and guesses right
+    guesses, original = [], fd1d._top_block_guess
+
+    def recorded(*args):
+        guesses.append(original(*args))
+        return guesses[-1]
+
+    monkeypatch.setattr(fd1d, "_top_block_guess", recorded)
+    prob = problem(1, MarketParams(r=0.4, delta=0.03, sigma=0.4))
+    config = FDConfig(space_nodes=200, time_steps=2000)
+    stream = fd_stream(prob, config)
+    drawn = list(stream.layers)
+    expected, solves, residual = reference_march(prob, config)
+    for got, want in zip(drawn, expected):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    assert guesses[0] is None and None not in guesses[1:]
+    assert stream.solver_meta["linear_solves"] > solves == config.time_steps + 1
     assert stream.solver_meta["complementarity_residual"] == residual
 
 
